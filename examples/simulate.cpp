@@ -30,10 +30,6 @@
  *     --ber F          (shorthand for -p faults.model=ber
  *                       -p faults.ber=F; routes intra-group data
  *                       over the reliable DLL transport)
- *     --threads N      (shorthand for -p sim.threads=N and, for
- *                       N > 1, -p sim.shard=group: run the sharded
- *                       parallel kernel on N OS threads; see
- *                       docs/parallel_kernel.md)
  *     --hosts N        (shorthand for -p rack.hosts=N: partition the
  *                       DL groups across N hosts pooling their
  *                       NMP-DIMMs over the inter-host fabric; see
@@ -65,6 +61,9 @@
  * stats JSON) is byte-identical whether or not a run was traced.
  */
 
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -90,6 +89,22 @@ usage(const char *msg)
     std::fprintf(stderr, "error: %s\n(see the file header for "
                  "options)\n", msg);
     std::exit(2);
+}
+
+/** Parse @p text, the value of @p flag, as a decimal integer in
+ * [0, @p max]; anything else (a sign, trailing junk, overflow) is a
+ * usage error. */
+std::uint64_t
+parseCount(const std::string &flag, const std::string &text,
+           std::uint64_t max)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        usage((flag + " needs a non-negative integer (got '" + text +
+               "')").c_str());
+    return v;
 }
 
 std::string
@@ -140,9 +155,10 @@ main(int argc, char **argv)
         else if (a == "--workload")
             workload = next();
         else if (a == "--scale")
-            scale = std::stoull(next());
+            scale = parseCount(a, next(), UINT64_MAX);
         else if (a == "--rounds")
-            rounds = static_cast<unsigned>(std::stoul(next()));
+            rounds = static_cast<unsigned>(
+                parseCount(a, next(), UINT_MAX));
         else if (a == "--qps")
             overrides.push_back("serve.offeredQps=" + next());
         else if (a == "--requests")
@@ -164,12 +180,6 @@ main(int argc, char **argv)
         else if (a == "--ber") {
             overrides.push_back("faults.model=ber");
             overrides.push_back("faults.ber=" + next());
-        }
-        else if (a == "--threads") {
-            const std::string n = next();
-            overrides.push_back("sim.threads=" + n);
-            if (n != "1")
-                overrides.push_back("sim.shard=group");
         }
         else if (a == "--hosts")
             overrides.push_back("rack.hosts=" + next());

@@ -441,11 +441,7 @@ fields()
 
         CFG_FIELD_HIDDEN("watchdog.stallPs", watchdog.stallPs),
 
-        CFG_FIELD_HIDDEN("sim.threads", sim.threads),
-        CFG_FIELD_HIDDEN("sim.shard", sim.shard),
-        CFG_FIELD_HIDDEN("sim.lookaheadPs", sim.lookaheadPs),
-
-        // Hidden like sim.*: a single-host config (rack.hosts = 1)
+        // Hidden like obs.*: a single-host config (rack.hosts = 1)
         // must dump byte-identical stats JSON to a build without the
         // rack layer.
         CFG_FIELD_HIDDEN("rack.hosts", rack.hosts),
@@ -673,37 +669,6 @@ SystemConfig::validate() const
         fatal("profileFraction (%g) must be within [0, 1]",
               profileFraction);
 
-    // Parallel execution engine.
-    if (sim.shard != "none" && sim.shard != "group")
-        fatal("sim.shard must be 'none' or 'group' (got '%s')",
-              sim.shard.c_str());
-    if (sim.threads == 0)
-        fatal("sim.threads must be positive");
-    if (sim.threads > 1 && !sharded())
-        fatal("sim.threads = %u needs sim.shard = group (the "
-              "sequential kernel has nothing to parallelize)",
-              sim.threads);
-    if (sharded()) {
-        if (idcMethod != IdcMethod::DimmLink)
-            fatal("sim.shard = group requires the DIMM-Link fabric "
-                  "(got %s): only its cross-group paths carry the "
-                  "latency the conservative window needs",
-                  toString(idcMethod));
-        if (distanceAwareMapping)
-            fatal("sim.shard = group does not support "
-                  "distance-aware mapping (migration restarts "
-                  "cross shard boundaries mid-kernel)");
-        if (resolvedLookaheadPs() == 0)
-            fatal("sim.shard = group needs a positive lookahead: "
-                  "link.routerLatencyPs + link.wireLatencyPs is 0 "
-                  "and sim.lookaheadPs is not set (a zero-latency "
-                  "cross-shard hop admits no conservative window)");
-        if (obs.sampleIntervalPs != 0)
-            fatal("sim.shard = group cannot run the periodic counter "
-                  "sampler (it reads live cross-shard gauges); set "
-                  "obs.sampleIntervalPs = 0");
-    }
-
     // Rack-scale pooling. Only the multi-host case is constrained:
     // single-host configs must never fatal on leftover rack keys (the
     // layer is invisible when unused).
@@ -753,17 +718,6 @@ SystemConfig::validate() const
                       "first group: multiples of %u)",
                       rack.nodeDownId, groupsPerHost());
         }
-        // The rack fabric sets the cross-host lookahead floor: every
-        // cross-host hop routes through the host shard and pays at
-        // least rack.latencyPs, so the conservative window only has
-        // to respect the (smaller) intra-host hop -- unless an
-        // explicit sim.lookaheadPs undercuts the rack latency.
-        if (sharded() && resolvedLookaheadPs() > rack.latencyPs)
-            fatal("sim.lookaheadPs (%llu) exceeds rack.latencyPs "
-                  "(%llu): the window would overrun the shortest "
-                  "cross-host crossing",
-                  static_cast<unsigned long long>(resolvedLookaheadPs()),
-                  static_cast<unsigned long long>(rack.latencyPs));
     }
 
     // Observability. Category names are validated where the tracer is
@@ -825,7 +779,7 @@ SystemConfig::set(const std::string &key, const std::string &value)
               key.c_str(), section.c_str(), siblings.c_str());
     fatal("unknown config key '%s' (sections: system, host, dimm, "
           "dram, link, bus, faults, serve, energy, obs, watchdog, "
-          "sim, rack)", key.c_str());
+          "rack)", key.c_str());
 }
 
 void

@@ -254,35 +254,11 @@ struct ObsConfig
 };
 
 /**
- * Execution-engine knobs: the sharded parallel event kernel
- * (src/sim/shard.hh, docs/parallel_kernel.md). Like faults.suspectAfter
- * and the obs.* keys, the sim.* keys are hidden from describe() so the
- * config header embedded in stats JSON keeps its seed shape; the
- * determinism guarantee is that within sim.shard=group, stats output
- * is byte-identical for every sim.threads value.
- */
-struct SimConfig
-{
-    /** Worker threads driving the shards; 1 = run the windowed
-     * algorithm on the calling thread. Requires shard=group when >1.
-     * Never affects simulation results. */
-    unsigned threads = 1;
-    /** Shard partitioning: "none" (the sequential reference kernel)
-     * or "group" (one shard per DL group plus a host shard,
-     * synchronized with conservative lookahead windows). */
-    std::string shard = "none";
-    /** Conservative lookahead window in ticks; 0 = auto (the minimum
-     * cross-shard latency: one DL-Bridge hop, router + wire). */
-    Tick lookaheadPs = 0;
-};
-
-/**
  * The serving frontend (docs/serving.md): request-level workloads
  * ("kv", "embed") driven by an open-loop arrival process with Zipfian
  * key popularity, or closed-loop for saturation sweeps. Like
  * faults.seed, every random stream derives deterministically from
- * serve.seed, so a fixed seed is byte-identical across runs and --
- * within sim.shard=group -- across thread counts.
+ * serve.seed, so a fixed seed is byte-identical across runs.
  */
 struct ServeConfig
 {
@@ -377,7 +353,7 @@ struct ServeConfig
  * that connect the hosts' gateway pool nodes directly and bypass
  * both host CPUs.
  *
- * Like sim.* and obs.*, every rack.* key is hidden from describe():
+ * Like obs.*, every rack.* key is hidden from describe():
  * with rack.hosts = 1 (the default) the rack layer builds nothing,
  * touches nothing, and a config without a rack section produces
  * byte-identical stats JSON to a build that predates it.
@@ -464,7 +440,6 @@ struct SystemConfig
     EnergyConfig energy;
     ObsConfig obs;
     WatchdogConfig watchdog;
-    SimConfig sim;
     RackConfig rack;
 
     /** DRAM timing preset name, keyed into the timing registry
@@ -497,9 +472,6 @@ struct SystemConfig
         return static_cast<ChannelId>(d / dimmsPerChannel());
     }
 
-    /** Is the sharded (parallel-capable) kernel selected? */
-    bool sharded() const { return sim.shard == "group"; }
-
     /** Is the rack layer (multi-host pooling) in play? */
     bool rackEnabled() const { return rack.hosts > 1; }
     /** DL groups owned by each host (resolves the 0 = auto setting;
@@ -518,16 +490,6 @@ struct SystemConfig
     /** Gateway pool node (group id) anchoring host @p h's pooled
      * bridge lanes: its first group. */
     unsigned gatewayGroupOf(unsigned h) const { return h * groupsPerHost(); }
-
-    /** The effective conservative lookahead window (resolves the
-     * sim.lookaheadPs=0 auto setting to one DL-Bridge hop). */
-    Tick
-    resolvedLookaheadPs() const
-    {
-        return sim.lookaheadPs != 0
-                   ? sim.lookaheadPs
-                   : link.routerLatencyPs + link.wireLatencyPs;
-    }
 
     /** Validate every cross-field invariant; fatal() on bad configs. */
     void validate() const;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <mutex>
 #include <vector>
 
 namespace dimmlink {
@@ -81,25 +80,12 @@ warnCounts()
     return counts;
 }
 
-// Warnings can originate from concurrent shards of the parallel
-// kernel; the counter map is the only logging state they share.
-std::mutex &
-warnMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
 } // namespace
 
 void
 warnRateLimited(const char *key, unsigned every, const char *fmt, ...)
 {
-    std::uint64_t n = 0;
-    {
-        std::lock_guard<std::mutex> lock(warnMutex());
-        n = ++warnCounts()[key];
-    }
+    const std::uint64_t n = ++warnCounts()[key];
     const bool print =
         n == 1 || (every != 0 && n % every == 0);
     if (!print || globalLevel < LogLevel::Warn)
@@ -120,7 +106,6 @@ warnRateLimited(const char *key, unsigned every, const char *fmt, ...)
 std::uint64_t
 warnCount(const char *key)
 {
-    std::lock_guard<std::mutex> lock(warnMutex());
     const auto &counts = warnCounts();
     const auto it = counts.find(key);
     return it == counts.end() ? 0 : it->second;
@@ -129,7 +114,6 @@ warnCount(const char *key)
 void
 resetWarnCounts()
 {
-    std::lock_guard<std::mutex> lock(warnMutex());
     warnCounts().clear();
 }
 

@@ -8,7 +8,6 @@
 #ifndef DIMMLINK_COMMON_STATS_HH
 #define DIMMLINK_COMMON_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -18,56 +17,23 @@
 namespace dimmlink {
 namespace stats {
 
-/**
- * A named monotonically-updated scalar statistic.
- *
- * Storage is a relaxed atomic so the parallel kernel's single-writer
- * counters (each owned by one shard) can be read concurrently -- by
- * the watchdog's progress probe or a cross-shard diagnostic -- without
- * a data race. The default mutators stay non-RMW load/store (free on
- * x86) and are only safe under that single-writer discipline; the few
- * stats genuinely written from several shards (the inter-group fabric
- * counters) must use addConcurrent().
- */
+/** A named monotonically-updated scalar statistic. */
 class Scalar
 {
   public:
-    Scalar() = default;
-
     Scalar &
     operator+=(double v)
     {
-        value_.store(value_.load(std::memory_order_relaxed) + v,
-                     std::memory_order_relaxed);
+        value_ += v;
         return *this;
     }
     Scalar &operator++() { return *this += 1; }
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    void reset() { set(0); }
-    double
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Multi-writer add (CAS loop). Every concurrent increment in the
-     * simulator adds an integer-valued count or byte total, and
-     * integer sums below 2^53 are exact in double no matter the order
-     * of addition -- so concurrent accumulation stays deterministic.
-     */
-    void
-    addConcurrent(double v)
-    {
-        double cur = value_.load(std::memory_order_relaxed);
-        while (!value_.compare_exchange_weak(
-            cur, cur + v, std::memory_order_relaxed,
-            std::memory_order_relaxed)) {
-        }
-    }
+    void set(double v) { value_ = v; }
+    void reset() { value_ = 0; }
+    double value() const { return value_; }
 
   private:
-    std::atomic<double> value_{0};
+    double value_ = 0;
 };
 
 /** Tracks mean / min / max / count of a sampled quantity. */
@@ -93,11 +59,7 @@ class Distribution
         count_ = 0;
     }
 
-    /**
-     * Fold another distribution's samples into this one (the parallel
-     * kernel keeps per-shard lanes and merges them in fixed shard
-     * order at end of run, so the result is deterministic).
-     */
+    /** Fold another distribution's samples into this one. */
     void
     merge(const Distribution &o)
     {

@@ -436,7 +436,7 @@ NmpCore::abortInFlight()
         advance();
         break;
       default:
-        // Computing / FetchOp: the abort flag short-circuits the
+        // Computing: the abort flag short-circuits the
         // request's remaining ops as each one comes up.
         break;
     }
@@ -511,23 +511,6 @@ NmpCore::advance()
         }
 
         if (!haveOp) {
-            if (opSource) {
-                // Sharded kernel: the program resumes on the
-                // coordinator (deterministic cross-thread order) and
-                // the op arrives one lookahead window later.
-                state = State::FetchOp;
-                const auto gen = runGeneration;
-                opSource(prog.get(), [this, gen](Op o) {
-                    if (gen != runGeneration)
-                        return;
-                    op = std::move(o);
-                    haveOp = true;
-                    refIdx = 0;
-                    state = State::Ready;
-                    advance();
-                });
-                return;
-            }
             op = prog->next();
             haveOp = true;
             refIdx = 0;

@@ -53,26 +53,12 @@ class NmpCore : public Clocked
     void setHomeLookup(HomeFn f) { homeOf = std::move(f); }
 
     /**
-     * Asynchronous op fetch for the sharded kernel: when set, the
-     * core never resumes its ThreadProgram directly -- it hands the
-     * program to the source and continues when the next Op is
-     * delivered back (the ShardSet's sequenced-call oracle, which
-     * resumes every program on one thread in a deterministic order;
-     * see docs/parallel_kernel.md). Workload generators may read and
-     * write state shared across threads, so resuming them from
-     * concurrent shards would race.
-     */
-    using OpSource =
-        std::function<void(ThreadProgram *, std::function<void(Op)>)>;
-    void setOpSource(OpSource s) { opSource = std::move(s); }
-
-    /**
      * Arm the request-level reliability engine (docs/serving.md):
      * deadlines, retry/backoff behind the circuit breaker, hedging
-     * and load shedding. @p view is this core's shard-local host
-     * health view (null on single-host systems: the breaker then
-     * never trips) and @p my_host the host owning this DIMM. All
-     * pointees outlive the core (System owns them).
+     * and load shedding. @p view is the system's host health view
+     * (null on single-host systems: the breaker then never trips) and
+     * @p my_host the host owning this DIMM. All pointees outlive the
+     * core (System owns them).
      */
     void
     setReliability(const serve_rel::Params *params,
@@ -108,7 +94,6 @@ class NmpCore : public Clocked
         Fence,     ///< Draining all outstanding requests.
         Barrier,   ///< Waiting for barrier release.
         Broadcast, ///< Waiting for broadcast completion.
-        FetchOp,   ///< Waiting for the async op source to deliver.
         Waiting,   ///< Idle until an open-loop request's arrival.
         Backoff,   ///< Reliability: delaying a retry after fast-fail.
         HedgeFence,///< Reliability: racing primary vs hedge fanouts.
@@ -139,7 +124,6 @@ class NmpCore : public Clocked
     BroadcastFn broadcaster;
     TrafficProbe probe;
     HomeFn homeOf;
-    OpSource opSource;
 
     State state = State::Idle;
     std::unique_ptr<ThreadProgram> prog;
@@ -164,8 +148,8 @@ class NmpCore : public Clocked
     Tick runStart = 0;
     Tick reqStart = 0;
 
-    // --- Request-level reliability state (single-writer: only this
-    // core's shard touches it). Dormant until setReliability().
+    // --- Request-level reliability state. Dormant until
+    // setReliability().
     const serve_rel::Params *rel = nullptr;
     const serve_rel::HostHealthView *hostView = nullptr;
     unsigned myHost = 0;

@@ -3,12 +3,10 @@
  * Request-level reliability primitives for the serving frontend
  * (docs/serving.md): resolved knob set, deterministic retry backoff,
  * a per-core circuit breaker over rack-route health, and the
- * shard-local host-health view the breaker consults.
+ * host-health view the breaker consults.
  *
- * Everything here is plain single-writer state: each NmpCore owns its
- * Backoff and CircuitBreaker, and each shard owns one HostHealthView
- * updated only through its own event queue, so chaos runs stay
- * byte-identical across sim.threads.
+ * Each NmpCore owns its Backoff and CircuitBreaker; the System owns
+ * the one HostHealthView every core reads.
  */
 
 #ifndef DIMMLINK_DIMM_RELIABILITY_HH
@@ -49,8 +47,7 @@ struct Params
 /**
  * Exponential backoff with deterministic jitter. The stream is
  * reseeded per run from (serve.seed, tid) exactly like the arrival
- * streams, so retry timing is reproducible and thread-count
- * invariant.
+ * streams, so retry timing is reproducible.
  */
 class Backoff
 {
@@ -113,11 +110,11 @@ class CircuitBreaker
 };
 
 /**
- * One shard's view of rack host availability, fed from the rack
- * fabric's LinkHealth transitions (delivered per shard through its
- * own queue). routeUp() mirrors DlFabric::hostPathSend's failover:
- * a cross-host request has a live route while EITHER both rack ports
- * (forwarded path) or both gateway bridges (pooled path) are up.
+ * The system's view of rack host availability, fed from the rack
+ * fabric's LinkHealth transitions. routeUp() mirrors
+ * DlFabric::hostPathSend's failover: a cross-host request has a live
+ * route while EITHER both rack ports (forwarded path) or both gateway
+ * bridges (pooled path) are up.
  */
 struct HostHealthView
 {

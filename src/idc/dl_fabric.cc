@@ -7,7 +7,6 @@
 #include "common/log.hh"
 #include "obs/tracer.hh"
 #include "rack/inter_host_fabric.hh"
-#include "sim/shard.hh"
 
 namespace dimmlink {
 namespace idc {
@@ -48,7 +47,6 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
     : Fabric(eq, cfg_, reg, "fabric.dl"),
       channels(channels_),
       path(eq, cfg_, channels_, pollTargets(cfg_), reg),
-      sh(eq.shards()),
       statPacketsLink(reg.group("fabric.dl").scalar("packetsViaLink")),
       statPacketsHost(reg.group("fabric.dl").scalar("packetsViaHost")),
       statProxyNotifies(reg.group("fabric.dl").scalar("proxyNotifies")),
@@ -59,14 +57,7 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatDll)) {
         tr = t;
-        // One track per shard: each trace ring then has exactly one
-        // writer under the parallel kernel. Unsharded systems keep
-        // the single classic track.
-        trks.push_back(t->track("fabric.dl", obs::CatDll));
-        if (sh)
-            for (unsigned g = 0; g < cfg.numGroups(); ++g)
-                trks.push_back(t->track(
-                    "fabric.dl.g" + std::to_string(g), obs::CatDll));
+        trk = t->track("fabric.dl", obs::CatDll);
         nmXact[static_cast<int>(Transaction::Type::RemoteRead)] =
             t->intern("remoteRead");
         nmXact[static_cast<int>(Transaction::Type::RemoteWrite)] =
@@ -88,13 +79,9 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
     const unsigned gs = cfg.groupSize();
     const unsigned groups = cfg.numGroups();
     injectQ.assign(groups, {});
-    dllWaiting.assign(groups, {});
-    msgSeq.assign(groups, 1);
-    if (sh)
-        latLane.resize(sh->numShards());
     for (unsigned g = 0; g < groups; ++g) {
         nets.push_back(std::make_unique<noc::Network>(
-            gq(g), "fabric.dl.group" + std::to_string(g), cfg.link, gs,
+            eventq, "fabric.dl.group" + std::to_string(g), cfg.link, gs,
             reg, &cfg.faults));
         injectQ[g].assign(gs, {});
         for (unsigned node = 0; node < gs; ++node) {
@@ -119,8 +106,7 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
                                    : proto::ExhaustFallback::Drop;
         for (unsigned d = 0; d < cfg.numDimms; ++d) {
             dllCtl.push_back(std::make_unique<DlController>(
-                gq(cfg.groupOf(static_cast<DimmId>(d))),
-                "fabric.dl.dllc" + std::to_string(d),
+                eventq, "fabric.dl.dllc" + std::to_string(d),
                 static_cast<DimmId>(d), cfg.link.retryTimeoutPs,
                 cfg.link.maxRetries, reg, cfg.link.retryWindow,
                 sender_fb));
@@ -142,7 +128,7 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
         // links and feeding route recomputation on down/up edges.
         for (unsigned g = 0; g < groups; ++g) {
             auto h = std::make_unique<fault::LinkHealth>(
-                gq(g), cfg.faults.suspectAfter,
+                eventq, cfg.faults.suspectAfter,
                 cfg.faults.reprobeIntervalPs,
                 cfg.link.retryTimeoutPs);
             for (unsigned n = 0; n < gs; ++n)
@@ -159,14 +145,13 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
                 onHealthTransition(g, a, b, from, to);
             };
             cbs.onProbeFailed = [this](int, int) {
-                statProbesFailed->addConcurrent(1);
+                ++*statProbesFailed;
             };
             h->setCallbacks(std::move(cbs));
             health.push_back(std::move(h));
         }
     }
-    // Multi-host pooling: the rack fabric lives on the host event
-    // queue (shard 0), the single writer of all its state.
+    // Multi-host pooling: the inter-host fabric joins the same queue.
     if (cfg.rackEnabled()) {
         rackFabric = rack::makeInterHostFabric(eventq, cfg, reg);
         rackPooledPrimary = cfg.rack.idcMode == "pooled";
@@ -174,77 +159,6 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
 }
 
 DlFabric::~DlFabric() = default;
-
-unsigned
-DlFabric::shardOf(DimmId d) const
-{
-    return sh ? 1 + groupIdx(d) : 0;
-}
-
-EventQueue &
-DlFabric::cq()
-{
-    return sh ? sh->queue(sh->current()) : eventq;
-}
-
-EventQueue &
-DlFabric::gq(unsigned g)
-{
-    return sh ? sh->queue(1 + g) : eventq;
-}
-
-void
-DlFabric::callOn(unsigned shard, std::function<void()> fn,
-                 EventPriority prio)
-{
-    if (sh)
-        sh->call(shard, std::move(fn), prio);
-    else
-        fn();
-}
-
-std::function<void()>
-DlFabric::onShard(unsigned shard, std::function<void()> fn)
-{
-    if (!sh || !fn)
-        return fn;
-    return [this, shard, fn = std::move(fn)]() mutable {
-        sh->call(shard, std::move(fn));
-    };
-}
-
-std::uint64_t
-DlFabric::allocMsgId(unsigned group)
-{
-    // Sharded: per-group streams keep the counter single-writer (and
-    // per-group ids deterministic at every thread count). The classic
-    // build keeps the one global stream so its behavior is untouched.
-    return sh ? msgSeq[group]++ : nextMsgId++;
-}
-
-std::uint32_t
-DlFabric::curTrk() const
-{
-    return trks[sh ? sh->current() : 0];
-}
-
-void
-DlFabric::sampleLatency(double v)
-{
-    if (sh)
-        latLane[sh->current()].sample(v);
-    else
-        statLatencyPs.sample(v);
-}
-
-void
-DlFabric::mergeShardStats()
-{
-    for (auto &lane : latLane) {
-        statLatencyPs.merge(lane);
-        lane.reset();
-    }
-}
 
 void
 DlFabric::setHostAvailabilitySink(HostAvailabilitySink s)
@@ -260,7 +174,7 @@ DlFabric::sendHealthProbe(unsigned group, int a, int b,
     noc::Link *l = nets[group]->linkBetween(a, b);
     if (!l)
         return; // Not adjacent; the probe timeout stands in.
-    statProbesSent->addConcurrent(1);
+    ++*statProbesSent;
     // Probes bypass routing and credits on purpose: they test the
     // physical link itself, so a route-around must not make a dead
     // link look alive.
@@ -268,7 +182,7 @@ DlFabric::sendHealthProbe(unsigned group, int a, int b,
     pm.src = a;
     pm.dst = b;
     pm.flits = 1;
-    pm.id = allocMsgId(group);
+    pm.id = nextMsgId++;
     l->transmit(std::move(pm),
                 [this, group, a, b, probe_id](noc::Message m) {
                     health[group]->probeResult(a, b, probe_id,
@@ -285,22 +199,22 @@ DlFabric::onHealthTransition(unsigned group, int a, int b,
                               static_cast<std::uint64_t>(b);
     switch (to) {
       case fault::LinkState::Suspect:
-        statHealthSuspect->addConcurrent(1);
+        ++*statHealthSuspect;
         if (tr)
-            tr->instant(curTrk(), nmLinkSuspect, cq().now(), arg);
+            tr->instant(trk, nmLinkSuspect, eventq.now(), arg);
         break;
       case fault::LinkState::Down:
-        statHealthDown->addConcurrent(1);
+        ++*statHealthDown;
         nets[group]->setLinkDown(a, b, true);
         if (tr)
-            tr->instant(curTrk(), nmLinkDown, cq().now(), arg);
+            tr->instant(trk, nmLinkDown, eventq.now(), arg);
         break;
       case fault::LinkState::Up:
-        statHealthRecovered->addConcurrent(1);
+        ++*statHealthRecovered;
         if (from == fault::LinkState::Down)
             nets[group]->setLinkDown(a, b, false);
         if (tr)
-            tr->instant(curTrk(), nmLinkUp, cq().now(), arg);
+            tr->instant(trk, nmLinkUp, eventq.now(), arg);
         break;
     }
 }
@@ -459,19 +373,19 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
                             : proto::DlCommand::ReadReq;
             pkt.tag = dllCtl[s]->allocTag();
             pkt.payload.assign(static_cast<std::size_t>(c), 0);
-            statPacketsLink.addConcurrent(1);
-            statBytesViaLink.addConcurrent(
-                static_cast<double>(flitsFor(c)) * proto::flitBytes);
+            ++statPacketsLink;
+            statBytesViaLink +=
+                static_cast<double>(flitsFor(c)) * proto::flitBytes;
             std::uint64_t aid = 0;
             if (tr) {
                 aid = tr->nextAsyncId();
-                tr->asyncBegin(curTrk(), nmDllXfer, cq().now(), aid);
+                tr->asyncBegin(trk, nmDllXfer, eventq.now(), aid);
             }
             sendDllPacket(s, d, std::move(pkt),
                           [this, remaining, done, aid] {
                               if (tr)
-                                  tr->asyncEnd(curTrk(), nmDllXfer,
-                                               cq().now(), aid);
+                                  tr->asyncEnd(trk, nmDllXfer,
+                                               eventq.now(), aid);
                               if (--*remaining == 0 && *done)
                                   (*done)();
                           });
@@ -485,34 +399,33 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
         msg.src = nodeIdx(s);
         msg.dst = nodeIdx(d);
         msg.flits = flits;
-        msg.id = allocMsgId(group);
-        statPacketsLink.addConcurrent(1);
-        statBytesViaLink.addConcurrent(static_cast<double>(flits) *
-                                       proto::flitBytes);
+        msg.id = nextMsgId++;
+        ++statPacketsLink;
+        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
         // Packet lifetime span: packetize begin -> decoded at d.
         std::uint64_t aid = 0;
         if (tr) {
             aid = tr->nextAsyncId();
-            tr->asyncBegin(curTrk(), nmPacket, cq().now(), aid);
+            tr->asyncBegin(trk, nmPacket, eventq.now(), aid);
         }
         msg.deliver = [this, flits, remaining, done, aid](int) {
             // NW-interface CRC check + decode at the destination.
-            cq().scheduleIn(decodeDelay(flits),
-                            [this, remaining, done, aid] {
-                                if (tr)
-                                    tr->asyncEnd(curTrk(), nmPacket,
-                                                 cq().now(), aid);
-                                if (--*remaining == 0 && *done)
-                                    (*done)();
-                            },
-                            EventPriority::Control);
+            eventq.scheduleIn(decodeDelay(flits),
+                              [this, remaining, done, aid] {
+                                  if (tr)
+                                      tr->asyncEnd(trk, nmPacket,
+                                                   eventq.now(), aid);
+                                  if (--*remaining == 0 && *done)
+                                      (*done)();
+                              },
+                              EventPriority::Control);
         };
         // NW-interface packetization before hitting the router.
-        cq().scheduleIn(packetizeDelay(flits),
-                        [this, group, msg = std::move(msg)]() mutable {
-                            inject(group, std::move(msg));
-                        },
-                        EventPriority::Control);
+        eventq.scheduleIn(packetizeDelay(flits),
+                          [this, group, msg = std::move(msg)]() mutable {
+                              inject(group, std::move(msg));
+                          },
+                          EventPriority::Control);
     }
 }
 
@@ -520,20 +433,17 @@ void
 DlFabric::hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
                        std::function<void()> delivered)
 {
-    statHostReroutes->addConcurrent(1);
+    ++*statHostReroutes;
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
-    statPacketsHost.addConcurrent(1);
-    statBytesViaHost.addConcurrent(wire);
+    ++statPacketsHost;
+    statBytesViaHost += wire;
     auto cb = std::make_shared<std::function<void()>>(
         std::move(delivered));
-    // The forward job runs on the host shard; the delivery callback
-    // belongs to the source group's shard and is routed back there.
     requestForward(s, [this, s, d, wire, cb] {
-        path.forwarder().forward(s, d, wire,
-                                 onShard(shardOf(s), [cb] {
-                                     if (*cb)
-                                         (*cb)();
-                                 }));
+        path.forwarder().forward(s, d, wire, [cb] {
+            if (*cb)
+                (*cb)();
+        });
     });
 }
 
@@ -562,12 +472,12 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
                 *key = DllKey{
                     p.src, p.dst,
                     static_cast<std::uint16_t>(p.dll & 0xffff)};
-                dllWaiting[group][**key] = cb;
+                dllWaiting[**key] = cb;
                 *route = routePath(group, nodeIdx(s), nodeIdx(d));
             } else if (tr) {
                 // The retry engine re-invoked transmit: a timeout or
                 // NACK retransmission of this sequence number.
-                tr->instant(curTrk(), nmDllRetry, cq().now(),
+                tr->instant(trk, nmDllRetry, eventq.now(),
                             p.dll & 0xffff);
             }
             const unsigned flits = p.numFlits();
@@ -575,18 +485,18 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
             msg.src = nodeIdx(s);
             msg.dst = nodeIdx(d);
             msg.flits = flits;
-            msg.id = allocMsgId(group);
+            msg.id = nextMsgId++;
             // The encoded image travels with the message; fault
             // models flip its real bits in flight. Each retry gets a
             // freshly encoded (clean) image.
             msg.wire = std::make_shared<std::vector<std::uint8_t>>(
                 std::move(wire));
             msg.deliver = [this, d, flits, w = msg.wire](int) {
-                cq().scheduleIn(decodeDelay(flits),
-                                [this, d, w] { dllReceive(d, *w); },
-                                EventPriority::Control);
+                eventq.scheduleIn(decodeDelay(flits),
+                                  [this, d, w] { dllReceive(d, *w); },
+                                  EventPriority::Control);
             };
-            cq().scheduleIn(
+            eventq.scheduleIn(
                 packetizeDelay(flits),
                 [this, group, msg = std::move(msg)]() mutable {
                     inject(group, std::move(msg));
@@ -607,9 +517,9 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
             // budget). Blame the route the transfer was admitted on so
             // the health machinery can take the dead link out of the
             // tables, then apply the configured exhaustion policy.
-            statDllFailedTransfers.addConcurrent(1);
+            ++statDllFailedTransfers;
             if (tr)
-                tr->instant(curTrk(), nmDllFailed, cq().now(),
+                tr->instant(trk, nmDllFailed, eventq.now(),
                             key->has_value()
                                 ? std::get<2>(**key)
                                 : std::uint64_t{0});
@@ -621,11 +531,11 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
                         : *route);
             if (!key->has_value())
                 return;
-            auto it = dllWaiting[g].find(**key);
-            if (it == dllWaiting[g].end())
+            auto it = dllWaiting.find(**key);
+            if (it == dllWaiting.end())
                 return; // Delivered earlier; only the ACKs kept dying.
             auto cb2 = it->second;
-            dllWaiting[g].erase(it);
+            dllWaiting.erase(it);
             switch (exhaustPolicy) {
               case ExhaustPolicy::Panic:
                 panic("DLL transfer %u -> %u (seq %u) exhausted its "
@@ -648,18 +558,13 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
                     (*cb2)();
                 const auto note =
                     static_cast<unsigned>(wireBytesFor(0));
-                statPacketsHost.addConcurrent(1);
-                statBytesViaHost.addConcurrent(note);
+                ++statPacketsHost;
+                statBytesViaHost += note;
                 const auto seq = std::get<2>(**key);
                 requestForward(s, [this, s, d, note, seq] {
                     path.forwarder().forward(
                         s, d, note,
-                        // The resync touches d's controller: run it on
-                        // d's group shard (== s's; streams are
-                        // intra-group).
-                        onShard(shardOf(s), [this, s, d, seq] {
-                            dllStreamResync(s, d, seq);
-                        }));
+                        [this, s, d, seq] { dllStreamResync(s, d, seq); });
                 });
                 break;
               }
@@ -669,24 +574,23 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
                 // completion chain stays intact. The forwarded image
                 // carries the DLL header, so its arrival also resyncs
                 // the receiver's stream past the retired sequence.
-                statFailovers->addConcurrent(1);
+                ++*statFailovers;
                 const auto wire =
                     static_cast<unsigned>(wireBytesFor(payload));
-                statFailoverBytes->addConcurrent(wire);
-                statPacketsHost.addConcurrent(1);
-                statBytesViaHost.addConcurrent(wire);
+                *statFailoverBytes += wire;
+                ++statPacketsHost;
+                statBytesViaHost += wire;
                 if (tr)
-                    tr->instant(curTrk(), nmFailover, cq().now(),
+                    tr->instant(trk, nmFailover, eventq.now(),
                                 std::get<2>(**key));
                 const auto seq = std::get<2>(**key);
                 requestForward(s, [this, s, d, wire, cb2, seq] {
                     path.forwarder().forward(
-                        s, d, wire,
-                        onShard(shardOf(s), [this, s, d, seq, cb2] {
+                        s, d, wire, [this, s, d, seq, cb2] {
                             dllStreamResync(s, d, seq);
                             if (cb2 && *cb2)
                                 (*cb2)();
-                        }));
+                        });
                 });
                 break;
               }
@@ -699,12 +603,11 @@ DlFabric::completeDllDelivery(const proto::Packet &p)
 {
     const DllKey k{p.src, p.dst,
                    static_cast<std::uint16_t>(p.dll & 0xffff)};
-    auto &wmap = dllWaiting[groupIdx(static_cast<DimmId>(p.src))];
-    auto it = wmap.find(k);
-    if (it == wmap.end())
+    auto it = dllWaiting.find(k);
+    if (it == dllWaiting.end())
         return; // Completed earlier (delivery, failover, or drop).
     auto cb = it->second;
-    wmap.erase(it);
+    dllWaiting.erase(it);
     if (cb && *cb)
         (*cb)();
 }
@@ -729,9 +632,9 @@ void
 DlFabric::dllStreamResync(DimmId s, DimmId d, std::uint16_t seq)
 {
     if (statStreamResyncs)
-        statStreamResyncs->addConcurrent(1);
+        ++*statStreamResyncs;
     if (tr)
-        tr->instant(curTrk(), nmDllResync, cq().now(), seq);
+        tr->instant(trk, nmDllResync, eventq.now(), seq);
     // The destination's controller learns the retired sequence from
     // the host-delivered DLL header and advances its reorder stream
     // past the permanent gap; held packets the skip releases complete
@@ -749,7 +652,7 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
         // Can only happen when a NACK was synthesized from an image
         // whose header bits (SRC) were themselves damaged: there is
         // no one to send it to. The sender's timeout recovers.
-        statDllCtrlDropped.addConcurrent(1);
+        ++statDllCtrlDropped;
         return;
     }
     const unsigned group = groupIdx(from);
@@ -758,30 +661,30 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
     msg.src = nodeIdx(from);
     msg.dst = nodeIdx(dst);
     msg.flits = 1;
-    msg.id = allocMsgId(group);
+    msg.id = nextMsgId++;
     // Control packets cross the same faulty links as data; a
     // corrupted ACK/NACK is dropped at the far end and the data
     // sender's retry timeout takes over.
     msg.wire = std::make_shared<std::vector<std::uint8_t>>(
         proto::encode(ctrl));
     msg.deliver = [this, dst, w = msg.wire](int) {
-        cq().scheduleIn(
+        eventq.scheduleIn(
             decodeDelay(1),
             [this, dst, w] {
                 proto::Packet c;
                 if (!proto::decode(*w, c)) {
-                    statDllCtrlDropped.addConcurrent(1);
+                    ++statDllCtrlDropped;
                     return;
                 }
                 dllCtl[dst]->onControlArrive(c);
             },
             EventPriority::Control);
     };
-    cq().scheduleIn(packetizeDelay(1),
-                    [this, group, msg = std::move(msg)]() mutable {
-                        inject(group, std::move(msg));
-                    },
-                    EventPriority::Control);
+    eventq.scheduleIn(packetizeDelay(1),
+                      [this, group, msg = std::move(msg)]() mutable {
+                          inject(group, std::move(msg));
+                      },
+                      EventPriority::Control);
 }
 
 void
@@ -793,99 +696,82 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
     const DimmId proxy =
         proxy_mode ? proxyOf(groupIdx(src)) : src;
     if (!proxy_mode || proxy == src) {
-        // The polling engine and forwarder live on the host shard; the
-        // job runs there once polling discovers the target.
-        callOn(0, [this, proxy, job = std::move(job)]() mutable {
-            path.request(proxy, std::move(job));
-        });
+        // The job runs once host polling discovers the target.
+        path.request(proxy, std::move(job));
         return;
     }
     // Register the request with the group's proxy over the link
     // network (a single-flit FwdReq packet), so the host only has to
-    // poll one DIMM per group (Fig. 7). The note rides src's group
-    // network, so everything below runs on src's group shard (callers
-    // may sit on another shard, e.g. the read-return leg of an
-    // inter-group RemoteRead running on the host shard).
-    callOn(shardOf(src), [this, src, proxy,
-                          job = std::move(job)]() mutable {
-        const unsigned g = groupIdx(src);
-        auto job_sh =
-            std::make_shared<std::function<void()>>(std::move(job));
-        // When the proxy cannot be reached over the bridge (now, or by
-        // the time the note would arrive), the host discovers the
-        // request on its own polling cadence instead — modeled as one
-        // extra poll interval of discovery latency.
-        auto fallback = [this, proxy, job_sh] {
-            if (statProxyNotifyFallbacks)
-                statProxyNotifyFallbacks->addConcurrent(1);
-            cq().scheduleIn(
-                cfg.host.pollIntervalPs,
-                [this, proxy, job_sh] {
-                    callOn(0, [this, proxy, job_sh] {
-                        path.request(proxy, [job_sh] { (*job_sh)(); });
-                    });
-                },
-                EventPriority::Control);
-        };
-        if (dllPath &&
-            !nets[g]->graph().reachable(nodeIdx(src),
-                                        nodeIdx(proxy))) {
-            fallback();
-            return;
-        }
-        statProxyNotifies.addConcurrent(1);
-        // Exactly one of {delivery, drop, deadline} may claim the job:
-        // all three race on this group's shard, so a plain flag is
-        // enough to make the losers no-ops.
-        auto claimed = std::make_shared<bool>(false);
-        noc::Message note;
-        note.src = nodeIdx(src);
-        note.dst = nodeIdx(proxy);
-        note.flits = 1;
-        note.id = allocMsgId(g);
-        statBytesViaLink.addConcurrent(proto::flitBytes);
-        note.deliver = [this, proxy, job_sh, claimed](int) {
-            if (*claimed)
-                return;
-            *claimed = true;
-            callOn(0, [this, proxy, job_sh] {
+    // poll one DIMM per group (Fig. 7).
+    const unsigned g = groupIdx(src);
+    auto job_sh = std::make_shared<std::function<void()>>(std::move(job));
+    // When the proxy cannot be reached over the bridge (now, or by the
+    // time the note would arrive), the host discovers the request on
+    // its own polling cadence instead — modeled as one extra poll
+    // interval of discovery latency.
+    auto fallback = [this, proxy, job_sh] {
+        if (statProxyNotifyFallbacks)
+            ++*statProxyNotifyFallbacks;
+        eventq.scheduleIn(
+            cfg.host.pollIntervalPs,
+            [this, proxy, job_sh] {
                 path.request(proxy, [job_sh] { (*job_sh)(); });
-            });
-        };
-        note.onDropped = [claimed, fallback] {
-            if (*claimed)
-                return;
-            *claimed = true;
-            fallback();
-        };
-        if (dllPath) {
-            // A stuck link *delays* whatever is serialized into it
-            // (noc::Link::transmit adds the outage to the arrival
-            // tick, it never drops), so a notify note caught upstream
-            // of the proxy before LinkHealth marks the link down would
-            // neither deliver nor fire onDropped within the run — the
-            // forward job would be lost and every transaction behind
-            // it would hang (the 8D two-group stuck-bridge hang noted
-            // in PR 6: group 0's proxy sits behind the stuck 1->2
-            // edge). Bound the note's useful life by the same timeout
-            // that protects DLL data packets; past it, the host
-            // discovers the request on its own polling cadence.
-            cq().scheduleIn(
-                packetizeDelay(1) + cfg.link.retryTimeoutPs,
-                [claimed, fallback] {
-                    if (*claimed)
-                        return;
-                    *claimed = true;
-                    fallback();
-                },
-                EventPriority::Control);
-        }
-        cq().scheduleIn(packetizeDelay(1),
-                        [this, g, note = std::move(note)]() mutable {
-                            inject(g, std::move(note));
-                        },
-                        EventPriority::Control);
-    });
+            },
+            EventPriority::Control);
+    };
+    if (dllPath &&
+        !nets[g]->graph().reachable(nodeIdx(src), nodeIdx(proxy))) {
+        fallback();
+        return;
+    }
+    ++statProxyNotifies;
+    // Exactly one of {delivery, drop, deadline} may claim the job; a
+    // shared flag makes the losers no-ops.
+    auto claimed = std::make_shared<bool>(false);
+    noc::Message note;
+    note.src = nodeIdx(src);
+    note.dst = nodeIdx(proxy);
+    note.flits = 1;
+    note.id = nextMsgId++;
+    statBytesViaLink += proto::flitBytes;
+    note.deliver = [this, proxy, job_sh, claimed](int) {
+        if (*claimed)
+            return;
+        *claimed = true;
+        path.request(proxy, [job_sh] { (*job_sh)(); });
+    };
+    note.onDropped = [claimed, fallback] {
+        if (*claimed)
+            return;
+        *claimed = true;
+        fallback();
+    };
+    if (dllPath) {
+        // A stuck link *delays* whatever is serialized into it
+        // (noc::Link::transmit adds the outage to the arrival tick, it
+        // never drops), so a notify note caught upstream of the proxy
+        // before LinkHealth marks the link down would neither deliver
+        // nor fire onDropped within the run — the forward job would be
+        // lost and every transaction behind it would hang (on the 8D
+        // two-group stuck-bridge cell, group 0's proxy sits behind the
+        // stuck 1->2 edge). Bound the note's useful life by the same
+        // timeout that protects DLL data packets; past it, the host
+        // discovers the request on its own polling cadence.
+        eventq.scheduleIn(
+            packetizeDelay(1) + cfg.link.retryTimeoutPs,
+            [claimed, fallback] {
+                if (*claimed)
+                    return;
+                *claimed = true;
+                fallback();
+            },
+            EventPriority::Control);
+    }
+    eventq.scheduleIn(packetizeDelay(1),
+                      [this, g, note = std::move(note)]() mutable {
+                          inject(g, std::move(note));
+                      },
+                      EventPriority::Control);
 }
 
 void
@@ -895,12 +781,7 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
     const unsigned group = groupIdx(s);
     const unsigned gs = cfg.groupSize();
     if (gs == 1) {
-        // Complete on the executing shard's queue (completeLater
-        // would land on the host queue even when this group-local
-        // broadcast runs on a group shard).
-        if (all_delivered)
-            cq().schedule(cq().now(), std::move(all_delivered),
-                          EventPriority::Delivery);
+        completeLater(all_delivered, eventq.now());
         return;
     }
 
@@ -948,10 +829,9 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
         msg.dst = 0;
         msg.broadcast = true;
         msg.flits = flits;
-        msg.id = allocMsgId(group);
-        statPacketsLink.addConcurrent(1);
-        statBytesViaLink.addConcurrent(static_cast<double>(flits) *
-                                       proto::flitBytes);
+        msg.id = nextMsgId++;
+        ++statPacketsLink;
+        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
         msg.deliver = [this, flits, remaining, done,
                        src_node = nodeIdx(s)](int node) {
             if (node == src_node) {
@@ -960,18 +840,18 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
                     (*done)();
                 return;
             }
-            cq().scheduleIn(decodeDelay(flits),
-                            [remaining, done] {
-                                if (--*remaining == 0 && *done)
-                                    (*done)();
-                            },
-                            EventPriority::Control);
+            eventq.scheduleIn(decodeDelay(flits),
+                              [remaining, done] {
+                                  if (--*remaining == 0 && *done)
+                                      (*done)();
+                              },
+                              EventPriority::Control);
         };
-        cq().scheduleIn(packetizeDelay(flits),
-                        [this, group, msg = std::move(msg)]() mutable {
-                            inject(group, std::move(msg));
-                        },
-                        EventPriority::Control);
+        eventq.scheduleIn(packetizeDelay(flits),
+                          [this, group, msg = std::move(msg)]() mutable {
+                              inject(group, std::move(msg));
+                          },
+                          EventPriority::Control);
     }
 }
 
@@ -984,8 +864,8 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
     if (!rackFabric || cfg.hostOf(s) == cfg.hostOf(d)) {
         // Intra-host: exactly the pre-rack sequence, so single-host
         // runs keep byte-identical timing and stats.
-        statPacketsHost.addConcurrent(1);
-        statBytesViaHost.addConcurrent(wire);
+        ++statPacketsHost;
+        statBytesViaHost += wire;
         requestForward(s,
                        [this, s, d, wire, done = std::move(done)]() mutable {
                            path.forwarder().forward(s, d, wire,
@@ -993,46 +873,42 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
                        });
         return;
     }
-    // Cross-host: route choice and all rack accounting run on the
-    // host shard -- one writer, canonical mailbox order, so stats
-    // stay byte-identical at every thread count. A transfer whose
-    // primary route lost an endpoint fails over to the other one;
-    // with both ends down the pooled lane is taken regardless (the
-    // cables physically exist, and the simulation must terminate).
-    callOn(0, [this, s, d, wire, done = std::move(done)]() mutable {
-        const unsigned hs = cfg.hostOf(s);
-        const unsigned hd = cfg.hostOf(d);
-        bool pooled = rackPooledPrimary;
-        if (pooled && !rackFabric->bridgeUp(hs, hd) &&
-            rackFabric->hostUp(hs) && rackFabric->hostUp(hd)) {
-            pooled = false;
-            rackFabric->noteReroute();
-        } else if (!pooled && !(rackFabric->hostUp(hs) &&
-                                rackFabric->hostUp(hd))) {
-            pooled = true;
-            rackFabric->noteReroute();
-        }
-        if (pooled) {
-            // The bridge lane is DIMM-Link wire: count it with the
-            // link traffic, not the host path.
-            statPacketsLink.addConcurrent(1);
-            statBytesViaLink.addConcurrent(wire);
-            rackFabric->pooledSend(hs, hd, wire, std::move(done));
-            return;
-        }
-        statPacketsHost.addConcurrent(1);
-        statBytesViaHost.addConcurrent(wire);
-        // Discovery at the source host, the rack crossing, then the
-        // channel fetch + store the Forwarder models at both ends.
-        requestForward(s, [this, s, d, hs, hd, wire,
-                           done = std::move(done)]() mutable {
-            rackFabric->crossing(
-                hs, hd, wire,
-                [this, s, d, wire, done = std::move(done)]() mutable {
-                    path.forwarder().forward(s, d, wire,
-                                             std::move(done));
-                });
-        });
+    // Cross-host: a transfer whose primary route lost an endpoint
+    // fails over to the other one; with both ends down the pooled lane
+    // is taken regardless (the cables physically exist, and the
+    // simulation must terminate).
+    const unsigned hs = cfg.hostOf(s);
+    const unsigned hd = cfg.hostOf(d);
+    bool pooled = rackPooledPrimary;
+    if (pooled && !rackFabric->bridgeUp(hs, hd) &&
+        rackFabric->hostUp(hs) && rackFabric->hostUp(hd)) {
+        pooled = false;
+        rackFabric->noteReroute();
+    } else if (!pooled && !(rackFabric->hostUp(hs) &&
+                            rackFabric->hostUp(hd))) {
+        pooled = true;
+        rackFabric->noteReroute();
+    }
+    if (pooled) {
+        // The bridge lane is DIMM-Link wire: count it with the
+        // link traffic, not the host path.
+        ++statPacketsLink;
+        statBytesViaLink += wire;
+        rackFabric->pooledSend(hs, hd, wire, std::move(done));
+        return;
+    }
+    ++statPacketsHost;
+    statBytesViaHost += wire;
+    // Discovery at the source host, the rack crossing, then the
+    // channel fetch + store the Forwarder models at both ends.
+    requestForward(s, [this, s, d, hs, hd, wire,
+                       done = std::move(done)]() mutable {
+        rackFabric->crossing(
+            hs, hd, wire,
+            [this, s, d, wire, done = std::move(done)]() mutable {
+                path.forwarder().forward(s, d, wire,
+                                         std::move(done));
+            });
     });
 }
 
@@ -1087,7 +963,7 @@ DlFabric::doBroadcast(Transaction t, std::function<void()> finish)
     // Fig. 5-(c)/(d): broadcast in the local group over the bridge;
     // for each remote group, one CPU-forwarded copy to the group's
     // entry DIMM (its proxy), then a group-local broadcast there.
-    statBroadcasts.addConcurrent(1);
+    ++statBroadcasts;
     auto finish_sh =
         std::make_shared<std::function<void()>>(std::move(finish));
     auto remaining = std::make_shared<unsigned>(0);
@@ -1096,10 +972,6 @@ DlFabric::doBroadcast(Transaction t, std::function<void()> finish)
             (*finish_sh)();
     };
 
-    // The shared remaining-counter is touched only on the source
-    // group's shard: remote-group broadcasts run on their own shard
-    // (the entry proxy's group), but their completions are routed
-    // back here before decrementing.
     memAccess(t.src, t.addr, t.bytes, /*is_write=*/false,
               [this, t, remaining, dec]() mutable {
                   ++*remaining;
@@ -1109,15 +981,11 @@ DlFabric::doBroadcast(Transaction t, std::function<void()> finish)
                           continue;
                       ++*remaining;
                       const DimmId entry = proxyOf(g);
-                      hostPathSend(
-                          t.src, entry, t.bytes,
-                          onShard(shardOf(entry),
-                                  [this, t, entry, dec]() mutable {
-                                      groupBroadcast(
-                                          entry, t.bytes,
-                                          onShard(shardOf(t.src),
-                                                  dec));
-                                  }));
+                      hostPathSend(t.src, entry, t.bytes,
+                                   [this, t, entry, dec] {
+                                       groupBroadcast(entry, t.bytes,
+                                                      dec);
+                                   });
                   }
               });
 }
@@ -1136,26 +1004,19 @@ std::string
 DlFabric::debugDump()
 {
     std::ostringstream os;
-    std::size_t waiting = 0;
-    for (const auto &m : dllWaiting)
-        waiting += m.size();
+    const std::size_t waiting = dllWaiting.size();
     os << "fabric.dl: dllWaiting=" << waiting
        << " forwardBacklog=" << path.forwarder().backlog() << "\n";
     std::size_t shown = 0;
-    for (const auto &m : dllWaiting) {
-        for (const auto &kv : m) {
-            if (shown++ == 16) {
-                os << "  ... (" << (waiting - 16)
-                   << " more waiting keys)\n";
-                break;
-            }
-            os << "  waiting: "
-               << static_cast<unsigned>(std::get<0>(kv.first)) << " -> "
-               << static_cast<unsigned>(std::get<1>(kv.first))
-               << " seq=" << std::get<2>(kv.first) << "\n";
-        }
-        if (shown > 16)
+    for (const auto &kv : dllWaiting) {
+        if (shown++ == 16) {
+            os << "  ... (" << (waiting - 16) << " more waiting keys)\n";
             break;
+        }
+        os << "  waiting: "
+           << static_cast<unsigned>(std::get<0>(kv.first)) << " -> "
+           << static_cast<unsigned>(std::get<1>(kv.first))
+           << " seq=" << std::get<2>(kv.first) << "\n";
     }
     for (std::size_t d = 0; d < dllCtl.size(); ++d) {
         const auto &c = *dllCtl[d];
@@ -1179,48 +1040,21 @@ DlFabric::debugDump()
 void
 DlFabric::submit(Transaction t)
 {
-    if (!sh) {
-        submitHere(std::move(t));
-        return;
-    }
-    // The transaction state machine runs on the source DIMM's group
-    // shard; the completion is routed back to whichever shard
-    // submitted (the SyncManager on the host shard, or a core's MC on
-    // its group shard — for the latter the hop is a direct call).
-    t.onComplete = onShard(sh->current(), std::move(t.onComplete));
-    const unsigned owner = shardOf(t.src);
-    if (owner == sh->current()) {
-        submitHere(std::move(t));
-        return;
-    }
-    sh->call(owner, [this, t = std::move(t)]() mutable {
-        submitHere(std::move(t));
-    });
-}
-
-void
-DlFabric::submitHere(Transaction t)
-{
-    statTransactions.addConcurrent(1);
-    const Tick started = cq().now();
-    const unsigned home = sh ? sh->current() : 0;
+    ++statTransactions;
+    const Tick started = eventq.now();
     const std::uint16_t nm = nmXact[static_cast<int>(t.type)];
     std::uint64_t aid = 0;
     if (tr) {
         aid = tr->nextAsyncId();
-        tr->asyncBegin(curTrk(), nm, started, aid);
+        tr->asyncBegin(trk, nm, started, aid);
     }
-    // finish may fire on a different shard than the one the
-    // transaction started on (inter-group chains end on the host
-    // shard): the latency sample lands in the executing shard's lane
-    // and the completion is routed back to the starting shard.
     auto finish = [this, cb = std::move(t.onComplete), started, nm,
-                   aid, home]() mutable {
-        sampleLatency(static_cast<double>(cq().now() - started));
+                   aid]() mutable {
+        statLatencyPs.sample(static_cast<double>(eventq.now() - started));
         if (tr)
-            tr->asyncEnd(curTrk(), nm, cq().now(), aid);
+            tr->asyncEnd(trk, nm, eventq.now(), aid);
         if (cb)
-            callOn(home, std::move(cb));
+            cb();
     };
 
     switch (t.type) {

@@ -73,10 +73,6 @@ class DlFabric : public Fabric
     /** In-flight DLL keys, retry windows, health and backlog state. */
     std::string debugDump() override;
 
-    /** Fold the per-shard latency lanes into the registered
-     * distribution (fixed shard order; no-op when unsharded). */
-    void mergeShardStats() override;
-
     /** Forward the availability feed to the rack fabric (no-op
      * without one: single-host runs have no host-level outages). */
     void setHostAvailabilitySink(HostAvailabilitySink s) override;
@@ -101,31 +97,6 @@ class DlFabric : public Fabric
         return static_cast<DimmId>(group * cfg.groupSize() +
                                    static_cast<unsigned>(node));
     }
-
-    // -- parallel-kernel seams (sim.shard=group; all identity
-    //    functions / plain forwards when the system is unsharded;
-    //    see docs/parallel_kernel.md) --------------------------------
-    /** The shard that owns DIMM @p d's group (0 when unsharded). */
-    unsigned shardOf(DimmId d) const;
-    /** The event queue of the shard this code is running on. */
-    EventQueue &cq();
-    /** The event queue group @p g's components live on. */
-    EventQueue &gq(unsigned g);
-    /** Run @p fn in shard @p shard's context (mailbox post with
-     * +lookahead delivery inside a window; direct call otherwise). */
-    void callOn(unsigned shard, std::function<void()> fn,
-                EventPriority prio = EventPriority::Default);
-    /** Wrap @p fn so that invoking it routes it to @p shard. */
-    std::function<void()> onShard(unsigned shard,
-                                  std::function<void()> fn);
-    /** Next message id (per-group streams when sharded). */
-    std::uint64_t allocMsgId(unsigned group);
-    /** The executing shard's trace track. */
-    std::uint32_t curTrk() const;
-    /** Latency sample into the executing shard's lane. */
-    void sampleLatency(double v);
-    /** submit() body, running on the source group's shard. */
-    void submitHere(Transaction t);
 
     /** NW-interface packetize latency for one packet of @p flits. */
     Tick packetizeDelay(unsigned flits) const;
@@ -197,10 +168,8 @@ class DlFabric : public Fabric
      * and — when a rack is configured and the endpoints live under
      * different hosts — the same path composed with an inter-host
      * crossing, or the pooled DIMM-Link bridge lanes that bypass both
-     * hosts. Route choice, failover onto the surviving path (counted
-     * in rack.reroutes) and all rack accounting run on the host
-     * shard. @p done fires on the host shard, like a Forwarder
-     * delivery.
+     * hosts, with failover onto the surviving path (counted in
+     * rack.reroutes). @p done fires like a Forwarder delivery.
      */
     void hostPathSend(DimmId s, DimmId d, std::uint64_t payload_bytes,
                       std::function<void()> done);
@@ -234,14 +203,7 @@ class DlFabric : public Fabric
     /** Per (group, node) queue of messages awaiting injection space. */
     std::vector<std::vector<std::deque<noc::Message>>> injectQ;
     CpuForwardPath path;
-    /** Null unless the owning System is sharded (sim.shard=group). */
-    ShardSet *sh = nullptr;
     std::uint64_t nextMsgId = 1;
-    /** Per-group id streams when sharded (each group's shard is the
-     * only writer of its entry). */
-    std::vector<std::uint64_t> msgSeq;
-    /** Per-shard latency lanes; merged by mergeShardStats(). */
-    std::vector<stats::Distribution> latLane;
 
     /** True when intra-group data rides the reliable DLL transport
      * (enabled whenever a fault model is configured). */
@@ -255,13 +217,9 @@ class DlFabric : public Fabric
     /** In-flight transfer completions, keyed by (SRC, DST, sequence)
      * — sequence numbers are only unique per directed stream. An
      * entry is claimed exactly once: at first in-order delivery, or
-     * on permanent failure, whichever comes first. One map per group
-     * (streams are intra-group) so concurrent shards never share a
-     * map. */
+     * on permanent failure, whichever comes first. */
     using DllKey = std::tuple<std::uint8_t, std::uint8_t, std::uint16_t>;
-    using DllWaitMap =
-        std::map<DllKey, std::shared_ptr<std::function<void()>>>;
-    std::vector<DllWaitMap> dllWaiting;
+    std::map<DllKey, std::shared_ptr<std::function<void()>>> dllWaiting;
 
     stats::Scalar &statPacketsLink;
     stats::Scalar &statPacketsHost;
@@ -282,9 +240,7 @@ class DlFabric : public Fabric
     stats::Scalar *statProbesFailed = nullptr;
 
     obs::Tracer *tr = nullptr; ///< Null unless dll tracing is on.
-    /** One track per shard (just one when unsharded) so trace rings
-     * stay single-writer under the parallel kernel. */
-    std::vector<std::uint32_t> trks;
+    std::uint32_t trk = 0;
     std::uint16_t nmXact[4] = {0, 0, 0, 0}; ///< Indexed by Type.
     std::uint16_t nmPacket = 0, nmDllXfer = 0, nmDllRetry = 0,
                   nmDllFailed = 0;

@@ -96,19 +96,11 @@ class Fabric
      * Subscribe to rack host availability transitions (the serving
      * circuit breaker's health feed). No-op on fabrics without a
      * rack layer; the DlFabric forwards to its InterHostFabric. The
-     * callback is (host, is_gateway, up), fired on the host shard.
+     * callback is (host, is_gateway, up).
      */
     using HostAvailabilitySink =
         std::function<void(unsigned host, bool is_gateway, bool up)>;
     virtual void setHostAvailabilitySink(HostAvailabilitySink) {}
-
-    /**
-     * Fold per-shard statistic lanes (latency distributions kept
-     * thread-local by the parallel kernel) into the registered stats,
-     * in fixed shard order. No-op for unsharded fabrics; called at
-     * NMP-mode exit, before anyone reads the registry.
-     */
-    virtual void mergeShardStats() {}
 
     const std::string &name() const { return name_; }
 

@@ -12,7 +12,6 @@
 #ifndef DIMMLINK_OBS_TRACER_HH
 #define DIMMLINK_OBS_TRACER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -104,11 +103,7 @@ class Tracer
     std::uint16_t intern(const std::string &name);
 
     /** Globally unique id for AsyncBegin/AsyncEnd pairing. */
-    std::uint64_t
-    nextAsyncId()
-    {
-        return asyncSeq.fetch_add(1, std::memory_order_relaxed) + 1;
-    }
+    std::uint64_t nextAsyncId() { return ++asyncSeq; }
 
     // -- record emission (hot path) -------------------------------------
     void
@@ -152,11 +147,7 @@ class Tracer
     const std::vector<std::string> &names() const { return nameTable; }
 
     /** Records ever pushed (including overwritten ones). */
-    std::uint64_t
-    recorded() const
-    {
-        return recordedCount.load(std::memory_order_relaxed);
-    }
+    std::uint64_t recorded() const { return recordedCount; }
     /** Records lost to ring overwrite, totalled over all tracks. */
     std::uint64_t dropped() const;
     std::uint64_t droppedOn(std::uint32_t trk) const
@@ -179,10 +170,7 @@ class Tracer
     void
     push(const Record &r)
     {
-        // Rings are single-writer (each track belongs to exactly one
-        // shard); only the global tally and the async-id counter are
-        // shared across shards, and both are relaxed atomics.
-        recordedCount.fetch_add(1, std::memory_order_relaxed);
+        ++recordedCount;
         Ring &ring = rings[r.track];
         if (ring.buf.size() < cap) {
             ring.buf.push_back(r);
@@ -198,8 +186,8 @@ class Tracer
     std::vector<TrackInfo> infos;
     std::vector<Ring> rings;
     std::vector<std::string> nameTable;
-    std::atomic<std::uint64_t> recordedCount{0};
-    std::atomic<std::uint64_t> asyncSeq{0};
+    std::uint64_t recordedCount = 0;
+    std::uint64_t asyncSeq = 0;
 };
 
 } // namespace obs

@@ -15,11 +15,6 @@
  * scheduled rack.hostDown* / rack.nodeDown* outages. The DlFabric
  * consults hostUp()/bridgeUp() per transfer and reroutes onto the
  * surviving path, counting rack.reroutes.
- *
- * Everything here executes on the host shard (shard 0 under the
- * sharded kernel): one writer for all port/lane busy-until state and
- * the health machinery, so stats stay byte-identical at every
- * sim.threads count.
  */
 
 #ifndef DIMMLINK_RACK_INTER_HOST_FABRIC_HH
@@ -85,11 +80,11 @@ class InterHostFabric
     void noteReroute() { ++statReroutes; }
 
     /**
-     * Availability feed for the serving circuit breaker: fired on the
-     * host shard whenever a host's rack port (@p is_gateway false) or
-     * bridge attach (@p is_gateway true) crosses the Down boundary of
-     * its health state machine. System fans the update out to each
-     * shard's HostHealthView.
+     * Availability feed for the serving circuit breaker: fired
+     * whenever a host's rack port (@p is_gateway false) or bridge
+     * attach (@p is_gateway true) crosses the Down boundary of its
+     * health state machine. System writes the update into its
+     * HostHealthView.
      */
     using AvailabilitySink =
         std::function<void(unsigned host, bool is_gateway, bool up)>;

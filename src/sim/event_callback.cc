@@ -28,24 +28,20 @@ struct FreeNode
 struct Pool
 {
     FreeNode *freeList[numClasses] = {};
-    // Slab backing storage. Deliberately leaked (no destructor): the
-    // parallel kernel allocates callbacks on per-window worker
-    // threads, and blocks carved from a worker's slab can still be
-    // live in an event queue after that worker exits. Freeing slabs
-    // at thread exit would turn those callbacks into dangling
-    // pointers; the leak is bounded by each thread's allocation
-    // high-water mark.
+    // Slab backing storage. Deliberately leaked (no destructor) for
+    // exit-time destruction order: a static object built before the
+    // first arena allocation is destroyed after this pool, and any
+    // callback it still holds must not point into freed slabs. The
+    // leak is bounded by the allocation high-water mark.
     std::vector<void *> slabs;
 };
 
 Pool &
 pool()
 {
-    // One pool per thread: allocation and the free-list push in
-    // deallocate() are single-threaded without locks. Blocks of one
-    // size class are interchangeable, so a block allocated on thread
-    // A and freed on thread B simply joins B's free list.
-    static thread_local Pool p;
+    // Single-threaded like the event kernel, so the free lists need
+    // no locks.
+    static Pool p;
     return p;
 }
 

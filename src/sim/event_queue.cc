@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "sim/shard.hh"
 
 namespace dimmlink {
 
@@ -163,12 +162,6 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
         panic("scheduling event at tick %llu before now (%llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(currentTick));
-    // Sharded systems: while a lookahead window executes, only the
-    // thread running this shard may touch its queue; everything else
-    // must go through the ShardSet mailbox.
-    if (shardSet_ && !shardSet_->mayTouch(shardId_))
-        panic("cross-shard schedule into shard %u's queue during a "
-              "parallel window (use ShardSet::call)", shardId_);
     const std::uint32_t idx = allocSlot();
     Slot &s = slots[idx];
     s.when = when;
@@ -347,69 +340,6 @@ EventQueue::fireOneReady()
         return true;
     }
     return false;
-}
-
-Tick
-EventQueue::nextPendingTick()
-{
-    // A live ready entry means work at the current tick.
-    while (!ready.empty()) {
-        if (slots[ready.front().idx].live)
-            return currentTick;
-        freeSlot(popReady().idx);
-    }
-    for (;;) {
-        // Drop dead spill tops so the heap top is a live candidate.
-        while (!spill.empty() && !slots[spill.front().idx].live) {
-            std::pop_heap(spill.begin(), spill.end(), SpillAfter{});
-            freeSlot(spill.back().idx);
-            spill.pop_back();
-        }
-        const Tick l0cand = scanL0();
-        const Tick spillTop =
-            spill.empty() ? maxTick : spill.front().when;
-        const Tick l1span = scanL1();
-        const Tick bound = std::min(l0cand, spillTop);
-
-        // Same discipline as advanceUpTo(): an L1 span at or before
-        // the candidate may hide an earlier tick; cascading it only
-        // raises wheelTime, which never perturbs event order.
-        if (l1span != maxTick && l1span <= bound) {
-            wheelTime = std::max(wheelTime, l1span);
-            cascadeL1(static_cast<std::uint32_t>(l1span >> l0Bits) &
-                      l1Mask);
-            continue;
-        }
-        if (bound == maxTick)
-            return maxTick;
-        if (l0cand == bound) {
-            // The candidate L0 slot may hold only tombstones; prune
-            // in place (the chain reversal is harmless -- ready-heap
-            // order is (prio, seq), not insertion order).
-            const auto slot =
-                static_cast<std::uint32_t>(bound) & l0Mask;
-            std::uint32_t idx = l0.head[slot];
-            std::uint32_t live_head = nullIdx;
-            bool any_live = false;
-            while (idx != nullIdx) {
-                const std::uint32_t next = slots[idx].next;
-                if (!slots[idx].live) {
-                    freeSlot(idx);
-                } else {
-                    slots[idx].next = live_head;
-                    live_head = idx;
-                    any_live = true;
-                }
-                idx = next;
-            }
-            l0.head[slot] = live_head;
-            if (!any_live) {
-                l0.occupied[slot >> 6] &= ~(1ull << (slot & 63));
-                continue; // Dead tick; keep scanning.
-            }
-        }
-        return bound;
-    }
 }
 
 bool

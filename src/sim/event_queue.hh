@@ -27,8 +27,6 @@ namespace dimmlink {
 
 namespace obs { class Tracer; }
 
-class ShardSet;
-
 /**
  * Event priorities; lower values fire first within the same tick.
  * The defaults follow the dependency order of one simulated cycle:
@@ -103,16 +101,6 @@ class EventQueue
     /** Execute exactly one event if present. @return true if fired. */
     bool step();
 
-    /**
-     * Exact tick of the earliest live pending event without firing
-     * anything or moving now(): currentTick when a ready event waits,
-     * maxTick when the queue is drained. Prunes tombstones it walks
-     * past (so it is not const, but it never perturbs simulation
-     * state). The conservative scheduler uses this to pick window
-     * bases that skip idle stretches exactly.
-     */
-    Tick nextPendingTick();
-
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executedCount; }
 
@@ -123,21 +111,6 @@ class EventQueue
      */
     obs::Tracer *tracer() const { return tracerPtr; }
     void setTracer(obs::Tracer *t) { tracerPtr = t; }
-
-    /**
-     * Membership in a sharded (parallel-capable) System: lets
-     * components reach the ShardSet through the queue they already
-     * hold, and arms the single-writer scheduling assertion while a
-     * lookahead window executes. Null/0 in sequential systems.
-     */
-    void
-    setShard(ShardSet *set, unsigned id)
-    {
-        shardSet_ = set;
-        shardId_ = id;
-    }
-    ShardSet *shards() const { return shardSet_; }
-    unsigned shardId() const { return shardId_; }
 
   private:
     /** Level-0 wheel: 1-tick buckets covering wheelSpan ticks. */
@@ -228,8 +201,6 @@ class EventQueue
     std::uint64_t executedCount = 0;
     std::size_t liveCount = 0;
     obs::Tracer *tracerPtr = nullptr;
-    ShardSet *shardSet_ = nullptr;
-    unsigned shardId_ = 0;
 };
 
 } // namespace dimmlink

@@ -54,19 +54,8 @@ Runner::launch(const std::vector<DimmId> &map)
                   sys.config().dimm.numCores, d);
         sys.dimm(d).core(c).run(
             static_cast<ThreadId>(t), wl.program(t), [this] {
-                // Completion callbacks fire on the core's shard; the
-                // progress counters stay single-writer by hopping to
-                // the host shard (a direct call when unsharded, and
-                // shard 0 always executes on the coordinator thread
-                // that also reads allDone between windows).
-                auto mark = [this] {
-                    if (++threadsDone == currentMap.size())
-                        allDone = true;
-                };
-                if (auto *shs = sys.shards())
-                    shs->call(0, std::move(mark));
-                else
-                    mark();
+                if (++threadsDone == currentMap.size())
+                    allDone = true;
             });
     }
 }
@@ -174,14 +163,8 @@ Runner::run()
 
     launch(defaultPlacement());
 
-    if (auto *shs = sys.shards())
-        // Conservative-window parallel kernel: the shard set owns the
-        // drive loop (and falls back to windowed sequential execution
-        // when sim.threads is 1).
-        shs->drive(cfg.sim.threads, [this] { return allDone; });
-    else
-        while (!allDone && sys.queue().step()) {
-        }
+    while (!allDone && sys.queue().step()) {
+    }
     if (!allDone)
         panic("event queue drained before the kernel finished\n%s",
               sys.hangDiagnostics().c_str());

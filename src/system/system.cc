@@ -9,47 +9,6 @@
 
 namespace dimmlink {
 
-namespace {
-
-/**
- * Barrier endpoint for sharded systems: arrivals hop from the core's
- * group shard to the host shard (where the SyncManager and its fabric
- * sync messages live), and releases hop back to the arriving core's
- * shard. Outside a parallel window the hops degenerate to direct
- * calls, so the sequenced behavior is the same at every thread count.
- */
-class ShardedBarrier : public BarrierEndpoint
-{
-  public:
-    ShardedBarrier(ShardSet &sh_, SyncManager &sm_,
-                   const SystemConfig &cfg_)
-        : sh(sh_), sm(sm_), cfg(cfg_)
-    {}
-
-    void
-    arrive(ThreadId tid, DimmId dimm,
-           std::function<void()> release) override
-    {
-        const unsigned back = 1 + cfg.groupOf(dimm);
-        sh.call(0, [this, tid, dimm, back,
-                    release = std::move(release)]() mutable {
-            sm.arrive(tid, dimm,
-                      [this, back,
-                       release = std::move(release)]() mutable {
-                          sh.call(back, std::move(release),
-                                  EventPriority::Core);
-                      });
-        });
-    }
-
-  private:
-    ShardSet &sh;
-    SyncManager &sm;
-    const SystemConfig &cfg;
-};
-
-} // namespace
-
 System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
 {
     cfg.validate();
@@ -59,21 +18,6 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
             obs::categoryMaskFromString(cfg.obs.categories),
             cfg.obs.ringCapacity);
         eventq.setTracer(tracer_.get());
-    }
-
-    if (cfg.sharded()) {
-        for (unsigned g = 0; g < cfg.numGroups(); ++g) {
-            auto q = std::make_unique<EventQueue>();
-            if (tracer_)
-                q->setTracer(tracer_.get());
-            groupQueues_.push_back(std::move(q));
-        }
-        std::vector<EventQueue *> qs;
-        qs.push_back(&eventq);
-        for (auto &q : groupQueues_)
-            qs.push_back(q.get());
-        shards_ = std::make_unique<ShardSet>(
-            std::move(qs), cfg.resolvedLookaheadPs());
     }
 
     gmap = std::make_unique<dram::GlobalAddressMap>(
@@ -95,75 +39,22 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     const dram::Timing timing = cfg.dramTiming();
     for (unsigned d = 0; d < cfg.numDimms; ++d)
         dimms.push_back(std::make_unique<Dimm>(
-            // Each DIMM's components live (and schedule) on its
-            // group's shard queue; the classic build keeps the one
-            // global queue.
-            shards_ ? *groupQueues_[cfg.groupOf(static_cast<DimmId>(d))]
-                    : eventq,
-            static_cast<DimmId>(d), cfg, timing, *gmap, registry));
+            eventq, static_cast<DimmId>(d), cfg, timing, *gmap,
+            registry));
 
     sync_ = std::make_unique<SyncManager>(eventq, cfg, fabric_.get(),
                                           registry);
 
     // Wire remote memory accesses into the destination DIMM's MC.
-    // Sharded: the MC belongs to the destination's group shard, so a
-    // cross-shard access hops there and its completion hops back to
-    // the shard that asked.
     fabric_->setMemAccess([this](DimmId d, Addr addr,
                                  std::uint32_t bytes, bool is_write,
                                  std::function<void()> done) {
-        if (!shards_) {
-            dimms[d]->localMc().remoteAccess(addr, bytes, is_write,
-                                             std::move(done));
-            return;
-        }
-        const unsigned dst = 1 + cfg.groupOf(d);
-        const unsigned src = shards_->current();
-        shards_->call(dst, [this, d, addr, bytes, is_write, src,
-                            done = std::move(done)]() mutable {
-            dimms[d]->localMc().remoteAccess(
-                addr, bytes, is_write,
-                [this, src, done = std::move(done)]() mutable {
-                    shards_->call(src, std::move(done));
-                });
-        });
+        dimms[d]->localMc().remoteAccess(addr, bytes, is_write,
+                                         std::move(done));
     });
 
-    if (shards_)
-        barrierAdapter_ = std::make_unique<ShardedBarrier>(
-            *shards_, *sync_, cfg);
-    BarrierEndpoint *barrier =
-        barrierAdapter_ ? barrierAdapter_.get()
-                        : static_cast<BarrierEndpoint *>(sync_.get());
-
     for (auto &dimm : dimms)
-        dimm->connect(fabric_.get(), barrier, gmap.get());
-
-    if (shards_) {
-        // Workload programs may touch state shared across threads
-        // when generating ops, so a sharded core never resumes its
-        // program in place: the fetch is a sequenced call that runs
-        // on the coordinator at the window barrier in one canonical
-        // order, and the op is delivered back a lookahead later.
-        for (auto &dimm : dimms) {
-            for (unsigned c = 0; c < cfg.dimm.numCores; ++c) {
-                dimm->core(static_cast<CoreId>(c))
-                    .setOpSource([this](ThreadProgram *p,
-                                        std::function<void(Op)> give) {
-                        shards_->callSequenced(
-                            [p, give = std::move(give)]() mutable
-                            -> std::function<void()> {
-                                Op o = p->next();
-                                return [give = std::move(give),
-                                        o = std::move(o)]() mutable {
-                                    give(std::move(o));
-                                };
-                            },
-                            EventPriority::Core);
-                    });
-            }
-        }
-    }
+        dimm->connect(fabric_.get(), sync_.get(), gmap.get());
 
     if (cfg.serve.relEnabled())
         wireReliability();
@@ -178,42 +69,22 @@ void
 System::wireReliability()
 {
     relParams_ = serve_rel::Params::from(cfg.serve);
-    const unsigned hosts = cfg.rackEnabled() ? cfg.rack.hosts : 0;
-    const unsigned nviews =
-        shards_ ? 1 + cfg.numGroups() : 1;
-    relViews_.assign(nviews, serve_rel::HostHealthView(hosts));
-
+    relView_ = serve_rel::HostHealthView(
+        cfg.rackEnabled() ? cfg.rack.hosts : 0);
     for (unsigned d = 0; d < cfg.numDimms; ++d) {
         const DimmId id = static_cast<DimmId>(d);
-        // A core consults the view of the shard it executes on.
-        const unsigned v = shards_ ? 1 + cfg.groupOf(id) : 0;
         for (unsigned c = 0; c < cfg.dimm.numCores; ++c)
             dimms[d]->core(static_cast<CoreId>(c))
-                .setReliability(&relParams_, &relViews_[v],
-                                cfg.hostOf(id));
+                .setReliability(&relParams_, &relView_, cfg.hostOf(id));
     }
 
     if (!cfg.rackEnabled())
         return;
-    // Availability transitions originate on the host shard (the rack
-    // fabric's LinkHealth); fan each one out to every shard's view
-    // through that shard's own queue, keeping views single-writer and
-    // the delivery tick (+lookahead inside a window) deterministic at
-    // every sim.threads count.
     fabric_->setHostAvailabilitySink([this](unsigned host, bool is_gw,
                                             bool up) {
-        for (unsigned v = 0; v < relViews_.size(); ++v) {
-            auto apply = [this, v, host, is_gw, up] {
-                auto &view = relViews_[v];
-                if (host >= view.portUp.size())
-                    return;
-                (is_gw ? view.gwUp : view.portUp)[host] = up ? 1 : 0;
-            };
-            if (shards_ && v != 0)
-                shards_->call(v, std::move(apply));
-            else
-                apply();
-        }
+        if (host >= relView_.portUp.size())
+            return;
+        (is_gw ? relView_.gwUp : relView_.portUp)[host] = up ? 1 : 0;
     });
 }
 
@@ -292,12 +163,6 @@ System::hangDiagnostics()
     std::ostringstream os;
     os << "queue: now=" << eventq.now() << " pending=" << eventq.size()
        << " executed=" << eventq.executed() << "\n";
-    for (std::size_t g = 0; g < groupQueues_.size(); ++g) {
-        const auto &q = *groupQueues_[g];
-        os << "  shard" << (g + 1) << ": now=" << q.now()
-           << " pending=" << q.size() << " executed=" << q.executed()
-           << "\n";
-    }
     os << "fabric: forwardBacklog=" << fabric_->forwardBacklog()
        << " dllInFlight=" << fabric_->dllInFlight() << "\n";
     for (unsigned d = 0; d < numDimms(); ++d) {
@@ -333,9 +198,6 @@ System::exitNmpMode()
     if (watchdog_)
         watchdog_->disarm();
     fabric_->exitNmpMode();
-    // Sharded kernels accumulate latency samples in per-shard lanes;
-    // fold them (in fixed shard order) before anyone reads stats.
-    fabric_->mergeShardStats();
     // Kernel end: NMP caches flush so the host sees fresh DRAM.
     for (auto &dimm : dimms)
         dimm->flushCaches();
@@ -363,16 +225,10 @@ System::hostAccess(Addr global, std::uint64_t bytes, bool is_write)
                 --outstanding;
             });
     }
-    // Sharded systems interleave the per-shard queues in global tick
-    // order here (no parallelism: HA-mode phases are host-driven and
-    // cheap relative to the kernel).
-    while (outstanding > 0 &&
-           (shards_ ? shards_->stepMerged() : eventq.step())) {
+    while (outstanding > 0 && eventq.step()) {
     }
     if (outstanding > 0)
         panic("host access did not drain");
-    if (shards_)
-        shards_->syncClocks();
     return eventq.now() - start;
 }
 

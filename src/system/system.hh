@@ -18,7 +18,6 @@
 #include "host/channel.hh"
 #include "idc/fabric.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "sync/sync_manager.hh"
 #include "system/watchdog.hh"
 
@@ -42,13 +41,6 @@ class System
     EventQueue &queue() { return eventq; }
     stats::Registry &stats() { return registry; }
     const dram::GlobalAddressMap &addressMap() const { return *gmap; }
-
-    /**
-     * The conservative-parallel shard set (sim.shard=group), or null
-     * in the classic single-queue configuration. Shard 0 is the host
-     * queue; shard 1+g is DIMM group g's queue.
-     */
-    ShardSet *shards() { return shards_.get(); }
 
     Dimm &dimm(DimmId d) { return *dimms[d]; }
     unsigned numDimms() const
@@ -109,28 +101,18 @@ class System
     // Built before any component so construction-time track/name
     // registration sees the tracer through eventq.tracer().
     std::unique_ptr<obs::Tracer> tracer_;
-    // Sharded mode: one extra queue per DIMM group plus the ShardSet
-    // binding them to the host queue. Built before the fabric so
-    // every component constructor can reach the set through its
-    // queue's shards() pointer.
-    std::vector<std::unique_ptr<EventQueue>> groupQueues_;
-    std::unique_ptr<ShardSet> shards_;
     std::unique_ptr<dram::GlobalAddressMap> gmap;
     std::vector<std::unique_ptr<host::Channel>> channels;
     std::unique_ptr<idc::Fabric> fabric_;
     std::vector<std::unique_ptr<Dimm>> dimms;
     std::unique_ptr<SyncManager> sync_;
-    /** Shard-normalizing barrier wrapper around sync_ (sharded only). */
-    std::unique_ptr<BarrierEndpoint> barrierAdapter_;
     std::unique_ptr<obs::Sampler> sampler_;
     std::unique_ptr<Watchdog> watchdog_;
-    /** Resolved serve.* reliability knobs; the cores hold pointers
-     * into these, so both live for the System's lifetime and
-     * relViews_ is never resized after wireReliability(). One view
-     * per shard (just [0] when unsharded), each written only through
-     * its own shard's queue. */
+    /** Resolved serve.* reliability knobs and the rack host-health
+     * view; the cores hold pointers into both, so they live for the
+     * System's lifetime. */
     serve_rel::Params relParams_;
-    std::vector<serve_rel::HostHealthView> relViews_;
+    serve_rel::HostHealthView relView_;
     bool nmpMode = false;
 };
 

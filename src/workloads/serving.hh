@@ -9,8 +9,7 @@
  *
  * Plans are built host-side, before the kernel runs, so the op
  * streams a serving workload emits are a pure function of the config:
- * the same plan drives the sequential kernel, the sharded kernel at
- * any thread count, and the host baseline.
+ * the same plan drives the NMP kernel and the host baseline.
  */
 
 #ifndef DIMMLINK_WORKLOADS_SERVING_HH
@@ -65,9 +64,8 @@ std::vector<ThreadPlan> buildPlans(const ServeConfig &s,
  * group: histogram "latencyPs" plus requests / latencyP50Ps /
  * latencyP95Ps / latencyP99Ps / achievedQps / offeredQps scalars.
  * Rebuilt from scratch each call (idempotent); cores are visited in
- * sorted-name order and count merges commute, so the result is
- * byte-identical at every thread count. Returns false (and writes
- * nothing) when no core retired a request.
+ * sorted-name order, so the result is deterministic. Returns false
+ * (and writes nothing) when no core retired a request.
  */
 bool aggregate(stats::Registry &reg, const SystemConfig &cfg,
                Tick kernel_ticks);

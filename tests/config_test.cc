@@ -136,6 +136,23 @@ TEST(ConfigSetDeathTest, UnknownKeySuggestsSectionSiblings)
                 "unknown config key 'nmp.cores'");
 }
 
+TEST(ConfigSetDeathTest, RemovedSimSectionIsUnknown)
+{
+    // Old configs and scripts still carry the retired sim.* execution
+    // knobs; they must fail loudly, and the section list must not
+    // advertise a section that no longer exists.
+    const char *sections =
+        "unknown config key 'sim\\.threads' \\(sections: system, host, "
+        "dimm, dram, link, bus, faults, serve, energy, obs, watchdog, "
+        "rack\\)";
+    SystemConfig cfg;
+    EXPECT_EXIT(cfg.applyOverride("sim.threads=4"),
+                ::testing::ExitedWithCode(1), sections);
+    EXPECT_EXIT(SystemConfig::fromString(
+                    "{\"sim\": {\"threads\": 4}}", "old.json"),
+                ::testing::ExitedWithCode(1), sections);
+}
+
 TEST(ConfigSetDeathTest, BadTypedValueNamesKey)
 {
     SystemConfig cfg;

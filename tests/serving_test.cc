@@ -2,7 +2,7 @@
  * and Zipfian popularity, deterministic request plans, the kv / embed
  * workloads end to end on the NMP system and the host baseline, the
  * serve stats group, and the byte-identity contract -- same
- * serve.seed, same stats JSON, at any thread count. */
+ * serve.seed, same stats JSON. */
 
 #include <gtest/gtest.h>
 
@@ -147,7 +147,6 @@ struct ServeSpec
     std::uint64_t requests = 192;
     double offeredQps = 2e6;
     double burstFactor = 1.0;
-    unsigned threads = 0; ///< 0 = sequential kernel (sim.shard=none).
 };
 
 /** One serving run on a 4D-2C system; returns full stats JSON plus
@@ -166,10 +165,6 @@ runServing(const ServeSpec &spec)
         cfg.serve.burstPeriodPs = 10000000;
         cfg.serve.burstLenPs = 2000000;
     }
-    if (spec.threads) {
-        cfg.sim.shard = "group";
-        cfg.sim.threads = spec.threads;
-    }
     System sys(cfg);
     workloads::WorkloadParams p;
     p.numThreads = cfg.numDimms * cfg.dimm.numCores;
@@ -179,9 +174,7 @@ runServing(const ServeSpec &spec)
         workloads::makeWorkload(spec.workload, p, sys.addressMap());
     Runner runner(sys, *wl);
     const RunResult r = runner.run();
-    EXPECT_TRUE(r.verified)
-        << spec.workload << " seed=" << spec.seed
-        << " threads=" << spec.threads;
+    EXPECT_TRUE(r.verified) << spec.workload << " seed=" << spec.seed;
     std::ostringstream os;
     stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
     os << "\nkernelTicks=" << r.kernelTicks;
@@ -275,40 +268,17 @@ TEST(ServingDeterminism, RepeatRunsAreByteIdentical)
     }
 }
 
-TEST(ServingDeterminism, ThreadCountInvariantOpenLoop)
-{
-    for (const char *w : {"kv", "embed"}) {
-        for (std::uint64_t seed : {1, 7}) {
-            ServeSpec s;
-            s.workload = w;
-            s.seed = seed;
-            s.threads = 1;
-            const std::string ref = runServing(s);
-            s.threads = 4;
-            EXPECT_EQ(ref, runServing(s))
-                << w << " seed=" << seed
-                << " diverged at threads=4";
-        }
-    }
-}
-
-TEST(ServingDeterminism, ThreadCountInvariantClosedAndBursty)
+TEST(ServingDeterminism, RepeatClosedAndBurstyRunsAreByteIdentical)
 {
     ServeSpec s;
     s.workload = "kv";
     s.mode = "closed";
-    s.threads = 1;
-    const std::string closed_ref = runServing(s);
-    s.threads = 4;
-    EXPECT_EQ(closed_ref, runServing(s)) << "closed loop diverged";
+    EXPECT_EQ(runServing(s), runServing(s)) << "closed loop diverged";
 
     ServeSpec b;
     b.workload = "kv";
     b.burstFactor = 4.0;
-    b.threads = 1;
-    const std::string burst_ref = runServing(b);
-    b.threads = 4;
-    EXPECT_EQ(burst_ref, runServing(b)) << "bursty arrivals diverged";
+    EXPECT_EQ(runServing(b), runServing(b)) << "bursty arrivals diverged";
 }
 
 TEST(ServingDeterminism, SeedChangesTheRun)
@@ -616,21 +586,6 @@ TEST(Reliability, ChaosRunDegradesGracefully)
     EXPECT_GT(r.misses, 0.0);
     EXPECT_GT(r.requests, 0.9 * 512);
     EXPECT_DOUBLE_EQ(r.requests + r.misses + r.shed + r.failed, 512.0);
-}
-
-TEST(ReliabilityDeterminism, ChaosRunsAreThreadCountInvariant)
-{
-    // The whole reliability layer is single-writer per shard and its
-    // timers and RNG streams are tid-keyed, so a chaos run's stats
-    // JSON is byte-identical at every sharded thread count.
-    auto cfg = chaosConfig();
-    cfg.sim.shard = "group";
-    cfg.sim.threads = 1;
-    const RelStats ref = runReliability(cfg);
-    EXPECT_GT(ref.misses, 0.0);
-    cfg.sim.threads = 4;
-    EXPECT_EQ(ref.json, runReliability(cfg).json)
-        << "chaos run diverged at threads=4";
 }
 
 TEST(ReliabilityDeterminism, RepeatChaosRunsAreByteIdentical)

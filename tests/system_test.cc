@@ -71,6 +71,14 @@ struct CrossCase
     IdcMethod method;
 };
 
+/** Prints the case by value, keeping the listed test name free of the
+ * load address of `workload`. */
+void
+PrintTo(const CrossCase &c, std::ostream *os)
+{
+    *os << c.workload << '/' << toString(c.method);
+}
+
 class WorkloadFabricMatrix
     : public ::testing::TestWithParam<CrossCase>
 {

@@ -162,6 +162,15 @@ struct VerifyCase
     bool broadcast;
 };
 
+/** Prints the case by value. The default printer dumps the struct's
+ * bytes, so the listed test name would carry the address of `name`
+ * and change from one load of the binary to the next. */
+void
+PrintTo(const VerifyCase &c, std::ostream *os)
+{
+    *os << c.name << '/' << c.scale << (c.broadcast ? "/bc" : "");
+}
+
 class KernelVerify : public ::testing::TestWithParam<VerifyCase>
 {
 };
