@@ -44,7 +44,7 @@ Dimm::connect(idc::Fabric *fabric, BarrierEndpoint *barrier,
             [gmap](Addr a) { return gmap->dimmOf(a); });
         core->setBroadcaster(
             [this, fabric, gmap](Addr addr, std::uint64_t bytes,
-                                 std::function<void()> done) {
+                                 EventCallback done) {
                 idc::Transaction t;
                 t.type = idc::Transaction::Type::Broadcast;
                 t.src = id_;

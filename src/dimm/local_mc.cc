@@ -84,27 +84,35 @@ LocalMc::drainPending()
 
 void
 LocalMc::dramAccess(Addr local, std::uint32_t bytes, bool is_write,
-                    std::function<void()> done)
+                    EventCallback done)
 {
+    if (bytes == 0) {
+        if (done)
+            eventq.schedule(eventq.now(), std::move(done),
+                            EventPriority::Delivery);
+        return;
+    }
     const Addr first = roundDown(local, lineBytes);
     const Addr last = roundDown(local + bytes - 1, lineBytes);
-    const auto lines =
-        static_cast<std::size_t>((last - first) / lineBytes) + 1;
-
-    auto remaining = std::make_shared<std::size_t>(lines);
-    auto done_sh =
-        std::make_shared<std::function<void()>>(std::move(done));
-    for (Addr a = first; a <= last; a += lineBytes) {
-        enqueueLine(a, is_write, [remaining, done_sh] {
-            if (--*remaining == 0 && *done_sh)
-                (*done_sh)();
-        });
+    if (first == last) {
+        // A posted write still retires through a (no-op) completion
+        // event, like every line of a waited-for access, so the event
+        // stream does not depend on whether anyone waits.
+        if (!done)
+            done = [] {};
+        enqueueLine(first, is_write, std::move(done));
+        return;
     }
+    auto *cd = countdowns.start(
+        static_cast<std::size_t>((last - first) / lineBytes) + 1,
+        std::move(done));
+    for (Addr a = first; a <= last; a += lineBytes)
+        enqueueLine(a, is_write, [this, cd] { countdowns.land(cd); });
 }
 
 void
 LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
-                std::function<void()> done)
+                EventCallback done)
 {
     const DimmId target = gmap.dimmOf(global);
     if (target == self) {
@@ -141,7 +149,7 @@ LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
 
 void
 LocalMc::remoteAccess(Addr local, std::uint32_t bytes, bool is_write,
-                      std::function<void()> done)
+                      EventCallback done)
 {
     if (is_write) {
         ++statLocalWrites;

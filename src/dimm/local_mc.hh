@@ -11,7 +11,6 @@
 #define DIMMLINK_DIMM_LOCAL_MC_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "idc/fabric.hh"
 #include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/record_pool.hh"
 
 namespace dimmlink {
 
@@ -41,7 +41,7 @@ class LocalMc
      * remote spans to the fabric; @p done fires when all complete.
      */
     void access(Addr global, std::uint32_t bytes, bool is_write,
-                std::function<void()> done);
+                EventCallback done);
 
     /** True when @p global maps to a different DIMM. */
     bool isRemote(Addr global) const
@@ -54,7 +54,7 @@ class LocalMc
      * needs @p bytes of local DRAM access at DIMM-local @p local.
      */
     void remoteAccess(Addr local, std::uint32_t bytes, bool is_write,
-                      std::function<void()> done);
+                      EventCallback done);
 
     /** Posted write (cache victim writeback): no completion needed. */
     void postedWrite(Addr global, std::uint32_t bytes);
@@ -75,9 +75,10 @@ class LocalMc
     };
 
     /** Split a DIMM-local span into line accesses on the rank
-     * controllers; @p done fires when the last line completes. */
+     * controllers; @p done fires when the last line completes. A
+     * zero-byte span touches no DRAM: @p done fires at now(). */
     void dramAccess(Addr local, std::uint32_t bytes, bool is_write,
-                    std::function<void()> done);
+                    EventCallback done);
 
     void enqueueLine(Addr line_addr, bool is_write,
                      EventCallback done);
@@ -99,6 +100,8 @@ class LocalMc
 
     /** The transaction buffer (Fig. 6, component 1). */
     std::deque<PendingLine> pending;
+    /** Multi-line accesses waiting for their last line. */
+    CountdownPool countdowns;
 
     stats::Scalar &statLocalReads;
     stats::Scalar &statLocalWrites;

@@ -40,7 +40,7 @@ class NmpCore : public Clocked
 
     /** Explicit broadcast API (wired by the Dimm to the fabric). */
     using BroadcastFn =
-        std::function<void(Addr, std::uint64_t, std::function<void()>)>;
+        std::function<void(Addr, std::uint64_t, EventCallback)>;
     void setBroadcaster(BroadcastFn f) { broadcaster = std::move(f); }
 
     /** Per-reference traffic probe for the task-mapping profiler. */

@@ -29,7 +29,7 @@ Forwarder::Forwarder(EventQueue &eq, const SystemConfig &cfg_,
 
 void
 Forwarder::forward(DimmId src, DimmId dst, unsigned bytes,
-                   std::function<void()> delivered)
+                   EventCallback delivered)
 {
     Job job{src, dst, bytes, std::move(delivered), 0};
     if (tr) {

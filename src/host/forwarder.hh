@@ -10,13 +10,13 @@
 #ifndef DIMMLINK_HOST_FORWARDER_HH
 #define DIMMLINK_HOST_FORWARDER_HH
 
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "host/channel.hh"
+#include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
 
 namespace dimmlink {
@@ -39,7 +39,7 @@ class Forwarder
      * written into the destination DIMM's packet buffer.
      */
     void forward(DimmId src, DimmId dst, unsigned bytes,
-                 std::function<void()> delivered);
+                 EventCallback delivered);
 
     /**
      * Host-performed remote access for the MCN-style baselines: the
@@ -47,8 +47,7 @@ class Forwarder
      * the requester, or vice versa. Same cost structure as forward().
      */
     void
-    copy(DimmId src, DimmId dst, unsigned bytes,
-         std::function<void()> delivered)
+    copy(DimmId src, DimmId dst, unsigned bytes, EventCallback delivered)
     {
         forward(src, dst, bytes, std::move(delivered));
     }
@@ -59,10 +58,10 @@ class Forwarder
   private:
     struct Job
     {
-        DimmId src;
-        DimmId dst;
-        unsigned bytes;
-        std::function<void()> delivered;
+        DimmId src = 0;
+        DimmId dst = 0;
+        unsigned bytes = 0;
+        EventCallback delivered;
         std::uint64_t traceId = 0;
     };
 
@@ -72,7 +71,7 @@ class Forwarder
     EventQueue &eventq;
     const SystemConfig &cfg;
     std::vector<Channel *> channels;
-    std::deque<Job> jobs;
+    Ring<Job> jobs;
     /** Busy-until tick of each host forwarding thread. */
     std::vector<Tick> workerFreeAt;
 

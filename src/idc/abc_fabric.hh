@@ -30,8 +30,8 @@ class AbcFabric : public Fabric
 
   private:
     void execute(Transaction t, Tick started);
-    void executeBroadcast(Transaction t,
-                          std::function<void()> finish);
+    void executeBroadcast(DimmId src, Addr addr, std::uint32_t bytes,
+                          EventCallback finish);
 
     std::vector<host::Channel *> channels;
     CpuForwardPath path;

@@ -21,6 +21,15 @@ flitsFor(std::uint64_t bytes)
                    (bytes + proto::flitBytes - 1) / proto::flitBytes);
 }
 
+/** Packets (<= maxPayloadBytes each, at least one) for @p bytes. */
+std::uint64_t
+packetsFor(std::uint64_t bytes)
+{
+    return bytes == 0 ? 1
+                      : (bytes + proto::maxPayloadBytes - 1) /
+                            proto::maxPayloadBytes;
+}
+
 /** Polling targets: one proxy per group, or every DIMM. */
 std::vector<DimmId>
 pollTargets(const SystemConfig &cfg)
@@ -330,7 +339,7 @@ DlFabric::drainInjectQueue(unsigned group, int node)
 void
 DlFabric::sendIntraGroup(DimmId s, DimmId d,
                          std::uint64_t payload_bytes,
-                         std::function<void()> delivered)
+                         EventCallback delivered)
 {
     const unsigned group = groupIdx(s);
     if (group != groupIdx(d))
@@ -347,25 +356,20 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
 
     // Segment into <=256-byte packets; the last delivery completes
     // the transfer (paths are deterministic and FIFO, but count for
-    // safety).
+    // safety). A single-packet transfer needs no count.
+    const std::uint64_t packets = packetsFor(payload_bytes);
+    CountdownPool::Countdown *xfer =
+        packets > 1 ? countdowns.start(packets, std::move(delivered))
+                    : nullptr;
     std::uint64_t left = payload_bytes;
-    std::vector<std::uint64_t> chunks;
     do {
         const std::uint64_t c =
             std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        chunks.push_back(c);
         left -= c;
-    } while (left > 0);
-
-    auto remaining = std::make_shared<std::size_t>(chunks.size());
-    auto done =
-        std::make_shared<std::function<void()>>(std::move(delivered));
-
-    if (dllPath) {
-        // Reliable transport: each chunk becomes a real DL packet
-        // whose wire image crosses the (possibly faulty) bridge under
-        // CRC + retry protection.
-        for (const std::uint64_t c : chunks) {
+        if (dllPath) {
+            // Reliable transport: each chunk becomes a real DL packet
+            // whose wire image crosses the (possibly faulty) bridge
+            // under CRC + retry protection.
             proto::Packet pkt;
             pkt.src = static_cast<std::uint8_t>(s);
             pkt.dst = static_cast<std::uint8_t>(d);
@@ -376,24 +380,24 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
             ++statPacketsLink;
             statBytesViaLink +=
                 static_cast<double>(flitsFor(c)) * proto::flitBytes;
-            std::uint64_t aid = 0;
+            EventCallback landed;
+            if (xfer)
+                landed = [this, xfer] { countdowns.land(xfer); };
+            else
+                landed = std::move(delivered);
             if (tr) {
-                aid = tr->nextAsyncId();
+                const std::uint64_t aid = tr->nextAsyncId();
                 tr->asyncBegin(trk, nmDllXfer, eventq.now(), aid);
+                landed = [this, aid, landed = std::move(landed)]() mutable {
+                    tr->asyncEnd(trk, nmDllXfer, eventq.now(), aid);
+                    if (landed)
+                        landed();
+                };
             }
-            sendDllPacket(s, d, std::move(pkt),
-                          [this, remaining, done, aid] {
-                              if (tr)
-                                  tr->asyncEnd(trk, nmDllXfer,
-                                               eventq.now(), aid);
-                              if (--*remaining == 0 && *done)
-                                  (*done)();
-                          });
+            sendDllPacket(s, d, std::move(pkt), std::move(landed));
+            continue;
         }
-        return;
-    }
 
-    for (const std::uint64_t c : chunks) {
         const unsigned flits = flitsFor(c);
         noc::Message msg;
         msg.src = nodeIdx(s);
@@ -402,200 +406,268 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
         msg.id = nextMsgId++;
         ++statPacketsLink;
         statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
+        PacketRec *rec = packetRecs.acquire();
+        rec->xfer = xfer;
+        if (!xfer)
+            rec->done = std::move(delivered);
+        rec->flits = flits;
         // Packet lifetime span: packetize begin -> decoded at d.
-        std::uint64_t aid = 0;
         if (tr) {
-            aid = tr->nextAsyncId();
-            tr->asyncBegin(trk, nmPacket, eventq.now(), aid);
+            rec->aid = tr->nextAsyncId();
+            tr->asyncBegin(trk, nmPacket, eventq.now(), rec->aid);
         }
-        msg.deliver = [this, flits, remaining, done, aid](int) {
-            // NW-interface CRC check + decode at the destination.
-            eventq.scheduleIn(decodeDelay(flits),
-                              [this, remaining, done, aid] {
-                                  if (tr)
-                                      tr->asyncEnd(trk, nmPacket,
-                                                   eventq.now(), aid);
-                                  if (--*remaining == 0 && *done)
-                                      (*done)();
-                              },
-                              EventPriority::Control);
-        };
+        msg.deliver = [this, rec](int node) { packetEjected(rec, node); };
         // NW-interface packetization before hitting the router.
         eventq.scheduleIn(packetizeDelay(flits),
                           [this, group, msg = std::move(msg)]() mutable {
                               inject(group, std::move(msg));
                           },
                           EventPriority::Control);
+    } while (left > 0);
+}
+
+void
+DlFabric::packetEjected(PacketRec *rec, int node)
+{
+    if (node == rec->bcastSrc) {
+        // The broadcast source's local copy needs no decode.
+        packetLanded(rec);
+        return;
     }
+    // NW-interface CRC check + decode at the destination.
+    eventq.scheduleIn(decodeDelay(rec->flits),
+                      [this, rec] { packetLanded(rec); },
+                      EventPriority::Control);
+}
+
+void
+DlFabric::packetLanded(PacketRec *rec)
+{
+    if (tr && rec->bcastSrc < 0)
+        tr->asyncEnd(trk, nmPacket, eventq.now(), rec->aid);
+    CountdownPool::Countdown *xfer = rec->xfer;
+    EventCallback done;
+    if (--rec->copies == 0) {
+        done = std::move(rec->done);
+        packetRecs.release(rec);
+    }
+    if (xfer)
+        countdowns.land(xfer);
+    else if (done)
+        done();
 }
 
 void
 DlFabric::hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                       std::function<void()> delivered)
+                       EventCallback delivered)
 {
     ++*statHostReroutes;
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
     ++statPacketsHost;
     statBytesViaHost += wire;
-    auto cb = std::make_shared<std::function<void()>>(
-        std::move(delivered));
-    requestForward(s, [this, s, d, wire, cb] {
-        path.forwarder().forward(s, d, wire, [cb] {
-            if (*cb)
-                (*cb)();
-        });
+    requestForward(s, [this, s, d, wire,
+                       delivered = std::move(delivered)]() mutable {
+        path.forwarder().forward(s, d, wire, std::move(delivered));
     });
 }
 
 void
 DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
-                        std::function<void()> delivered)
+                        EventCallback delivered)
 {
-    const unsigned group = groupIdx(s);
-    const std::uint64_t payload = pkt.payload.size();
-    auto cb = std::make_shared<std::function<void()>>(
-        std::move(delivered));
-    // The sequence number is stamped at admission (possibly after
-    // window backpressure), so the waiting-table key is registered on
-    // the first transmission rather than here. The route is captured
-    // at the same moment: exhaustion must blame the path the transfer
-    // actually took, not whatever the tables say after a recompute.
-    auto key = std::make_shared<std::optional<DllKey>>();
-    auto route =
-        std::make_shared<std::vector<std::pair<int, int>>>();
-
+    DllRec *rec = dllRecs.acquire();
+    rec->delivered = std::move(delivered);
+    rec->s = s;
+    rec->d = d;
+    rec->payload = pkt.payload.size();
     dllCtl[s]->sendReliable(
         std::move(pkt),
-        [this, group, s, d, cb, key, route](const proto::Packet &p,
-                                            std::vector<std::uint8_t> wire) {
-            if (!key->has_value()) {
-                *key = DllKey{
-                    p.src, p.dst,
-                    static_cast<std::uint16_t>(p.dll & 0xffff)};
-                dllWaiting[**key] = cb;
-                *route = routePath(group, nodeIdx(s), nodeIdx(d));
-            } else if (tr) {
-                // The retry engine re-invoked transmit: a timeout or
-                // NACK retransmission of this sequence number.
-                tr->instant(trk, nmDllRetry, eventq.now(),
-                            p.dll & 0xffff);
-            }
-            const unsigned flits = p.numFlits();
-            noc::Message msg;
-            msg.src = nodeIdx(s);
-            msg.dst = nodeIdx(d);
-            msg.flits = flits;
-            msg.id = nextMsgId++;
-            // The encoded image travels with the message; fault
-            // models flip its real bits in flight. Each retry gets a
-            // freshly encoded (clean) image.
-            msg.wire = std::make_shared<std::vector<std::uint8_t>>(
-                std::move(wire));
-            msg.deliver = [this, d, flits, w = msg.wire](int) {
-                eventq.scheduleIn(decodeDelay(flits),
-                                  [this, d, w] { dllReceive(d, *w); },
-                                  EventPriority::Control);
-            };
-            eventq.scheduleIn(
-                packetizeDelay(flits),
-                [this, group, msg = std::move(msg)]() mutable {
-                    inject(group, std::move(msg));
-                },
-                EventPriority::Control);
+        [this, rec](const proto::Packet &p,
+                    std::vector<std::uint8_t> wire) {
+            dllTransmit(rec, p, std::move(wire));
         },
-        /*on_acked=*/[this, s, route] {
-            // An end-to-end ACK proves the route moved traffic:
-            // clear the consecutive-failure blame on its links so
-            // unrelated exhaustions cannot accumulate into a
-            // spurious Suspect over the whole run.
-            const unsigned g = groupIdx(s);
-            if (g < health.size() && health[g] && !route->empty())
-                health[g]->noteSuccess(*route);
-        },
-        /*on_failed=*/[this, s, d, payload, key, route] {
-            // Retry budget exhausted (e.g. a stuck link outliving the
-            // budget). Blame the route the transfer was admitted on so
-            // the health machinery can take the dead link out of the
-            // tables, then apply the configured exhaustion policy.
-            ++statDllFailedTransfers;
-            if (tr)
-                tr->instant(trk, nmDllFailed, eventq.now(),
-                            key->has_value()
-                                ? std::get<2>(**key)
-                                : std::uint64_t{0});
-            const unsigned g = groupIdx(s);
-            if (g < health.size() && health[g])
-                health[g]->noteExhausted(
-                    route->empty()
-                        ? routePath(g, nodeIdx(s), nodeIdx(d))
-                        : *route);
-            if (!key->has_value())
+        /*on_acked=*/[this, rec] { dllAcked(rec); },
+        /*on_failed=*/[this, rec] { dllFailed(rec); });
+}
+
+void
+DlFabric::dllTransmit(DllRec *rec, const proto::Packet &p,
+                      std::vector<std::uint8_t> wire)
+{
+    const DimmId s = rec->s;
+    const DimmId d = rec->d;
+    const unsigned group = groupIdx(s);
+    if (!rec->keyed) {
+        // First transmission: register the completion under the
+        // admitted sequence number, and capture the route -- an
+        // exhaustion must blame the path the transfer actually took,
+        // not whatever the tables say after a recompute.
+        rec->keyed = true;
+        rec->key = DllKey{p.src, p.dst,
+                          static_cast<std::uint16_t>(p.dll & 0xffff)};
+        dllWaiting[rec->key] = std::move(rec->delivered);
+        rec->route = routePath(group, nodeIdx(s), nodeIdx(d));
+    } else if (tr) {
+        // The retry engine re-invoked transmit: a timeout or NACK
+        // retransmission of this sequence number.
+        tr->instant(trk, nmDllRetry, eventq.now(), p.dll & 0xffff);
+    }
+    // Each retry gets a freshly encoded (clean) image.
+    sendWire(s, d, p.numFlits(), std::move(wire), /*control=*/false);
+}
+
+void
+DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
+                   std::vector<std::uint8_t> wire, bool control)
+{
+    const unsigned group = groupIdx(s);
+    noc::Message msg;
+    msg.src = nodeIdx(s);
+    msg.dst = nodeIdx(d);
+    msg.flits = flits;
+    msg.id = nextMsgId++;
+    // The encoded image travels with the message; fault models flip
+    // its real bits in flight.
+    msg.wire = std::make_shared<std::vector<std::uint8_t>>(
+        std::move(wire));
+    WireRec *rec = wireRecs.acquire();
+    rec->wire = msg.wire;
+    rec->d = d;
+    rec->flits = flits;
+    rec->control = control;
+    msg.deliver = [this, rec](int) { wireEjected(rec); };
+    // A dropped image needs no completion of its own (the sender's
+    // retry timeout recovers), only its record back.
+    msg.onDropped = [this, rec] { wireRecs.release(rec); };
+    eventq.scheduleIn(packetizeDelay(flits),
+                      [this, group, msg = std::move(msg)]() mutable {
+                          inject(group, std::move(msg));
+                      },
+                      EventPriority::Control);
+}
+
+void
+DlFabric::wireEjected(WireRec *rec)
+{
+    std::shared_ptr<std::vector<std::uint8_t>> w = std::move(rec->wire);
+    const DimmId d = rec->d;
+    const unsigned flits = rec->flits;
+    const bool control = rec->control;
+    wireRecs.release(rec);
+    eventq.scheduleIn(
+        decodeDelay(flits),
+        [this, d, control, w = std::move(w)] {
+            if (!control) {
+                dllReceive(d, *w);
                 return;
-            auto it = dllWaiting.find(**key);
-            if (it == dllWaiting.end())
-                return; // Delivered earlier; only the ACKs kept dying.
-            auto cb2 = it->second;
-            dllWaiting.erase(it);
-            switch (exhaustPolicy) {
-              case ExhaustPolicy::Panic:
-                panic("DLL transfer %u -> %u (seq %u) exhausted its "
-                      "retry budget (faults.onExhausted=panic)",
-                      s, d, std::get<2>(**key));
-                break;
-              case ExhaustPolicy::Drop: {
-                // Complete the transfer unsent so the workload can
-                // terminate; the stat records the loss. The payload
-                // is gone, but the receiver must still move past the
-                // retired sequence or every later packet on the
-                // stream jams behind the gap once the link recovers —
-                // send a header-only resync note over the host path.
-                warnRateLimited(
-                    "dl-fabric-drop", 64,
-                    "DLL transfer %u -> %u dropped after retry "
-                    "exhaustion (faults.onExhausted=drop)",
-                    static_cast<unsigned>(s), static_cast<unsigned>(d));
-                if (cb2 && *cb2)
-                    (*cb2)();
-                const auto note =
-                    static_cast<unsigned>(wireBytesFor(0));
-                ++statPacketsHost;
-                statBytesViaHost += note;
-                const auto seq = std::get<2>(**key);
-                requestForward(s, [this, s, d, note, seq] {
-                    path.forwarder().forward(
-                        s, d, note,
-                        [this, s, d, seq] { dllStreamResync(s, d, seq); });
-                });
-                break;
-              }
-              case ExhaustPolicy::Failover: {
-                // Re-submit the payload over the host CPU-forwarding
-                // path: slower, but the bytes really arrive and the
-                // completion chain stays intact. The forwarded image
-                // carries the DLL header, so its arrival also resyncs
-                // the receiver's stream past the retired sequence.
-                ++*statFailovers;
-                const auto wire =
-                    static_cast<unsigned>(wireBytesFor(payload));
-                *statFailoverBytes += wire;
-                ++statPacketsHost;
-                statBytesViaHost += wire;
-                if (tr)
-                    tr->instant(trk, nmFailover, eventq.now(),
-                                std::get<2>(**key));
-                const auto seq = std::get<2>(**key);
-                requestForward(s, [this, s, d, wire, cb2, seq] {
-                    path.forwarder().forward(
-                        s, d, wire, [this, s, d, seq, cb2] {
-                            dllStreamResync(s, d, seq);
-                            if (cb2 && *cb2)
-                                (*cb2)();
-                        });
-                });
-                break;
-              }
             }
+            proto::Packet c;
+            if (!proto::decode(*w, c)) {
+                ++statDllCtrlDropped;
+                return;
+            }
+            dllCtl[d]->onControlArrive(c);
+        },
+        EventPriority::Control);
+}
+
+void
+DlFabric::dllAcked(DllRec *rec)
+{
+    // An end-to-end ACK proves the route moved traffic: clear the
+    // consecutive-failure blame on its links so unrelated exhaustions
+    // cannot accumulate into a spurious Suspect over the whole run.
+    const unsigned g = groupIdx(rec->s);
+    if (g < health.size() && health[g] && !rec->route.empty())
+        health[g]->noteSuccess(rec->route);
+    dllRecs.release(rec);
+}
+
+void
+DlFabric::dllFailed(DllRec *rec)
+{
+    // Retry budget exhausted (e.g. a stuck link outliving the budget).
+    // Blame the route the transfer was admitted on so the health
+    // machinery can take the dead link out of the tables, then apply
+    // the configured exhaustion policy.
+    const DimmId s = rec->s;
+    const DimmId d = rec->d;
+    const std::uint64_t payload = rec->payload;
+    const bool keyed = rec->keyed;
+    const DllKey key = rec->key;
+    ++statDllFailedTransfers;
+    if (tr)
+        tr->instant(trk, nmDllFailed, eventq.now(),
+                    keyed ? std::get<2>(key) : std::uint64_t{0});
+    const unsigned g = groupIdx(s);
+    if (g < health.size() && health[g])
+        health[g]->noteExhausted(
+            rec->route.empty() ? routePath(g, nodeIdx(s), nodeIdx(d))
+                               : rec->route);
+    dllRecs.release(rec);
+    if (!keyed)
+        return;
+    auto it = dllWaiting.find(key);
+    if (it == dllWaiting.end())
+        return; // Delivered earlier; only the ACKs kept dying.
+    EventCallback cb = std::move(it->second);
+    dllWaiting.erase(it);
+    const auto seq = std::get<2>(key);
+    switch (exhaustPolicy) {
+      case ExhaustPolicy::Panic:
+        panic("DLL transfer %u -> %u (seq %u) exhausted its retry "
+              "budget (faults.onExhausted=panic)",
+              s, d, seq);
+        break;
+      case ExhaustPolicy::Drop: {
+        // Complete the transfer unsent so the workload can terminate;
+        // the stat records the loss. The payload is gone, but the
+        // receiver must still move past the retired sequence or every
+        // later packet on the stream jams behind the gap once the
+        // link recovers -- send a header-only resync note over the
+        // host path.
+        warnRateLimited("dl-fabric-drop", 64,
+                        "DLL transfer %u -> %u dropped after retry "
+                        "exhaustion (faults.onExhausted=drop)",
+                        static_cast<unsigned>(s),
+                        static_cast<unsigned>(d));
+        if (cb)
+            cb();
+        const auto note = static_cast<unsigned>(wireBytesFor(0));
+        ++statPacketsHost;
+        statBytesViaHost += note;
+        requestForward(s, [this, s, d, note, seq] {
+            path.forwarder().forward(
+                s, d, note, [this, s, d, seq] { dllStreamResync(s, d, seq); });
         });
+        break;
+      }
+      case ExhaustPolicy::Failover: {
+        // Re-submit the payload over the host CPU-forwarding path:
+        // slower, but the bytes really arrive and the completion chain
+        // stays intact. The forwarded image carries the DLL header, so
+        // its arrival also resyncs the receiver's stream past the
+        // retired sequence.
+        ++*statFailovers;
+        const auto wire = static_cast<unsigned>(wireBytesFor(payload));
+        *statFailoverBytes += wire;
+        ++statPacketsHost;
+        statBytesViaHost += wire;
+        if (tr)
+            tr->instant(trk, nmFailover, eventq.now(), seq);
+        requestForward(s, [this, s, d, wire, seq,
+                           cb = std::move(cb)]() mutable {
+            path.forwarder().forward(
+                s, d, wire,
+                [this, s, d, seq, cb = std::move(cb)]() mutable {
+                    dllStreamResync(s, d, seq);
+                    if (cb)
+                        cb();
+                });
+        });
+        break;
+      }
+    }
 }
 
 void
@@ -606,10 +678,10 @@ DlFabric::completeDllDelivery(const proto::Packet &p)
     auto it = dllWaiting.find(k);
     if (it == dllWaiting.end())
         return; // Completed earlier (delivery, failover, or drop).
-    auto cb = it->second;
+    EventCallback cb = std::move(it->second);
     dllWaiting.erase(it);
-    if (cb && *cb)
-        (*cb)();
+    if (cb)
+        cb();
 }
 
 void
@@ -655,40 +727,15 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
         ++statDllCtrlDropped;
         return;
     }
-    const unsigned group = groupIdx(from);
-    const auto dst = static_cast<DimmId>(ctrl.dst);
-    noc::Message msg;
-    msg.src = nodeIdx(from);
-    msg.dst = nodeIdx(dst);
-    msg.flits = 1;
-    msg.id = nextMsgId++;
     // Control packets cross the same faulty links as data; a
     // corrupted ACK/NACK is dropped at the far end and the data
     // sender's retry timeout takes over.
-    msg.wire = std::make_shared<std::vector<std::uint8_t>>(
-        proto::encode(ctrl));
-    msg.deliver = [this, dst, w = msg.wire](int) {
-        eventq.scheduleIn(
-            decodeDelay(1),
-            [this, dst, w] {
-                proto::Packet c;
-                if (!proto::decode(*w, c)) {
-                    ++statDllCtrlDropped;
-                    return;
-                }
-                dllCtl[dst]->onControlArrive(c);
-            },
-            EventPriority::Control);
-    };
-    eventq.scheduleIn(packetizeDelay(1),
-                      [this, group, msg = std::move(msg)]() mutable {
-                          inject(group, std::move(msg));
-                      },
-                      EventPriority::Control);
+    sendWire(from, static_cast<DimmId>(ctrl.dst), 1, proto::encode(ctrl),
+             /*control=*/true);
 }
 
 void
-DlFabric::requestForward(DimmId src, std::function<void()> job)
+DlFabric::requestForward(DimmId src, EventCallback job)
 {
     const bool proxy_mode =
         cfg.pollingMode == PollingMode::Proxy ||
@@ -702,50 +749,37 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
     }
     // Register the request with the group's proxy over the link
     // network (a single-flit FwdReq packet), so the host only has to
-    // poll one DIMM per group (Fig. 7).
+    // poll one DIMM per group (Fig. 7). When the proxy cannot be
+    // reached over the bridge (now, or by the time the note would
+    // arrive), the host discovers the request on its own polling
+    // cadence instead.
     const unsigned g = groupIdx(src);
-    auto job_sh = std::make_shared<std::function<void()>>(std::move(job));
-    // When the proxy cannot be reached over the bridge (now, or by the
-    // time the note would arrive), the host discovers the request on
-    // its own polling cadence instead — modeled as one extra poll
-    // interval of discovery latency.
-    auto fallback = [this, proxy, job_sh] {
-        if (statProxyNotifyFallbacks)
-            ++*statProxyNotifyFallbacks;
-        eventq.scheduleIn(
-            cfg.host.pollIntervalPs,
-            [this, proxy, job_sh] {
-                path.request(proxy, [job_sh] { (*job_sh)(); });
-            },
-            EventPriority::Control);
-    };
     if (dllPath &&
         !nets[g]->graph().reachable(nodeIdx(src), nodeIdx(proxy))) {
-        fallback();
+        proxyFallback(proxy, std::move(job));
         return;
     }
     ++statProxyNotifies;
-    // Exactly one of {delivery, drop, deadline} may claim the job; a
-    // shared flag makes the losers no-ops.
-    auto claimed = std::make_shared<bool>(false);
+    // Exactly one of {delivery, drop, deadline} may claim the job;
+    // the losers find it already moved out. The note holds one
+    // reference to the record (it is delivered or dropped at most
+    // once), the deadline event the other.
+    ProxyRec *rec = proxyRecs.acquire();
+    rec->job = std::move(job);
+    rec->proxy = proxy;
+    rec->refs = dllPath ? 2 : 1;
     noc::Message note;
     note.src = nodeIdx(src);
     note.dst = nodeIdx(proxy);
     note.flits = 1;
     note.id = nextMsgId++;
     statBytesViaLink += proto::flitBytes;
-    note.deliver = [this, proxy, job_sh, claimed](int) {
-        if (*claimed)
-            return;
-        *claimed = true;
-        path.request(proxy, [job_sh] { (*job_sh)(); });
+    note.deliver = [this, rec](int) {
+        const DimmId p = rec->proxy;
+        if (EventCallback claimed = claimProxyJob(rec))
+            path.request(p, std::move(claimed));
     };
-    note.onDropped = [claimed, fallback] {
-        if (*claimed)
-            return;
-        *claimed = true;
-        fallback();
-    };
+    note.onDropped = [this, rec] { proxyNoteLost(rec); };
     if (dllPath) {
         // A stuck link *delays* whatever is serialized into it
         // (noc::Link::transmit adds the outage to the arrival tick, it
@@ -759,13 +793,7 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
         // discovers the request on its own polling cadence.
         eventq.scheduleIn(
             packetizeDelay(1) + cfg.link.retryTimeoutPs,
-            [claimed, fallback] {
-                if (*claimed)
-                    return;
-                *claimed = true;
-                fallback();
-            },
-            EventPriority::Control);
+            [this, rec] { proxyNoteLost(rec); }, EventPriority::Control);
     }
     eventq.scheduleIn(packetizeDelay(1),
                       [this, g, note = std::move(note)]() mutable {
@@ -774,14 +802,46 @@ DlFabric::requestForward(DimmId src, std::function<void()> job)
                       EventPriority::Control);
 }
 
+EventCallback
+DlFabric::claimProxyJob(ProxyRec *rec)
+{
+    // The first claimant moves the (never empty) job out; later ones
+    // find it empty.
+    EventCallback job = std::move(rec->job);
+    if (--rec->refs == 0)
+        proxyRecs.release(rec);
+    return job;
+}
+
+void
+DlFabric::proxyNoteLost(ProxyRec *rec)
+{
+    const DimmId proxy = rec->proxy;
+    if (EventCallback job = claimProxyJob(rec))
+        proxyFallback(proxy, std::move(job));
+}
+
+void
+DlFabric::proxyFallback(DimmId proxy, EventCallback job)
+{
+    // Modeled as one extra poll interval of discovery latency.
+    if (statProxyNotifyFallbacks)
+        ++*statProxyNotifyFallbacks;
+    eventq.scheduleIn(cfg.host.pollIntervalPs,
+                      [this, proxy, job = std::move(job)]() mutable {
+                          path.request(proxy, std::move(job));
+                      },
+                      EventPriority::Control);
+}
+
 void
 DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
-                         std::function<void()> all_delivered)
+                         EventCallback all_delivered)
 {
     const unsigned group = groupIdx(s);
     const unsigned gs = cfg.groupSize();
     if (gs == 1) {
-        completeLater(all_delivered, eventq.now());
+        completeLater(std::move(all_delivered), eventq.now());
         return;
     }
 
@@ -791,38 +851,29 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
         // retry protected, and copies for nodes the tables can no
         // longer reach degrade to host forwarding individually
         // (sendIntraGroup handles both).
-        auto remaining = std::make_shared<std::size_t>(gs - 1);
-        auto done = std::make_shared<std::function<void()>>(
-            std::move(all_delivered));
+        auto *cd = countdowns.start(gs - 1, std::move(all_delivered));
         for (unsigned node = 0; node < gs; ++node) {
             const DimmId dv = dimmAt(group, static_cast<int>(node));
             if (dv == s)
                 continue;
-            sendIntraGroup(s, dv, bytes, [remaining, done] {
-                if (--*remaining == 0 && *done)
-                    (*done)();
-            });
+            sendIntraGroup(s, dv, bytes,
+                           [this, cd] { countdowns.land(cd); });
         }
         return;
     }
 
+    // Every node (including the source's own router) ejects each
+    // broadcast packet once.
+    const std::uint64_t packets = packetsFor(bytes);
+    CountdownPool::Countdown *xfer =
+        packets > 1
+            ? countdowns.start(packets * gs, std::move(all_delivered))
+            : nullptr;
     std::uint64_t left = bytes;
-    std::vector<std::uint64_t> chunks;
     do {
         const std::uint64_t c =
             std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        chunks.push_back(c);
         left -= c;
-    } while (left > 0);
-
-    // Every node (including the source's own router) ejects each
-    // broadcast packet once.
-    auto remaining =
-        std::make_shared<std::size_t>(chunks.size() * gs);
-    auto done = std::make_shared<std::function<void()>>(
-        std::move(all_delivered));
-
-    for (const std::uint64_t c : chunks) {
         const unsigned flits = flitsFor(c);
         noc::Message msg;
         msg.src = nodeIdx(s);
@@ -832,33 +883,26 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
         msg.id = nextMsgId++;
         ++statPacketsLink;
         statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
-        msg.deliver = [this, flits, remaining, done,
-                       src_node = nodeIdx(s)](int node) {
-            if (node == src_node) {
-                // The source's local copy needs no decode.
-                if (--*remaining == 0 && *done)
-                    (*done)();
-                return;
-            }
-            eventq.scheduleIn(decodeDelay(flits),
-                              [remaining, done] {
-                                  if (--*remaining == 0 && *done)
-                                      (*done)();
-                              },
-                              EventPriority::Control);
-        };
+        PacketRec *rec = packetRecs.acquire();
+        rec->xfer = xfer;
+        if (!xfer)
+            rec->done = std::move(all_delivered);
+        rec->flits = flits;
+        rec->copies = gs;
+        rec->bcastSrc = nodeIdx(s);
+        msg.deliver = [this, rec](int node) { packetEjected(rec, node); };
         eventq.scheduleIn(packetizeDelay(flits),
                           [this, group, msg = std::move(msg)]() mutable {
                               inject(group, std::move(msg));
                           },
                           EventPriority::Control);
-    }
+    } while (left > 0);
 }
 
 void
 DlFabric::hostPathSend(DimmId s, DimmId d,
                        std::uint64_t payload_bytes,
-                       std::function<void()> done)
+                       EventCallback done)
 {
     const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
     if (!rackFabric || cfg.hostOf(s) == cfg.hostOf(d)) {
@@ -913,17 +957,24 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
 }
 
 void
-DlFabric::doRemoteRead(Transaction t, std::function<void()> finish)
+DlFabric::doRemoteRead(const Transaction &t, EventCallback finish)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
+    const DimmId src = t.src;
+    const DimmId dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
+    if (groupIdx(src) == groupIdx(dst)) {
         // Fig. 5-(a): request packet out, read-return data back, all
         // over the DL-Bridge.
         sendIntraGroup(
-            t.src, t.dst, 0, [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                          [this, t, finish]() mutable {
-                              sendIntraGroup(t.dst, t.src, t.bytes,
-                                             finish);
+            src, dst, 0,
+            [this, src, dst, addr, bytes,
+             finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/false,
+                          [this, src, dst, bytes,
+                           finish = std::move(finish)]() mutable {
+                              sendIntraGroup(dst, src, bytes,
+                                             std::move(finish));
                           });
             });
         return;
@@ -933,71 +984,73 @@ DlFabric::doRemoteRead(Transaction t, std::function<void()> finish)
     // the destination registers its own forwarding request. Across
     // hosts both legs ride the rack crossing (or the pooled bridge
     // lanes) instead.
-    hostPathSend(t.src, t.dst, 0, [this, t, finish]() mutable {
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      hostPathSend(t.dst, t.src, t.bytes, finish);
-                  });
-    });
+    hostPathSend(src, dst, 0,
+                 [this, src, dst, addr, bytes,
+                  finish = std::move(finish)]() mutable {
+                     memAccess(dst, addr, bytes, /*is_write=*/false,
+                               [this, src, dst, bytes,
+                                finish = std::move(finish)]() mutable {
+                                   hostPathSend(dst, src, bytes,
+                                                std::move(finish));
+                               });
+                 });
 }
 
 void
-DlFabric::doRemoteWrite(Transaction t, std::function<void()> finish)
+DlFabric::doRemoteWrite(const Transaction &t, EventCallback finish)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
-        sendIntraGroup(
-            t.src, t.dst, t.bytes, [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
-            });
-        return;
-    }
-    hostPathSend(t.src, t.dst, t.bytes, [this, t, finish]() mutable {
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true, finish);
-    });
+    const DimmId dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
+    auto write = [this, dst, addr, bytes,
+                  finish = std::move(finish)]() mutable {
+        memAccess(dst, addr, bytes, /*is_write=*/true, std::move(finish));
+    };
+    if (groupIdx(t.src) == groupIdx(dst))
+        sendIntraGroup(t.src, dst, bytes, std::move(write));
+    else
+        hostPathSend(t.src, dst, bytes, std::move(write));
 }
 
 void
-DlFabric::doBroadcast(Transaction t, std::function<void()> finish)
+DlFabric::doBroadcast(const Transaction &t, EventCallback finish)
 {
     // Fig. 5-(c)/(d): broadcast in the local group over the bridge;
     // for each remote group, one CPU-forwarded copy to the group's
     // entry DIMM (its proxy), then a group-local broadcast there.
+    // No leg completes before all are issued, so the count is fixed
+    // up front: one leg per group.
     ++statBroadcasts;
-    auto finish_sh =
-        std::make_shared<std::function<void()>>(std::move(finish));
-    auto remaining = std::make_shared<unsigned>(0);
-    auto dec = [remaining, finish_sh]() {
-        if (--*remaining == 0)
-            (*finish_sh)();
-    };
-
-    memAccess(t.src, t.addr, t.bytes, /*is_write=*/false,
-              [this, t, remaining, dec]() mutable {
-                  ++*remaining;
-                  groupBroadcast(t.src, t.bytes, dec);
+    const DimmId src = t.src;
+    const std::uint32_t bytes = t.bytes;
+    memAccess(src, t.addr, bytes, /*is_write=*/false,
+              [this, src, bytes, finish = std::move(finish)]() mutable {
+                  auto *cd = countdowns.start(cfg.numGroups(),
+                                              std::move(finish));
+                  groupBroadcast(src, bytes,
+                                 [this, cd] { countdowns.land(cd); });
                   for (unsigned g = 0; g < cfg.numGroups(); ++g) {
-                      if (g == groupIdx(t.src))
+                      if (g == groupIdx(src))
                           continue;
-                      ++*remaining;
                       const DimmId entry = proxyOf(g);
-                      hostPathSend(t.src, entry, t.bytes,
-                                   [this, t, entry, dec] {
-                                       groupBroadcast(entry, t.bytes,
-                                                      dec);
+                      hostPathSend(src, entry, bytes,
+                                   [this, entry, bytes, cd] {
+                                       groupBroadcast(
+                                           entry, bytes, [this, cd] {
+                                               countdowns.land(cd);
+                                           });
                                    });
                   }
               });
 }
 
 void
-DlFabric::doSyncMessage(Transaction t, std::function<void()> finish)
+DlFabric::doSyncMessage(const Transaction &t, EventCallback finish)
 {
-    if (groupIdx(t.src) == groupIdx(t.dst)) {
-        sendIntraGroup(t.src, t.dst, t.bytes, finish);
-        return;
-    }
-    hostPathSend(t.src, t.dst, t.bytes, std::move(finish));
+    if (groupIdx(t.src) == groupIdx(t.dst))
+        sendIntraGroup(t.src, t.dst, t.bytes, std::move(finish));
+    else
+        hostPathSend(t.src, t.dst, t.bytes, std::move(finish));
 }
 
 std::string
@@ -1048,8 +1101,8 @@ DlFabric::submit(Transaction t)
         aid = tr->nextAsyncId();
         tr->asyncBegin(trk, nm, started, aid);
     }
-    auto finish = [this, cb = std::move(t.onComplete), started, nm,
-                   aid]() mutable {
+    EventCallback finish = [this, cb = std::move(t.onComplete), started,
+                            nm, aid]() mutable {
         statLatencyPs.sample(static_cast<double>(eventq.now() - started));
         if (tr)
             tr->asyncEnd(trk, nm, eventq.now(), aid);
@@ -1059,16 +1112,16 @@ DlFabric::submit(Transaction t)
 
     switch (t.type) {
       case Transaction::Type::RemoteRead:
-        doRemoteRead(std::move(t), std::move(finish));
+        doRemoteRead(t, std::move(finish));
         break;
       case Transaction::Type::RemoteWrite:
-        doRemoteWrite(std::move(t), std::move(finish));
+        doRemoteWrite(t, std::move(finish));
         break;
       case Transaction::Type::Broadcast:
-        doBroadcast(std::move(t), std::move(finish));
+        doBroadcast(t, std::move(finish));
         break;
       case Transaction::Type::SyncMessage:
-        doSyncMessage(std::move(t), std::move(finish));
+        doSyncMessage(t, std::move(finish));
         break;
     }
 }

@@ -9,17 +9,18 @@
 #ifndef DIMMLINK_IDC_DL_FABRIC_HH
 #define DIMMLINK_IDC_DL_FABRIC_HH
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <tuple>
 #include <vector>
 
+#include "common/ring.hh"
 #include "dimm/dl_controller.hh"
 #include "fault/link_health.hh"
 #include "idc/fabric.hh"
 #include "noc/network.hh"
 #include "proto/codec.hh"
+#include "sim/record_pool.hh"
 
 namespace dimmlink {
 
@@ -66,6 +67,8 @@ class DlFabric : public Fabric
     {
         return *nets[group];
     }
+    /** Mutable access, e.g. to mask a bridge link down mid-run. */
+    noc::Network &network(unsigned group) { return *nets[group]; }
 
     /** Wire bytes (flit-padded, incl. header/tail) for a payload. */
     static std::uint64_t wireBytesFor(std::uint64_t payload_bytes);
@@ -112,7 +115,7 @@ class DlFabric : public Fabric
      * pre-fault model.
      */
     void sendIntraGroup(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                        std::function<void()> delivered);
+                        EventCallback delivered);
 
     /**
      * Transmit one DL packet from @p s to @p d (same group) under DLL
@@ -122,7 +125,7 @@ class DlFabric : public Fabric
      * completes so the simulation can terminate.
      */
     void sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
-                       std::function<void()> delivered);
+                       EventCallback delivered);
     /** A DLL wire image finished decode at DIMM @p d. */
     void dllReceive(DimmId d, const std::vector<std::uint8_t> &wire);
     /** Claim and fire @p p's completion if it is still waiting. */
@@ -151,7 +154,7 @@ class DlFabric : public Fabric
      * recompute), the job falls back to the host's own polling cadence
      * with a discovery-latency penalty.
      */
-    void requestForward(DimmId src, std::function<void()> job);
+    void requestForward(DimmId src, EventCallback job);
 
     /**
      * Deliver @p payload_bytes from @p s to @p d (same group) over the
@@ -159,7 +162,7 @@ class DlFabric : public Fabric
      * route for pairs the routing tables can no longer connect.
      */
     void hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                      std::function<void()> delivered);
+                      EventCallback delivered);
 
     /**
      * Move one inter-group packet of @p payload_bytes from @p s to
@@ -172,7 +175,7 @@ class DlFabric : public Fabric
      * rack.reroutes). @p done fires like a Forwarder delivery.
      */
     void hostPathSend(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                      std::function<void()> done);
+                      EventCallback done);
 
     /** The directed edges the current tables route (from -> to) over. */
     std::vector<std::pair<int, int>> routePath(unsigned group, int from,
@@ -187,12 +190,58 @@ class DlFabric : public Fabric
 
     /** Broadcast @p bytes within @p group starting at node of @p s. */
     void groupBroadcast(DimmId s, std::uint64_t bytes,
-                        std::function<void()> all_delivered);
+                        EventCallback all_delivered);
 
-    void doRemoteRead(Transaction t, std::function<void()> finish);
-    void doRemoteWrite(Transaction t, std::function<void()> finish);
-    void doBroadcast(Transaction t, std::function<void()> finish);
-    void doSyncMessage(Transaction t, std::function<void()> finish);
+    void doRemoteRead(const Transaction &t, EventCallback finish);
+    void doRemoteWrite(const Transaction &t, EventCallback finish);
+    void doBroadcast(const Transaction &t, EventCallback finish);
+    void doSyncMessage(const Transaction &t, EventCallback finish);
+
+    /**
+     * A flit-count-only bridge packet in flight. Its message's
+     * deliver closure is [this, rec] -- broadcast fan-out copies it
+     * per tree child -- so the per-packet state lives here.
+     */
+    struct PacketRec
+    {
+        /** Fired when the last copy lands, for a single-packet
+         * transfer; multi-packet transfers count down @ref xfer. */
+        EventCallback done;
+        CountdownPool::Countdown *xfer = nullptr;
+        unsigned flits = 0;
+        /** Ejections still expected: 1, or the group size for a
+         * broadcast. */
+        unsigned copies = 1;
+        /** Broadcast source node, whose local copy needs no decode;
+         * -1 for a unicast packet. */
+        int bcastSrc = -1;
+        std::uint64_t aid = 0; ///< Trace span of a unicast packet.
+    };
+    /** Copy of @p rec's packet ejected at @p node: decode, then land. */
+    void packetEjected(PacketRec *rec, int node);
+    /** One copy of @p rec's packet was decoded at its destination. */
+    void packetLanded(PacketRec *rec);
+
+    /**
+     * A proxy forward-request note. Exactly one of {delivery, drop,
+     * deadline} claims the job; the record lives until the note and
+     * the deadline event have both let go of it.
+     */
+    struct ProxyRec
+    {
+        EventCallback job; ///< Empty once claimed.
+        DimmId proxy = 0;
+        unsigned refs = 0;
+    };
+    /** Release one reference to @p rec; @return the job when this
+     * call is the first to claim it, empty otherwise. */
+    EventCallback claimProxyJob(ProxyRec *rec);
+    /** The note was dropped, or its deadline passed: claim the job
+     * for the fallback unless the delivery already did. */
+    void proxyNoteLost(ProxyRec *rec);
+    /** Hand @p job to the host's own polling of @p proxy, one poll
+     * interval late (the note did not reach the proxy). */
+    void proxyFallback(DimmId proxy, EventCallback job);
 
     std::vector<host::Channel *> channels;
     std::vector<std::unique_ptr<noc::Network>> nets;
@@ -201,7 +250,7 @@ class DlFabric : public Fabric
     /** cfg.rack.idcMode == "pooled" (the primary cross-host route). */
     bool rackPooledPrimary = false;
     /** Per (group, node) queue of messages awaiting injection space. */
-    std::vector<std::vector<std::deque<noc::Message>>> injectQ;
+    std::vector<std::vector<Ring<noc::Message>>> injectQ;
     CpuForwardPath path;
     std::uint64_t nextMsgId = 1;
 
@@ -219,7 +268,54 @@ class DlFabric : public Fabric
      * entry is claimed exactly once: at first in-order delivery, or
      * on permanent failure, whichever comes first. */
     using DllKey = std::tuple<std::uint8_t, std::uint8_t, std::uint16_t>;
-    std::map<DllKey, std::shared_ptr<std::function<void()>>> dllWaiting;
+    std::map<DllKey, EventCallback> dllWaiting;
+
+    /**
+     * One reliable DLL packet, shared by the [this, rec] transmit,
+     * acked and failed closures of its retry engine entry. The
+     * sequence number is stamped at admission (possibly after window
+     * backpressure), so the key and the route are recorded on the
+     * first transmission, which also moves @ref delivered into
+     * dllWaiting. The record is recycled when the entry acks or
+     * fails.
+     */
+    struct DllRec
+    {
+        EventCallback delivered;
+        DimmId s = 0;
+        DimmId d = 0;
+        std::uint64_t payload = 0;
+        bool keyed = false;
+        DllKey key{};
+        std::vector<std::pair<int, int>> route;
+    };
+    void dllTransmit(DllRec *rec, const proto::Packet &p,
+                     std::vector<std::uint8_t> wire);
+    void dllAcked(DllRec *rec);
+    void dllFailed(DllRec *rec);
+
+    /**
+     * A DLL wire image (data, or an ACK/NACK when @ref control) in
+     * flight on the bridge. Its message's deliver and onDropped
+     * closures are [this, rec]; whichever fires recycles it.
+     */
+    struct WireRec
+    {
+        std::shared_ptr<std::vector<std::uint8_t>> wire;
+        DimmId d = 0;
+        unsigned flits = 0;
+        bool control = false;
+    };
+    /** Packetize and inject a wire image from @p s to @p d. */
+    void sendWire(DimmId s, DimmId d, unsigned flits,
+                  std::vector<std::uint8_t> wire, bool control);
+    /** @p rec's image reached its destination: decode it there. */
+    void wireEjected(WireRec *rec);
+
+    RecordPool<PacketRec> packetRecs;
+    RecordPool<ProxyRec> proxyRecs;
+    RecordPool<DllRec> dllRecs;
+    RecordPool<WireRec> wireRecs;
 
     stats::Scalar &statPacketsLink;
     stats::Scalar &statPacketsHost;

@@ -28,13 +28,12 @@ Fabric::distance(DimmId j, DimmId k) const
 }
 
 void
-Fabric::completeLater(std::function<void()> &cb, Tick at)
+Fabric::completeLater(EventCallback cb, Tick at)
 {
     if (!cb)
         return;
     eventq.schedule(std::max(at, eventq.now()), std::move(cb),
                     EventPriority::Delivery);
-    cb = nullptr;
 }
 
 CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
@@ -51,7 +50,7 @@ CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
 }
 
 void
-CpuForwardPath::request(DimmId target, std::function<void()> job)
+CpuForwardPath::request(DimmId target, EventCallback job)
 {
     queued[target].push_back(std::move(job));
     poll->requestRaised(target);
@@ -60,10 +59,14 @@ CpuForwardPath::request(DimmId target, std::function<void()> job)
 void
 CpuForwardPath::onDiscover(DimmId target)
 {
-    auto jobs = std::move(queued[target]);
-    queued[target].clear();
+    // Jobs may queue new requests (at this or any target) while they
+    // run, so detach the list first; the spare's capacity replaces it.
+    std::vector<EventCallback> jobs = std::move(spare);
+    jobs.swap(queued[target]);
     for (auto &job : jobs)
         job();
+    jobs.clear();
+    spare = std::move(jobs);
 }
 
 void

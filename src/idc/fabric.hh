@@ -23,7 +23,9 @@
 #include "host/channel.hh"
 #include "host/forwarder.hh"
 #include "host/polling.hh"
+#include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
+#include "sim/record_pool.hh"
 
 namespace dimmlink {
 namespace idc {
@@ -47,9 +49,9 @@ struct Transaction
     /**
      * RemoteRead: data arrived back at src. RemoteWrite: data written
      * at dst. Broadcast: accepted by every DIMM. SyncMessage: arrived
-     * at dst.
+     * at dst. Move-only: a Transaction is moved, never copied.
      */
-    std::function<void()> onComplete;
+    EventCallback onComplete;
 };
 
 /**
@@ -59,10 +61,12 @@ struct Transaction
 class Fabric
 {
   public:
-    /** Perform @p bytes of DRAM access at DIMM @p dimm, then @p done. */
+    /** Perform @p bytes of DRAM access at DIMM @p dimm, then @p done.
+     * The hook itself is wired once at build time; the completion it
+     * carries per access is move-only. */
     using MemAccessFn =
         std::function<void(DimmId dimm, Addr addr, std::uint32_t bytes,
-                           bool is_write, std::function<void()> done)>;
+                           bool is_write, EventCallback done)>;
 
     Fabric(EventQueue &eq, const SystemConfig &cfg,
            stats::Registry &reg, std::string name);
@@ -105,13 +109,16 @@ class Fabric
     const std::string &name() const { return name_; }
 
   protected:
-    void completeLater(std::function<void()> &cb, Tick at);
+    /** Schedule @p cb (when engaged) at max(@p at, now). */
+    void completeLater(EventCallback cb, Tick at);
 
     EventQueue &eventq;
     const SystemConfig &cfg;
     stats::Registry &registry;
     std::string name_;
     MemAccessFn memAccess;
+    /** Shared completions of fan-outs (broadcast legs, packets). */
+    CountdownPool countdowns;
 
     stats::Scalar &statTransactions;
     stats::Scalar &statBytesViaLink;
@@ -139,7 +146,7 @@ class CpuForwardPath
      * Queue @p job at polled target @p target; when polling discovers
      * the target, @p job runs with the host Forwarder available.
      */
-    void request(DimmId target, std::function<void()> job);
+    void request(DimmId target, EventCallback job);
 
     host::Forwarder &forwarder() { return fwd; }
     host::PollingEngine &polling() { return *poll; }
@@ -153,7 +160,10 @@ class CpuForwardPath
     EventQueue &eventq;
     host::Forwarder fwd;
     std::unique_ptr<host::PollingEngine> poll;
-    std::vector<std::vector<std::function<void()>>> queued;
+    std::vector<std::vector<EventCallback>> queued;
+    /** Emptied job list kept for its capacity (onDiscover swaps it
+     * with the target's queue instead of reallocating). */
+    std::vector<EventCallback> spare;
 };
 
 /**

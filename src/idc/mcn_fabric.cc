@@ -1,7 +1,5 @@
 #include "idc/mcn_fabric.hh"
 
-#include <memory>
-
 #include "common/log.hh"
 
 namespace dimmlink {
@@ -44,7 +42,12 @@ McnFabric::submit(Transaction t)
 void
 McnFabric::execute(Transaction t, Tick started)
 {
-    auto finish = [this, cb = std::move(t.onComplete), started]() {
+    const DimmId src = t.src;
+    const DimmId dst = t.dst;
+    const Addr addr = t.addr;
+    const std::uint32_t bytes = t.bytes;
+    EventCallback finish = [this, cb = std::move(t.onComplete),
+                            started]() mutable {
         statLatencyPs.sample(
             static_cast<double>(eventq.now() - started));
         if (cb)
@@ -55,21 +58,23 @@ McnFabric::execute(Transaction t, Tick started)
       case Transaction::Type::RemoteRead: {
         // Host reads the data from the remote DIMM (after its local MC
         // stages it from DRAM) and writes it back to the requester.
-        statBytesViaHost += t.bytes;
-        memAccess(t.dst, t.addr, t.bytes, /*is_write=*/false,
-                  [this, t, finish]() mutable {
-                      path.forwarder().copy(t.dst, t.src, t.bytes,
-                                            finish);
+        statBytesViaHost += bytes;
+        memAccess(dst, addr, bytes, /*is_write=*/false,
+                  [this, src, dst, bytes,
+                   finish = std::move(finish)]() mutable {
+                      path.forwarder().copy(dst, src, bytes,
+                                            std::move(finish));
                   });
         break;
       }
       case Transaction::Type::RemoteWrite: {
-        statBytesViaHost += t.bytes;
+        statBytesViaHost += bytes;
         path.forwarder().copy(
-            t.src, t.dst, t.bytes,
-            [this, t, finish]() mutable {
-                memAccess(t.dst, t.addr, t.bytes, /*is_write=*/true,
-                          finish);
+            src, dst, bytes,
+            [this, dst, addr, bytes,
+             finish = std::move(finish)]() mutable {
+                memAccess(dst, addr, bytes, /*is_write=*/true,
+                          std::move(finish));
             });
         break;
       }
@@ -77,32 +82,29 @@ McnFabric::execute(Transaction t, Tick started)
         // MCN-BC: the host replays the payload to every other DIMM,
         // point-to-point (no hardware broadcast support).
         ++statBroadcasts;
-        auto remaining = std::make_shared<unsigned>(0);
-        auto finish_sh =
-            std::make_shared<std::function<void()>>(std::move(finish));
         memAccess(
-            t.src, t.addr, t.bytes, /*is_write=*/false,
-            [this, t, remaining, finish_sh]() mutable {
-                for (DimmId d = 0; d < cfg.numDimms; ++d) {
-                    if (d == t.src)
-                        continue;
-                    ++*remaining;
-                    statBytesViaHost += t.bytes;
-                    path.forwarder().copy(
-                        t.src, d, t.bytes,
-                        [remaining, finish_sh]() {
-                            if (--*remaining == 0)
-                                (*finish_sh)();
-                        });
+            src, addr, bytes, /*is_write=*/false,
+            [this, src, bytes, finish = std::move(finish)]() mutable {
+                if (cfg.numDimms < 2) {
+                    finish();
+                    return;
                 }
-                if (*remaining == 0)
-                    (*finish_sh)();
+                auto *cd = countdowns.start(cfg.numDimms - 1,
+                                            std::move(finish));
+                for (DimmId d = 0; d < cfg.numDimms; ++d) {
+                    if (d == src)
+                        continue;
+                    statBytesViaHost += bytes;
+                    path.forwarder().copy(
+                        src, d, bytes,
+                        [this, cd] { countdowns.land(cd); });
+                }
             });
         break;
       }
       case Transaction::Type::SyncMessage: {
-        statBytesViaHost += t.bytes;
-        path.forwarder().copy(t.src, t.dst, t.bytes, finish);
+        statBytesViaHost += bytes;
+        path.forwarder().copy(src, dst, bytes, std::move(finish));
         break;
       }
     }

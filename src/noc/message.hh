@@ -54,7 +54,10 @@ struct Message
     bool corrupted = false;
     /**
      * Called once per destination when the message is ejected there.
-     * The int argument is the ejecting node index.
+     * The int argument is the ejecting node index. Broadcast fan-out
+     * copies this callback (and onDropped) once per tree child, so
+     * senders keep the captures to `this` plus a pooled record
+     * pointer, which std::function stores without allocating.
      */
     std::function<void(int)> deliver;
     /**

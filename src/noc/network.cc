@@ -25,6 +25,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
             eq, name_ + ".router" + std::to_string(i),
             static_cast<int>(i), topo, cfg.bufferFlits,
             cfg.routerLatencyPs, sg));
+        routers.back()->setLatencyStat(&statLatencyPs);
     }
     // One unidirectional link per (node, neighbor) ordered pair.
     for (unsigned i = 0; i < nodes; ++i) {
@@ -47,7 +48,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
 }
 
 bool
-Network::tryInject(Message msg)
+Network::tryInject(Message &msg)
 {
     if (msg.src < 0 ||
         static_cast<unsigned>(msg.src) >= topo.numNodes())
@@ -59,15 +60,6 @@ Network::tryInject(Message msg)
     }
     msg.injectedAt = eventq.now();
     ++statInjected;
-    // Wrap the deliver callback to sample network latency stats.
-    auto inner = std::move(msg.deliver);
-    msg.deliver = [this, inner = std::move(inner),
-                   injected = msg.injectedAt](int node) {
-        statLatencyPs.sample(
-            static_cast<double>(eventq.now() - injected));
-        if (inner)
-            inner(node);
-    };
     r.accept(std::move(msg), Router::injectPort);
     return true;
 }
@@ -76,13 +68,6 @@ void
 Network::setRetryHandler(int node, std::function<void()> h)
 {
     routers[static_cast<std::size_t>(node)]->setSpaceFreedHandler(
-        std::move(h));
-}
-
-void
-Network::setEjectHandler(int node, std::function<void(Message)> h)
-{
-    routers[static_cast<std::size_t>(node)]->setEjectHandler(
         std::move(h));
 }
 

@@ -38,18 +38,15 @@ class Network
             const FaultConfig *faults = nullptr);
 
     /**
-     * Try to inject @p msg at node msg.src. @return false when the
-     * injection port is out of buffer space; the caller should retry
-     * from its retry handler.
+     * Try to inject @p msg at node msg.src. On success the message is
+     * moved into the network; @return false when the injection port
+     * is out of buffer space, leaving @p msg untouched for the
+     * caller's retry handler.
      */
-    bool tryInject(Message msg);
+    bool tryInject(Message &msg);
 
     /** Called whenever node @p node frees injection space. */
     void setRetryHandler(int node, std::function<void()> h);
-
-    /** Default ejection handler for node (used when a message has no
-     * deliver callback of its own). */
-    void setEjectHandler(int node, std::function<void(Message)> h);
 
     const TopologyGraph &graph() const { return topo; }
     unsigned numNodes() const { return topo.numNodes(); }

@@ -29,10 +29,12 @@ Router::Router(EventQueue &eq, std::string name, int node,
     }
     // One input port per incoming neighbor link plus the local
     // injection port.
+    const auto nodes = static_cast<std::size_t>(graph.numNodes());
+    portOfNode.assign(nodes, noPort);
+    outputs.assign(nodes, Output{});
     ports.push_back(Port{injectPort, {}, 0, {}, false});
-    portOfNode[injectPort] = 0;
     for (int nb : graph.neighbors(node)) {
-        portOfNode[nb] = ports.size();
+        portOfNode[static_cast<std::size_t>(nb)] = ports.size();
         ports.push_back(Port{nb, {}, 0, {}, false});
     }
 }
@@ -40,24 +42,34 @@ Router::Router(EventQueue &eq, std::string name, int node,
 void
 Router::connectOutput(int neighbor, Link *link, Router *downstream)
 {
-    outputs[neighbor] = Output{link, downstream};
+    outputs.at(static_cast<std::size_t>(neighbor)) =
+        Output{link, downstream};
+}
+
+std::size_t
+Router::portIndex(int from_node) const
+{
+    if (from_node == injectPort)
+        return 0;
+    const auto i = static_cast<std::size_t>(from_node);
+    if (from_node < 0 || i >= portOfNode.size() ||
+        portOfNode[i] == noPort)
+        panic("router %s: no port for node %d", name_.c_str(),
+              from_node);
+    return portOfNode[i];
 }
 
 bool
 Router::canAccept(unsigned flits, int from_node) const
 {
-    const auto it = portOfNode.find(from_node);
-    if (it == portOfNode.end())
-        panic("router %s: no port for node %d", name_.c_str(),
-              from_node);
-    const Port &p = ports[it->second];
+    const Port &p = ports[portIndex(from_node)];
     return p.usedFlits + flits <= bufferFlits;
 }
 
 void
 Router::accept(Message msg, int from_node)
 {
-    Port &p = ports[portOfNode.at(from_node)];
+    Port &p = ports[portIndex(from_node)];
     if (p.usedFlits + msg.flits > bufferFlits)
         panic("router %s: port overflow from node %d (credits were "
               "not reserved)", name_.c_str(), from_node);
@@ -92,14 +104,14 @@ Router::kick()
 }
 
 bool
-Router::sendCopy(const Message &msg, int next_hop,
-                 bool from_injection)
+Router::sendCopy(Message &msg, int next_hop, bool from_injection,
+                 bool copy)
 {
-    auto it = outputs.find(next_hop);
-    if (it == outputs.end())
+    const auto hop = static_cast<std::size_t>(next_hop);
+    if (next_hop < 0 || hop >= outputs.size() || !outputs[hop].link)
         panic("router %s: no output toward node %d", name_.c_str(),
               next_hop);
-    Output &out = it->second;
+    Output &out = outputs[hop];
     if (out.link->freeAt() > eventq.now()) {
         // Link busy: retry when it frees up.
         scheduleKick(out.link->freeAt());
@@ -119,16 +131,16 @@ Router::sendCopy(const Message &msg, int next_hop,
     // Reserve the downstream buffer space now (credit leaves with the
     // flits) and hand the message to the link.
     Router *down = out.downstream;
-    const int from = node_;
-    Port &dport = down->ports[down->portOfNode.at(from)];
-    dport.usedFlits += msg.flits;
-    Message copy = msg;
-    out.link->transmit(std::move(copy), [down, from](Message m) {
-        // Space was pre-reserved; enqueue without re-reserving.
-        Port &p = down->ports[down->portOfNode.at(from)];
-        p.q.push_back(std::move(m));
-        down->scheduleKick(down->eventq.now() + down->routerLatency);
-    });
+    const std::size_t dport = down->portIndex(node_);
+    down->ports[dport].usedFlits += msg.flits;
+    out.link->transmit(copy ? Message(msg) : std::move(msg),
+                       [down, dport](Message m) {
+                           // Space was pre-reserved; enqueue without
+                           // re-reserving.
+                           down->ports[dport].q.push_back(std::move(m));
+                           down->scheduleKick(down->eventq.now() +
+                                              down->routerLatency);
+                       });
     ++statForwarded;
     return true;
 }
@@ -153,9 +165,8 @@ Router::notifyUpstream()
     // bridge is bidirectional, so those are exactly our neighbors),
     // plus the local injector.
     for (int nb : graph.neighbors(node_)) {
-        auto it = outputs.find(nb);
-        if (it != outputs.end() && it->second.downstream)
-            it->second.downstream->kick();
+        if (Router *up = outputs[static_cast<std::size_t>(nb)].downstream)
+            up->kick();
     }
     if (spaceFreedHandler)
         spaceFreedHandler();
@@ -177,28 +188,21 @@ Router::tryPort(Port &port)
         // have left.
         while (!port.headChildren.empty()) {
             const int child = port.headChildren.back();
-            if (!sendCopy(m, child, port.fromNode == injectPort))
+            if (!sendCopy(m, child, port.fromNode == injectPort,
+                          /*copy=*/true))
                 return false;
             port.headChildren.pop_back();
         }
         Message msg = std::move(m);
         popHead(port);
-        ++statEjected;
-        if (msg.deliver)
-            msg.deliver(node_);
-        else if (ejectHandler)
-            ejectHandler(std::move(msg));
+        eject(std::move(msg));
         return true;
     }
 
     if (m.dst == node_) {
         Message msg = std::move(m);
         popHead(port);
-        ++statEjected;
-        if (msg.deliver)
-            msg.deliver(node_);
-        else if (ejectHandler)
-            ejectHandler(std::move(msg));
+        eject(std::move(msg));
         return true;
     }
 
@@ -219,10 +223,22 @@ Router::tryPort(Port &port)
             msg.onDropped();
         return true;
     }
-    if (!sendCopy(m, next, port.fromNode == injectPort))
+    if (!sendCopy(m, next, port.fromNode == injectPort,
+                  /*copy=*/false))
         return false;
     popHead(port);
     return true;
+}
+
+void
+Router::eject(Message msg)
+{
+    ++statEjected;
+    if (latencyPs)
+        latencyPs->sample(
+            static_cast<double>(eventq.now() - msg.injectedAt));
+    if (msg.deliver)
+        msg.deliver(node_);
 }
 
 void

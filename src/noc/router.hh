@@ -8,11 +8,11 @@
 #ifndef DIMMLINK_NOC_ROUTER_HH
 #define DIMMLINK_NOC_ROUTER_HH
 
-#include <deque>
+#include <cstddef>
 #include <functional>
-#include <map>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "noc/link.hh"
 #include "noc/message.hh"
@@ -35,11 +35,12 @@ class Router
     /** Wire an output toward neighbor @p node. */
     void connectOutput(int neighbor, Link *link, Router *downstream);
 
-    /** Handler invoked when a message is ejected at this node. */
-    void setEjectHandler(std::function<void(Message)> h)
-    {
-        ejectHandler = std::move(h);
-    }
+    /**
+     * Sample every ejection's network latency (eject tick minus
+     * Message::injectedAt) into @p d: once per unicast, once per
+     * ejecting node of a broadcast, never for a dropped message.
+     */
+    void setLatencyStat(stats::Distribution *d) { latencyPs = d; }
 
     /** Called when buffer space frees; used for injection backpressure. */
     void setSpaceFreedHandler(std::function<void()> h)
@@ -63,7 +64,7 @@ class Router
     struct Port
     {
         int fromNode;
-        std::deque<Message> q;
+        Ring<Message> q;
         unsigned usedFlits = 0;
         /** Remaining broadcast children for the head message. */
         std::vector<int> headChildren;
@@ -81,15 +82,24 @@ class Router
     /** True if the head of @p port made progress. */
     bool tryPort(Port &port);
     /**
-     * Send one copy toward @p next_hop; true when it left the port.
+     * Send @p msg toward @p next_hop; true when it left the port.
+     * A unicast hop moves the message out (the caller then pops the
+     * moved-from head); a broadcast child (@p copy) gets a copy so
+     * the original can still feed its siblings and eject here.
      * Messages entering a cyclic topology from the injection port
      * must leave a bubble (one max packet of spare buffer) in the
      * downstream port -- bubble flow control keeps the rings
      * deadlock-free.
      */
-    bool sendCopy(const Message &msg, int next_hop,
-                  bool from_injection);
+    bool sendCopy(Message &msg, int next_hop, bool from_injection,
+                  bool copy);
+    /** Hand an ejected message to its sender's deliver callback. */
+    void eject(Message msg);
+    /** Pop @p port's head, which may have been moved from: only its
+     * flit count is read. */
     void popHead(Port &port);
+    /** Index into ports of the input fed by @p from_node. */
+    std::size_t portIndex(int from_node) const;
     void notifyUpstream();
 
     EventQueue &eventq;
@@ -103,16 +113,20 @@ class Router
     Tick routerLatency;
 
     std::vector<Port> ports;
-    std::map<int, std::size_t> portOfNode;
-    std::map<int, Output> outputs;
+    /** Input port of each neighbor node; noPort for non-neighbors.
+     * The injection port is always ports[0]. */
+    static constexpr std::size_t noPort = ~std::size_t{0};
+    std::vector<std::size_t> portOfNode;
+    /** Output toward each node; a null link marks non-neighbors. */
+    std::vector<Output> outputs;
     std::size_t rrNext = 0;
 
     bool kickScheduled = false;
     Tick kickAt = 0;
     std::uint64_t kickEventId = 0;
 
-    std::function<void(Message)> ejectHandler;
     std::function<void()> spaceFreedHandler;
+    stats::Distribution *latencyPs = nullptr;
 
     stats::Group &statGroup;
     stats::Scalar &statForwarded;

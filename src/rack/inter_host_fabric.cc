@@ -170,7 +170,7 @@ InterHostFabric::serialize(Tick &free_at, Tick not_before, double gbps,
 
 void
 InterHostFabric::crossing(unsigned a, unsigned b, std::uint64_t bytes,
-                          std::function<void()> done)
+                          EventCallback done)
 {
     // A transfer admitted onto a dead port (the DlFabric reroutes
     // only after the health machinery detects the outage) is stuck
@@ -204,7 +204,7 @@ InterHostFabric::crossing(unsigned a, unsigned b, std::uint64_t bytes,
 void
 InterHostFabric::pooledSend(unsigned a, unsigned b,
                             std::uint64_t bytes,
-                            std::function<void()> done)
+                            EventCallback done)
 {
     // Same parking rule as crossing(), over the gateway attaches.
     if (const Tick until =

@@ -33,6 +33,7 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/link_health.hh"
+#include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
 
 namespace dimmlink {
@@ -65,7 +66,7 @@ class InterHostFabric
      * then descends over b's channels via the Forwarder).
      */
     void crossing(unsigned a, unsigned b, std::uint64_t bytes,
-                  std::function<void()> done);
+                  EventCallback done);
 
     /**
      * Pooled-bridge crossing: serialize @p bytes on the directed
@@ -74,7 +75,7 @@ class InterHostFabric
      * involvement. @p done fires at the destination gateway.
      */
     void pooledSend(unsigned a, unsigned b, std::uint64_t bytes,
-                    std::function<void()> done);
+                    EventCallback done);
 
     /** The DlFabric flipped a transfer onto its failover route. */
     void noteReroute() { ++statReroutes; }

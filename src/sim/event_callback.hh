@@ -7,6 +7,20 @@
  * plus a couple of words, or a moved-in std::function), and larger
  * captures fall back to a pooled slab allocator whose blocks are
  * recycled through per-size free lists.
+ *
+ * It is also the completion type of every per-transaction seam
+ * between components (LocalMc, the IDC fabrics, the NoC senders, the
+ * host forwarder, the rack fabric). The ownership rule there:
+ *
+ *  - A seam takes its completion as an EventCallback by value and
+ *    moves it on; nothing on the transaction path copies one.
+ *  - std::function is kept only for hooks set once at build time
+ *    (memory-access wiring, retry and unblock handlers, probes).
+ *  - A closure that must stay copyable -- a noc::Message's deliver
+ *    and onDropped travel with broadcast fan-out copies -- captures
+ *    only `this` and a pointer to a pooled record (RecordPool) that
+ *    holds the move-only state, so it fits std::function's inline
+ *    buffer.
  */
 
 #ifndef DIMMLINK_SIM_EVENT_CALLBACK_HH
@@ -14,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -50,6 +65,8 @@ class EventCallback
     static constexpr std::size_t inlineCapacity = 56;
 
     EventCallback() noexcept = default;
+    /** An empty callback, like a null std::function. */
+    EventCallback(std::nullptr_t) noexcept {} // NOLINT: implicit
 
     EventCallback(const EventCallback &) = delete;
     EventCallback &operator=(const EventCallback &) = delete;
@@ -84,6 +101,12 @@ class EventCallback
     EventCallback(F &&f) // NOLINT: intentional implicit conversion
     {
         using Fn = std::decay_t<F>;
+        if constexpr (isStdFunction<Fn>::value) {
+            // A null std::function wraps to an empty callback, so
+            // `if (cb)` keeps meaning "someone is waiting".
+            if (!f)
+                return;
+        }
         if constexpr (fitsInline<Fn>()) {
             ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
             ops = &inlineOps<Fn>;
@@ -112,6 +135,15 @@ class EventCallback
     explicit operator bool() const noexcept { return ops != nullptr; }
 
   private:
+    template <typename T>
+    struct isStdFunction : std::false_type
+    {
+    };
+    template <typename Sig>
+    struct isStdFunction<std::function<Sig>> : std::true_type
+    {
+    };
+
     struct Ops
     {
         void (*invoke)(void *self);

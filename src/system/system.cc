@@ -48,7 +48,7 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     // Wire remote memory accesses into the destination DIMM's MC.
     fabric_->setMemAccess([this](DimmId d, Addr addr,
                                  std::uint32_t bytes, bool is_write,
-                                 std::function<void()> done) {
+                                 EventCallback done) {
         dimms[d]->localMc().remoteAccess(addr, bytes, is_write,
                                          std::move(done));
     });

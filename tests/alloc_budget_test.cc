@@ -1,0 +1,248 @@
+/** @file Heap-allocation budget of a whole-system run: every
+ * component seam on the transaction path hands completions on as
+ * move-only EventCallbacks or pooled records, so a DIMM-Link PageRank
+ * run performs almost no operator-new calls per simulated event. A
+ * seam that starts allocating per transaction again fails here.
+ *
+ * This file replaces the global operator new/delete to count calls,
+ * so it builds into its own test executable, and only without the
+ * sanitizers (which interpose the allocator themselves). */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "common/config.hh"
+#include "dimm/op.hh"
+#include "system/runner.hh"
+#include "system/system.hh"
+#include "workloads/workload.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> allocs{0};
+/** Nonzero while the workload's own hooks run (not counted). */
+std::atomic<int> paused{0};
+
+void
+count()
+{
+    if (paused.load(std::memory_order_relaxed) == 0)
+        allocs.fetch_add(1, std::memory_order_relaxed);
+}
+
+void *
+allocate(std::size_t size)
+{
+    count();
+    return std::malloc(size ? size : 1);
+}
+
+void *
+allocateAligned(std::size_t size, std::align_val_t al)
+{
+    count();
+    const auto align = static_cast<std::size_t>(al);
+    void *p = nullptr;
+    if (posix_memalign(&p, align < sizeof(void *) ? sizeof(void *) : align,
+                       size ? size : 1) != 0)
+        return nullptr;
+    return p;
+}
+
+void *
+orThrow(void *p)
+{
+    if (!p)
+        throw std::bad_alloc();
+    return p;
+}
+
+} // namespace
+
+// Every replaceable form, so whichever pair a new-expression picks,
+// allocation and release go through malloc/free together.
+void *operator new(std::size_t n) { return orThrow(allocate(n)); }
+void *operator new[](std::size_t n) { return orThrow(allocate(n)); }
+void *operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return allocate(n);
+}
+void *operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return allocate(n);
+}
+void *operator new(std::size_t n, std::align_val_t al)
+{
+    return orThrow(allocateAligned(n, al));
+}
+void *operator new[](std::size_t n, std::align_val_t al)
+{
+    return orThrow(allocateAligned(n, al));
+}
+void *operator new(std::size_t n, std::align_val_t al,
+                   const std::nothrow_t &) noexcept
+{
+    return allocateAligned(n, al);
+}
+void *operator new[](std::size_t n, std::align_val_t al,
+                     const std::nothrow_t &) noexcept
+{
+    return allocateAligned(n, al);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void operator delete(void *p, std::align_val_t,
+                     const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+void operator delete[](void *p, std::align_val_t,
+                       const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace dimmlink {
+namespace {
+
+/** Runs @p f with allocation counting paused. */
+template <typename F>
+auto
+uncounted(F &&f)
+{
+    struct Pause
+    {
+        Pause() { paused.fetch_add(1, std::memory_order_relaxed); }
+        ~Pause() { paused.fetch_sub(1, std::memory_order_relaxed); }
+    } pause;
+    return f();
+}
+
+/** A thread program whose op generation is not counted. */
+class UncountedProgram : public ThreadProgram
+{
+  public:
+    explicit UncountedProgram(std::unique_ptr<ThreadProgram> inner)
+        : inner(std::move(inner))
+    {}
+
+    Op next() override { return uncounted([this] { return inner->next(); }); }
+
+  private:
+    std::unique_ptr<ThreadProgram> inner;
+};
+
+/**
+ * Excludes the workload's hooks (op generation, program set-up,
+ * verification) from the count, as the benchmark's
+ * sim.allocs_per_event does: the budget is the simulator's, not the
+ * workload generator's.
+ */
+class UncountedWorkload : public workloads::Workload
+{
+  public:
+    UncountedWorkload(workloads::Workload &inner,
+                      const dram::GlobalAddressMap &gmap)
+        : Workload(inner.params(), gmap), inner(inner)
+    {}
+
+    std::string name() const override { return inner.name(); }
+
+    std::unique_ptr<ThreadProgram>
+    program(ThreadId tid) override
+    {
+        return uncounted([&]() -> std::unique_ptr<ThreadProgram> {
+            return std::make_unique<UncountedProgram>(inner.program(tid));
+        });
+    }
+
+    void reset() override { inner.reset(); }
+
+    bool
+    verify() const override
+    {
+        return uncounted([this] { return inner.verify(); });
+    }
+
+    std::uint64_t
+    approxInstructions() const override
+    {
+        return inner.approxInstructions();
+    }
+
+    std::uint64_t
+    approxMemRefs() const override
+    {
+        return inner.approxMemRefs();
+    }
+
+  private:
+    workloads::Workload &inner;
+};
+
+TEST(AllocBudget, DimmLinkPageRankStaysUnderBudget)
+{
+    // The paper's headline shape: 16D-8C DIMM-Link PageRank, which
+    // loads DRAM, the DL-Bridge NoC and inter-group host forwarding.
+    // DIMM-Link pairs with the polling proxy and hierarchical sync,
+    // as in the paper.
+    auto cfg = SystemConfig::preset("16D-8C");
+    cfg.idcMethod = IdcMethod::DimmLink;
+    cfg.pollingMode = PollingMode::Proxy;
+    cfg.syncScheme = SyncScheme::Hierarchical;
+    System sys(cfg);
+    workloads::WorkloadParams p;
+    p.numThreads = cfg.numDimms * cfg.dimm.numCores;
+    p.numDimms = cfg.numDimms;
+    p.scale = 12;
+    p.rounds = 2;
+    auto wl = workloads::makeWorkload("pagerank", p, sys.addressMap());
+    UncountedWorkload counted(*wl, sys.addressMap());
+    Runner runner(sys, counted);
+
+    const std::uint64_t ev0 = sys.queue().executed();
+    const std::uint64_t a0 = allocs.load(std::memory_order_relaxed);
+    const RunResult r = runner.run();
+    const std::uint64_t n =
+        allocs.load(std::memory_order_relaxed) - a0;
+    const std::uint64_t events = sys.queue().executed() - ev0;
+
+    ASSERT_TRUE(r.verified);
+    ASSERT_GT(events, 100000u);
+    const double per_event =
+        static_cast<double>(n) / static_cast<double>(events);
+    EXPECT_LE(per_event, 0.05)
+        << n << " operator-new calls over " << events << " events";
+}
+
+} // namespace
+} // namespace dimmlink

@@ -152,6 +152,22 @@ TEST_F(DimmFixture, BroadcastOpCompletes)
     EXPECT_GT(sys->stats().scalar("fabric.dl.broadcasts"), 0.0);
 }
 
+TEST_F(DimmFixture, ZeroByteAccessCompletesAtOnce)
+{
+    // A zero-byte span touches no DRAM and completes at now(), from
+    // the core side and from the fabric side alike. A line-aligned
+    // one used to compute its last line below its first, enqueue
+    // nothing and never complete.
+    LocalMc &mc = sys->dimm(0).localMc();
+    const Tick start = sys->queue().now();
+    unsigned done = 0;
+    mc.access(localAddr(0, 64), 0, /*is_write=*/false, [&] { ++done; });
+    mc.remoteAccess(128, 0, /*is_write=*/true, [&] { ++done; });
+    sys->queue().runUntil(start);
+    EXPECT_EQ(done, 2u);
+    EXPECT_TRUE(mc.idle());
+}
+
 TEST_F(DimmFixture, CancelStopsTheThread)
 {
     sys->enterNmpMode();

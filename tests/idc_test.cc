@@ -35,7 +35,7 @@ class FabricFixture
         // Stub DRAM: every remote access takes 60 ns.
         fabric->setMemAccess([this](DimmId, Addr, std::uint32_t,
                                     bool,
-                                    std::function<void()> done) {
+                                    EventCallback done) {
             ++memAccesses;
             eq.scheduleIn(60 * tickPerNs, std::move(done));
         });

@@ -28,7 +28,7 @@ class LockFixture : public ::testing::Test
         fabric = idc::makeFabric(eq, cfg, ptrs, reg);
         fabric->setMemAccess([this](DimmId, Addr, std::uint32_t,
                                     bool,
-                                    std::function<void()> done) {
+                                    EventCallback done) {
             eq.scheduleIn(40 * tickPerNs, std::move(done));
         });
         fabric->enterNmpMode();

@@ -5,7 +5,9 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/rng.hh"
@@ -181,7 +183,7 @@ TEST(Network, SingleHopLatency)
         EXPECT_EQ(node, 1);
         delivered = eq.now();
     };
-    ASSERT_TRUE(net.tryInject(std::move(m)));
+    ASSERT_TRUE(net.tryInject(m));
     eq.run();
     // router latency + serialization (16B at 25GB/s = 640ps) + wire
     // + downstream router latency before ejection.
@@ -206,8 +208,8 @@ TEST(Network, MultiHopScalesWithDistance)
     b.dst = 7;
     b.flits = 1;
     b.deliver = [&](int) { t7 = eq.now(); };
-    ASSERT_TRUE(net.tryInject(std::move(a)));
-    ASSERT_TRUE(net.tryInject(std::move(b)));
+    ASSERT_TRUE(net.tryInject(a));
+    ASSERT_TRUE(net.tryInject(b));
     eq.run();
     EXPECT_GT(t7, 5 * t1);
 }
@@ -224,7 +226,7 @@ TEST(Network, BroadcastReachesAllNodes)
     m.broadcast = true;
     m.flits = 4;
     m.deliver = [&](int node) { got.insert(node); };
-    ASSERT_TRUE(net.tryInject(std::move(m)));
+    ASSERT_TRUE(net.tryInject(m));
     eq.run();
     EXPECT_EQ(got.size(), 6u);
     for (int n = 0; n < 6; ++n)
@@ -249,7 +251,7 @@ TEST(Network, InjectionBackpressureAndRetry)
             m.dst = 1;
             m.flits = 4;
             m.deliver = [&](int) { ++delivered; };
-            if (!net.tryInject(std::move(m)))
+            if (!net.tryInject(m))
                 return;
             ++injected;
         }
@@ -260,6 +262,104 @@ TEST(Network, InjectionBackpressureAndRetry)
     eq.run();
     EXPECT_EQ(delivered, total);
     EXPECT_GT(reg.scalar("net.injectBlocked"), 0.0);
+}
+
+TEST(Network, RefusedInjectionLeavesTheMessageIntact)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    // 4-flit ports: one 4-flit message fills the injection port.
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing, 4), 2,
+                reg);
+
+    unsigned delivered = 0;
+    Message first;
+    first.src = 0;
+    first.dst = 1;
+    first.flits = 4;
+    first.deliver = [&](int) { ++delivered; };
+    ASSERT_TRUE(net.tryInject(first));
+
+    Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.flits = 4;
+    m.id = 7;
+    m.wire = std::make_shared<std::vector<std::uint8_t>>(3, 0xab);
+    m.deliver = [&](int) { ++delivered; };
+    EXPECT_FALSE(net.tryInject(m));
+    // A refused message is untouched: the caller retries the same
+    // object once space frees.
+    EXPECT_TRUE(static_cast<bool>(m.deliver));
+    EXPECT_EQ(m.id, 7u);
+    EXPECT_EQ(m.flits, 4u);
+    ASSERT_TRUE(m.wire);
+    EXPECT_EQ(m.wire->size(), 3u);
+
+    bool injected = false;
+    net.setRetryHandler(0, [&] {
+        if (!injected)
+            injected = net.tryInject(m);
+    });
+    eq.run();
+    EXPECT_TRUE(injected);
+    EXPECT_EQ(delivered, 2u);
+}
+
+TEST(Network, LatencyIsSampledOncePerEjection)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing), 6, reg);
+    const auto &lat = reg.group("net").distribution("latencyPs");
+
+    // A unicast is sampled once at its destination, whether or not
+    // the sender asked to hear about the delivery.
+    Message u;
+    u.src = 0;
+    u.dst = 3;
+    u.flits = 2;
+    ASSERT_TRUE(net.tryInject(u));
+    eq.run();
+    EXPECT_EQ(lat.count(), 1u);
+
+    // A broadcast is sampled at every ejecting node, the source's own
+    // router included.
+    unsigned ejected = 0;
+    Message b;
+    b.src = 2;
+    b.broadcast = true;
+    b.flits = 4;
+    b.deliver = [&](int) { ++ejected; };
+    ASSERT_TRUE(net.tryInject(b));
+    eq.run();
+    EXPECT_EQ(ejected, 6u);
+    EXPECT_EQ(lat.count(), 1u + 6u);
+}
+
+TEST(Network, UnroutableDropIsNotSampled)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing), 4, reg);
+    const auto &lat = reg.group("net").distribution("latencyPs");
+
+    unsigned delivered = 0, dropped = 0;
+    Message m;
+    m.src = 0;
+    m.dst = 3;
+    m.flits = 1;
+    m.deliver = [&](int) { ++delivered; };
+    m.onDropped = [&] { ++dropped; };
+    ASSERT_TRUE(net.tryInject(m));
+    // The half ring's only route to node 3 dies before the message
+    // leaves node 0.
+    net.setLinkDown(1, 2, true);
+    eq.run();
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_EQ(dropped, 1u);
+    EXPECT_EQ(lat.count(), 0u);
+    EXPECT_DOUBLE_EQ(reg.scalar("net.router0.droppedUnroutable"), 1.0);
 }
 
 struct NetCase

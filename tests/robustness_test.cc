@@ -20,6 +20,7 @@
 #include "common/stats_json.hh"
 #include "dimm/dl_controller.hh"
 #include "fault/link_health.hh"
+#include "idc/dl_fabric.hh"
 #include "noc/topology.hh"
 #include "proto/codec.hh"
 #include "proto/dll.hh"
@@ -967,6 +968,84 @@ TEST(StuckLink, ResultsMatchTheFaultFreeRun)
     auto wl = workloads::makeWorkload("pagerank", p, sys.addressMap());
     Runner runner(sys, *wl);
     EXPECT_TRUE(runner.run().verified);
+}
+
+// ---------------------------------------------------------------------
+// Proxy forward-request notes claim their job exactly once. On the 8D
+// two-group machine, DIMM 0 is not its group's proxy (DIMM 2 is), so
+// an inter-group message from it first sends a one-flit note 0 -> 1
+// -> 2 over the bridge. Under a fault model a retry-deadline event
+// races that note; exactly one of {delivery, drop, deadline} may run
+// the forward job.
+// ---------------------------------------------------------------------
+
+struct ProxyNoteRun
+{
+    unsigned completions = 0;
+    double notifies = 0, fallbacks = 0, forwards = 0;
+};
+
+ProxyNoteRun
+runProxyNote(bool cut_bridge)
+{
+    auto cfg = SystemConfig::preset("8D-4C");
+    cfg.idcMethod = IdcMethod::DimmLink;
+    cfg.pollingMode = PollingMode::Proxy;
+    cfg.link.topology = Topology::HalfRing;
+    // Any fault model arms the deadline; this one touches no link.
+    cfg.faults.model = "stuck";
+    cfg.faults.linkFilter = "no-such-link";
+    System sys(cfg);
+    sys.enterNmpMode();
+
+    ProxyNoteRun out;
+    idc::Transaction t;
+    t.type = idc::Transaction::Type::SyncMessage;
+    t.src = 0;
+    t.dst = 5;
+    t.bytes = 16;
+    t.onComplete = [&out] { ++out.completions; };
+    sys.fabric().submit(std::move(t));
+    if (cut_bridge) {
+        // The note is created but not yet injected: masking 1 -> 2
+        // now leaves it unroutable, and node 0's router drops it.
+        auto &dl = dynamic_cast<idc::DlFabric &>(sys.fabric());
+        dl.network(0).setLinkDown(1, 2, true);
+    }
+    while (out.completions == 0 && sys.queue().step()) {
+    }
+    // Run well past the note's deadline, so a losing claimant that
+    // fires late would show up as a second forward.
+    sys.queue().runUntil(sys.queue().now() +
+                         4 * cfg.link.retryTimeoutPs +
+                         4 * cfg.host.pollIntervalPs);
+    sys.exitNmpMode();
+    auto s = [&sys](const char *n) {
+        return sys.stats().sumScalar("fabric.dl", n);
+    };
+    out.notifies = s("proxyNotifies");
+    out.fallbacks = s("proxyNotifyFallbacks");
+    out.forwards = sys.stats().scalar("host.forwarder.forwards");
+    return out;
+}
+
+TEST(ProxyNote, DeliveredBeforeTheDeadlineRunsTheJobOnce)
+{
+    const auto r = runProxyNote(/*cut_bridge=*/false);
+    EXPECT_EQ(r.completions, 1u);
+    EXPECT_DOUBLE_EQ(r.notifies, 1.0);
+    EXPECT_DOUBLE_EQ(r.fallbacks, 0.0); // the deadline lost the race
+    EXPECT_DOUBLE_EQ(r.forwards, 1.0);
+}
+
+TEST(ProxyNote, DroppedBeforeTheDeadlineFallsBackOnce)
+{
+    const auto r = runProxyNote(/*cut_bridge=*/true);
+    EXPECT_EQ(r.completions, 1u);
+    EXPECT_DOUBLE_EQ(r.notifies, 1.0);
+    // The drop claimed the job; the later deadline found it taken.
+    EXPECT_DOUBLE_EQ(r.fallbacks, 1.0);
+    EXPECT_DOUBLE_EQ(r.forwards, 1.0);
 }
 
 } // namespace

@@ -32,7 +32,7 @@ class SyncFixture
         fabric = idc::makeFabric(eq, cfg, ptrs, reg);
         fabric->setMemAccess([this](DimmId, Addr, std::uint32_t,
                                     bool,
-                                    std::function<void()> done) {
+                                    EventCallback done) {
             eq.scheduleIn(50 * tickPerNs, std::move(done));
         });
         fabric->enterNmpMode();

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "system/host_runner.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
@@ -125,6 +129,61 @@ INSTANTIATE_TEST_SUITE_P(
           case IdcMethod::DimmLink: m = "DimmLink"; break;
         }
         return std::string(info.param.workload) + "_" + m;
+    });
+
+// Regression (hang): under broadcast-mode PageRank a DIMM that owns
+// no vertices broadcasts a zero-byte span, and its zero-byte DRAM
+// access never completed. These shapes leave some DIMMs empty.
+struct EmptyBroadcastCase
+{
+    const char *preset;
+    std::uint64_t scale;
+    IdcMethod method;
+};
+
+// Keeps the ctest names stable: the default printer would dump the
+// preset string's address.
+void
+PrintTo(const EmptyBroadcastCase &c, std::ostream *os)
+{
+    *os << c.preset << '/' << c.scale << '/' << toString(c.method);
+}
+
+class EmptyBroadcast : public ::testing::TestWithParam<EmptyBroadcastCase>
+{
+};
+
+TEST_P(EmptyBroadcast, PageRankCompletesAndVerifies)
+{
+    const auto [preset, scale, method] = GetParam();
+    auto cfg = SystemConfig::preset(preset);
+    cfg.idcMethod = method;
+    // A hang trips the watchdog instead of the ctest timeout.
+    cfg.watchdog.stallPs = 1000000000;
+    System sys(cfg);
+    auto p = smallParams(cfg, scale);
+    p.rounds = 1;
+    p.broadcastMode = true;
+    auto wl = workloads::makeWorkload("pagerank", p, sys.addressMap());
+    Runner runner(sys, *wl);
+    EXPECT_TRUE(runner.run().verified);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EmptyBroadcast,
+    ::testing::Values(
+        EmptyBroadcastCase{"8D-4C", 3, IdcMethod::DimmLink},
+        EmptyBroadcastCase{"8D-4C", 3, IdcMethod::CpuForwarding},
+        EmptyBroadcastCase{"16D-8C", 4, IdcMethod::DimmLink},
+        EmptyBroadcastCase{"16D-8C", 4, IdcMethod::CpuForwarding}),
+    [](const auto &info) {
+        std::string name = std::string(info.param.preset) + "_" +
+                           (info.param.method == IdcMethod::DimmLink
+                                ? "DimmLink"
+                                : "Mcn");
+        name.erase(std::remove(name.begin(), name.end(), '-'),
+                   name.end());
+        return name;
     });
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTiming)
