@@ -317,10 +317,8 @@ main(int argc, char **argv)
                     rk("portRecoveredEvents"));
         for (unsigned h = 0; h < cfg.rack.hosts; ++h) {
             const std::string pre = "host" + std::to_string(h) + ".";
-            if (!reg.hasScalar("serve." + pre + "requests"))
-                break;
             const double hreq =
-                reg.scalar("serve." + pre + "requests");
+                reg.sumScalar("serve", pre + "requests");
             if (hreq == 0)
                 continue;
             std::printf("    host %u SLO         : %.0f requests  "

@@ -428,4 +428,32 @@ if ! cmp -s "$trace_dir/chaos1.out" "$trace_dir/chaos2.out"; then
 fi
 echo "    chaos OK: byte-identical across same-seed repeats"
 
+echo "==> provenance: a stats dump alone re-runs its experiment"
+# The config block of a stats dump records every key that changes
+# results (here the rack shape and the deadline): fed back through
+# --config, it must reproduce the run byte for byte.
+"$root/build/examples/example_simulate" \
+    --config "$root/configs/rack_2host.json" \
+    --workload kv --deadline-us 25 --json > "$trace_dir/prov.out"
+python3 - "$trace_dir/prov.out" "$trace_dir/prov-config.json" <<'EOF'
+import json, sys
+text = open(sys.argv[1]).read()
+line = next(l for l in text.splitlines() if l.startswith('  "config": '))
+block = line[len('  "config": '):].rstrip(',')
+config = json.loads(block)
+assert config.get("rack.hosts") == 2, "rack.hosts not recorded"
+assert config.get("serve.deadlineUs") == 25, \
+    "serve.deadlineUs not recorded"
+open(sys.argv[2], "w").write(block)
+EOF
+"$root/build/examples/example_simulate" \
+    --config "$trace_dir/prov-config.json" \
+    --workload kv --json > "$trace_dir/prov-replay.out"
+if ! cmp -s "$trace_dir/prov.out" "$trace_dir/prov-replay.out"; then
+    echo "re-run from the dump's config block diverged"
+    diff "$trace_dir/prov.out" "$trace_dir/prov-replay.out" | head
+    exit 1
+fi
+echo "    provenance OK: rack shape and deadline recorded, replay identical"
+
 echo "==> CI green"

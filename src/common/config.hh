@@ -200,10 +200,7 @@ struct FaultConfig
      * (empty = every link). */
     std::string linkFilter;
 
-    // Failure recovery. These keys are hidden from describe() (like
-    // obs.*) so the config header in stats JSON keeps its shape: a
-    // faults.model=none run dumps byte-identical output whether or
-    // not a build knows about recovery.
+    // Failure recovery.
     /** Consecutive DLL retry exhaustions blaming a link before its
      * health drops from up to suspect (probing then decides). */
     unsigned suspectAfter = 2;
@@ -221,8 +218,8 @@ struct FaultConfig
  * Hang watchdog (src/system/watchdog.hh): detects an event queue that
  * went quiescent while the kernel still has outstanding work, and
  * fatal()s with a diagnostic dump instead of spinning or silently
- * mis-terminating. Off by default; the watchdog.* keys are hidden
- * from describe() for the same stats-shape reason as obs.*.
+ * mis-terminating. Off by default; execution-only, so the
+ * watchdog.* keys are left out of describe() like obs.*.
  */
 struct WatchdogConfig
 {
@@ -306,10 +303,8 @@ struct ServeConfig
     Tick latBucketPs = 250000;
     unsigned latBuckets = 2048;
 
-    // --- Request-level reliability layer (docs/serving.md). Hidden
-    // keys like rack.*: with every knob at its default the layer
-    // builds nothing and stats JSON is byte-identical to a build
-    // that predates it.
+    // --- Request-level reliability layer (docs/serving.md). With
+    // every knob at its default the layer builds nothing.
 
     /** End-to-end deadline per request; a request still in flight
      * past arrival + deadline is aborted and counted as
@@ -351,12 +346,8 @@ struct ServeConfig
  * host-forwarded (climb to the source host, cross the rack fabric,
  * descend at the destination host) or over pooled DIMM-Link bridges
  * that connect the hosts' gateway pool nodes directly and bypass
- * both host CPUs.
- *
- * Like obs.*, every rack.* key is hidden from describe():
- * with rack.hosts = 1 (the default) the rack layer builds nothing,
- * touches nothing, and a config without a rack section produces
- * byte-identical stats JSON to a build that predates it.
+ * both host CPUs. With rack.hosts = 1 (the default) the rack layer
+ * builds nothing and touches nothing.
  */
 struct RackConfig
 {

@@ -28,6 +28,13 @@ NmpCore::NmpCore(EventQueue &eq, const std::string &name, DimmId dimm_,
       statBroadcasts(reg.group(name).scalar("broadcasts")),
       statRequests(reg.group(name).scalar("requests")),
       statReqWaitPs(reg.group(name).scalar("reqWaitPs")),
+      relDeadlineMiss(reg.group(name).scalar("reqDeadlineMisses")),
+      relShed(reg.group(name).scalar("reqShed")),
+      relRetries(reg.group(name).scalar("reqRetries")),
+      relFastFails(reg.group(name).scalar("reqFastFails")),
+      relFailed(reg.group(name).scalar("reqFailed")),
+      relHedges(reg.group(name).scalar("reqHedges")),
+      relHedgeWins(reg.group(name).scalar("reqHedgeWins")),
       statGroup(reg.group(name))
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatCore)) {
@@ -263,23 +270,6 @@ NmpCore::issueRef(const MemRef &ref)
               std::move(response));
 }
 
-void
-NmpCore::ensureRelStats()
-{
-    if (relDeadlineMiss)
-        return;
-    // Created together, at the first reliability ReqStart: batch
-    // runs (and serving runs with the layer off) keep byte-identical
-    // stats output to builds that predate the layer.
-    relDeadlineMiss = &statGroup.scalar("reqDeadlineMisses");
-    relShed = &statGroup.scalar("reqShed");
-    relRetries = &statGroup.scalar("reqRetries");
-    relFastFails = &statGroup.scalar("reqFastFails");
-    relFailed = &statGroup.scalar("reqFailed");
-    relHedges = &statGroup.scalar("reqHedges");
-    relHedgeWins = &statGroup.scalar("reqHedgeWins");
-}
-
 /**
  * Dispatch the current ReqStart op under the reliability engine.
  * Re-entrant: arrival waits and retry backoffs park the core and
@@ -303,7 +293,6 @@ NmpCore::relReqStart()
         breakerTarget = -1;
         attempts = 0;
         ++reqSeq;
-        ensureRelStats();
         reqStart = op.tickArg == Op::reqNow ? now()
                                             : runStart + op.tickArg;
     }
@@ -329,7 +318,7 @@ NmpCore::relReqStart()
         // being picked up past it means the queue is at least that
         // deep -- shed instead of serving a hopeless straggler.
         if (op.tickArg2 != 0 && now() >= runStart + op.tickArg2) {
-            ++*relShed;
+            ++relShed;
             reqAborted = true;
             finishOp();
             return true;
@@ -340,7 +329,7 @@ NmpCore::relReqStart()
         const Tick dl = reqStart + rel->deadlinePs;
         if (dl <= now()) {
             // Queueing already ate the whole budget.
-            ++*relDeadlineMiss;
+            ++relDeadlineMiss;
             reqAborted = true;
             finishOp();
             return true;
@@ -354,7 +343,7 @@ NmpCore::relReqStart()
                                  return;
                              if (!reqInProgress || reqAborted)
                                  return;
-                             ++*relDeadlineMiss;
+                             ++relDeadlineMiss;
                              abortInFlight();
                          },
                          EventPriority::Core);
@@ -370,15 +359,15 @@ NmpCore::relReqStart()
             const Decision d = breaker.admit(target, up, now(),
                                              rel->breakerReopenPs);
             if (d == Decision::FastFail) {
-                ++*relFastFails;
+                ++relFastFails;
                 if (attempts >= rel->maxRetries) {
-                    ++*relFailed;
+                    ++relFailed;
                     reqAborted = true;
                     finishOp();
                     return true;
                 }
                 ++attempts;
-                ++*relRetries;
+                ++relRetries;
                 state = State::Backoff;
                 const auto gen = runGeneration;
                 const auto seq = reqSeq;
@@ -448,7 +437,7 @@ void
 NmpCore::launchHedge()
 {
     hedgeLaunched = true;
-    ++*relHedges;
+    ++relHedges;
     // The hedge fanout gets a dedicated issue window past the MSHR
     // cap: queueing it behind its own stuck primary would defeat it.
     issueSide = 1;
@@ -470,7 +459,7 @@ NmpCore::settleHedge(unsigned winner)
 {
     const unsigned loser = 1 - winner;
     if (hedgeLaunched && winner == 1)
-        ++*relHedgeWins;
+        ++relHedgeWins;
     if (outSide[loser] > 0) {
         stale += outSide[loser];
         outstanding -= outSide[loser];
@@ -682,6 +671,13 @@ NmpCore::advance()
           }
 
           case Op::Kind::ReqStart: {
+            // A ReqStart always precedes its ReqEnd, so the first one
+            // builds the latency histogram before any sample.
+            if (!reqHist)
+                reqHist = &statGroup.histogram(
+                    "reqLatencyPs",
+                    static_cast<double>(cfg.serve.latBucketPs),
+                    cfg.serve.latBuckets);
             if (rel) {
                 if (relReqStart())
                     break;
@@ -732,11 +728,6 @@ NmpCore::advance()
                 enterStall(State::Fence);
                 return;
             }
-            if (!reqHist)
-                reqHist = &statGroup.histogram(
-                    "reqLatencyPs", static_cast<double>(
-                                        cfg.serve.latBucketPs),
-                    cfg.serve.latBuckets);
             reqHist->sample(static_cast<double>(now() - reqStart));
             ++statRequests;
             if (rel) {

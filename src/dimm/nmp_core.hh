@@ -109,7 +109,6 @@ class NmpCore : public Clocked
 
     // Reliability engine (no-ops unless setReliability armed it).
     bool relReqStart();
-    void ensureRelStats();
     void abortInFlight();
     void launchHedge();
     void settleHedge(unsigned winner);
@@ -176,16 +175,6 @@ class NmpCore : public Clocked
     unsigned outSide[2] = {0, 0};
     unsigned remoteSide[2] = {0, 0};
 
-    /** Lazily created with the first reliability ReqStart, so every
-     * run with the layer off keeps byte-identical stats output. */
-    stats::Scalar *relDeadlineMiss = nullptr;
-    stats::Scalar *relShed = nullptr;
-    stats::Scalar *relRetries = nullptr;
-    stats::Scalar *relFastFails = nullptr;
-    stats::Scalar *relFailed = nullptr;
-    stats::Scalar *relHedges = nullptr;
-    stats::Scalar *relHedgeWins = nullptr;
-
     stats::Scalar &statInstructions;
     stats::Scalar &statMemRefs;
     stats::Scalar &statRemoteRefs;
@@ -196,10 +185,17 @@ class NmpCore : public Clocked
     stats::Scalar &statBroadcasts;
     stats::Scalar &statRequests;
     stats::Scalar &statReqWaitPs;
-    /** The core's stat group, kept for the lazily-created request-
-     * latency histogram: creating it only when a serving workload
-     * actually retires a request keeps every non-serving run's stats
-     * output byte-identical to builds without the serving frontend. */
+    stats::Scalar &relDeadlineMiss;
+    stats::Scalar &relShed;
+    stats::Scalar &relRetries;
+    stats::Scalar &relFastFails;
+    stats::Scalar &relFailed;
+    stats::Scalar &relHedges;
+    stats::Scalar &relHedgeWins;
+    /** The core's stat group, kept for the request-latency histogram
+     * (serve.latBuckets buckets, 16 KiB by default). The first
+     * ReqStart op creates it; cores that never serve a request do not
+     * pay for it. */
     stats::Group &statGroup;
     stats::Histogram *reqHist = nullptr;
 

@@ -322,18 +322,17 @@ class DlFabric : public Fabric
     stats::Scalar &statProxyNotifies;
     stats::Scalar &statDllFailedTransfers;
     stats::Scalar &statDllCtrlDropped;
-    /** Recovery-path counters, created only when a fault model is
-     * configured so fault-free runs keep the baseline stats shape. */
-    stats::Scalar *statFailovers = nullptr;
-    stats::Scalar *statFailoverBytes = nullptr;
-    stats::Scalar *statStreamResyncs = nullptr;
-    stats::Scalar *statHostReroutes = nullptr;
-    stats::Scalar *statProxyNotifyFallbacks = nullptr;
-    stats::Scalar *statHealthSuspect = nullptr;
-    stats::Scalar *statHealthDown = nullptr;
-    stats::Scalar *statHealthRecovered = nullptr;
-    stats::Scalar *statProbesSent = nullptr;
-    stats::Scalar *statProbesFailed = nullptr;
+    // Recovery-path counters.
+    stats::Scalar &statFailovers;
+    stats::Scalar &statFailoverBytes;
+    stats::Scalar &statStreamResyncs;
+    stats::Scalar &statHostReroutes;
+    stats::Scalar &statProxyNotifyFallbacks;
+    stats::Scalar &statHealthSuspect;
+    stats::Scalar &statHealthDown;
+    stats::Scalar &statHealthRecovered;
+    stats::Scalar &statProbesSent;
+    stats::Scalar &statProbesFailed;
 
     obs::Tracer *tr = nullptr; ///< Null unless dll tracing is on.
     std::uint32_t trk = 0;

@@ -17,10 +17,12 @@ Link::Link(EventQueue &eq, std::string name, double gbps, Tick wire_ps,
       gbps_(gbps),
       wireLatency(wire_ps),
       flitBytes(flit_bits / 8),
-      statGroup(sg),
       statFlits(sg.scalar("flits")),
       statMessages(sg.scalar("messages")),
-      statBusyPs(sg.scalar("busyPs"))
+      statBusyPs(sg.scalar("busyPs")),
+      statFaultCorrupted(sg.scalar("faultCorrupted")),
+      statFaultStalledPs(sg.scalar("faultStalledPs")),
+      statFaultDeratedPs(sg.scalar("faultDeratedPs"))
 {
     if (gbps <= 0)
         fatal("link %s: non-positive bandwidth", name_.c_str());
@@ -39,11 +41,6 @@ void
 Link::setFaultModel(std::unique_ptr<fault::FaultModel> m)
 {
     faultModel = std::move(m);
-    if (faultModel && !statFaultCorrupted) {
-        statFaultCorrupted = &statGroup.scalar("faultCorrupted");
-        statFaultStalledPs = &statGroup.scalar("faultStalledPs");
-        statFaultDeratedPs = &statGroup.scalar("faultDeratedPs");
-    }
 }
 
 Tick
@@ -70,18 +67,18 @@ Link::transmit(Message msg, std::function<void(Message)> arrive)
             stall_begin = start;
             stall_ps = effect.stallPs;
             start += effect.stallPs;
-            *statFaultStalledPs += static_cast<double>(effect.stallPs);
+            statFaultStalledPs += static_cast<double>(effect.stallPs);
         }
         if (effect.serScale != 1.0) {
             const auto derated = static_cast<Tick>(
                 static_cast<double>(ser) * effect.serScale + 0.5);
-            *statFaultDeratedPs += static_cast<double>(derated - ser);
+            statFaultDeratedPs += static_cast<double>(derated - ser);
             ser = derated;
         }
         if (effect.corrupted) {
             msg.corrupted = true;
             corrupt_hit = true;
-            ++*statFaultCorrupted;
+            ++statFaultCorrupted;
         }
     }
     if (tr) {

@@ -24,8 +24,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
         routers.push_back(std::make_unique<Router>(
             eq, name_ + ".router" + std::to_string(i),
             static_cast<int>(i), topo, cfg.bufferFlits,
-            cfg.routerLatencyPs, sg));
-        routers.back()->setLatencyStat(&statLatencyPs);
+            cfg.routerLatencyPs, sg, statLatencyPs));
     }
     // One unidirectional link per (node, neighbor) ordered pair.
     for (unsigned i = 0; i < nodes; ++i) {

@@ -10,17 +10,19 @@ namespace noc {
 
 Router::Router(EventQueue &eq, std::string name, int node,
                const TopologyGraph &graph_, unsigned buffer_flits,
-               Tick router_latency_ps, stats::Group &sg)
+               Tick router_latency_ps, stats::Group &sg,
+               stats::Distribution &latency)
     : eventq(eq),
       name_(std::move(name)),
       node_(node),
       graph(graph_),
       bufferFlits(buffer_flits),
       routerLatency(router_latency_ps),
-      statGroup(sg),
+      latencyPs(latency),
       statForwarded(sg.scalar("forwarded")),
       statEjected(sg.scalar("ejected")),
-      statBlockedCredits(sg.scalar("blockedOnCredits"))
+      statBlockedCredits(sg.scalar("blockedOnCredits")),
+      statDroppedUnroutable(sg.scalar("droppedUnroutable"))
 {
     if (auto *t = eq.tracer(); t && t->enabled(obs::CatNoc)) {
         tr = t;
@@ -213,10 +215,7 @@ Router::tryPort(Port &port)
         // route). Drop it: DLL-protected traffic recovers through the
         // sender's retry timeout and the exhaustion policy; senders
         // without retries install onDropped as their fallback.
-        if (statDroppedUnroutable == nullptr)
-            statDroppedUnroutable =
-                &statGroup.scalar("droppedUnroutable");
-        ++*statDroppedUnroutable;
+        ++statDroppedUnroutable;
         Message msg = std::move(m);
         popHead(port);
         if (msg.onDropped)
@@ -234,9 +233,7 @@ void
 Router::eject(Message msg)
 {
     ++statEjected;
-    if (latencyPs)
-        latencyPs->sample(
-            static_cast<double>(eventq.now() - msg.injectedAt));
+    latencyPs.sample(static_cast<double>(eventq.now() - msg.injectedAt));
     if (msg.deliver)
         msg.deliver(node_);
 }

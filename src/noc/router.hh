@@ -28,19 +28,19 @@ class Router
     /** Port index of the local injection queue. */
     static constexpr int injectPort = -1;
 
+    /**
+     * Every ejection's network latency (eject tick minus
+     * Message::injectedAt) is sampled into @p latency: once per
+     * unicast, once per ejecting node of a broadcast, never for a
+     * dropped message.
+     */
     Router(EventQueue &eq, std::string name, int node,
            const TopologyGraph &graph, unsigned buffer_flits,
-           Tick router_latency_ps, stats::Group &sg);
+           Tick router_latency_ps, stats::Group &sg,
+           stats::Distribution &latency);
 
     /** Wire an output toward neighbor @p node. */
     void connectOutput(int neighbor, Link *link, Router *downstream);
-
-    /**
-     * Sample every ejection's network latency (eject tick minus
-     * Message::injectedAt) into @p d: once per unicast, once per
-     * ejecting node of a broadcast, never for a dropped message.
-     */
-    void setLatencyStat(stats::Distribution *d) { latencyPs = d; }
 
     /** Called when buffer space frees; used for injection backpressure. */
     void setSpaceFreedHandler(std::function<void()> h)
@@ -126,15 +126,13 @@ class Router
     std::uint64_t kickEventId = 0;
 
     std::function<void()> spaceFreedHandler;
-    stats::Distribution *latencyPs = nullptr;
 
-    stats::Group &statGroup;
+    stats::Distribution &latencyPs;
     stats::Scalar &statForwarded;
     stats::Scalar &statEjected;
     stats::Scalar &statBlockedCredits;
-    /** Messages dropped for lack of a live route; created lazily so
-     * fault-free runs keep the baseline stats JSON shape. */
-    stats::Scalar *statDroppedUnroutable = nullptr;
+    /** Messages dropped for lack of a live route. */
+    stats::Scalar &statDroppedUnroutable;
 
     obs::Tracer *tr = nullptr; ///< Null unless noc tracing is on.
     std::uint32_t trk = 0;

@@ -49,7 +49,8 @@ InterHostFabric::InterHostFabric(EventQueue &eq,
       statPortRecovered(reg.group("rack").scalar("portRecoveredEvents")),
       statProbesSent(reg.group("rack").scalar("healthProbesSent")),
       statProbesFailed(reg.group("rack").scalar("healthProbesFailed")),
-      statCrossLatencyPs(reg.group("rack").distribution("crossLatencyPs"))
+      statCrossLatencyPs(reg.group("rack").distribution("crossLatencyPs")),
+      statParked(reg.group("rack").scalar("parkedTransfers"))
 {
     for (unsigned h = 0; h < cfg.rack.hosts; ++h) {
         health.addEdge(static_cast<int>(h), kPort);
@@ -98,8 +99,6 @@ InterHostFabric::InterHostFabric(EventQueue &eq,
                             cfg.hostOfGroup(cfg.rack.nodeDownId)),
                         kGateway},
                        cfg.rack.nodeDownAtPs, cfg.rack.nodeDownForPs);
-    if (!outage.empty())
-        statParked = &reg.group("rack").scalar("parkedTransfers");
 }
 
 Tick
@@ -179,8 +178,7 @@ InterHostFabric::crossing(unsigned a, unsigned b, std::uint64_t bytes,
     // runs without the reliability layer never hang behind them.
     if (const Tick until = parkUntil({static_cast<int>(a), kPort},
                                      {static_cast<int>(b), kPort})) {
-        if (statParked)
-            ++*statParked;
+        ++statParked;
         eventq.schedule(until,
                         [this, a, b, bytes,
                          done = std::move(done)]() mutable {
@@ -210,8 +208,7 @@ InterHostFabric::pooledSend(unsigned a, unsigned b,
     if (const Tick until =
             parkUntil({static_cast<int>(a), kGateway},
                       {static_cast<int>(b), kGateway})) {
-        if (statParked)
-            ++*statParked;
+        ++statParked;
         eventq.schedule(until,
                         [this, a, b, bytes,
                          done = std::move(done)]() mutable {

@@ -142,9 +142,7 @@ class InterHostFabric
     stats::Scalar &statProbesSent;
     stats::Scalar &statProbesFailed;
     stats::Distribution &statCrossLatencyPs;
-    /** Created only when an outage is scheduled, so outage-free runs
-     * keep byte-identical stats output. */
-    stats::Scalar *statParked = nullptr;
+    stats::Scalar &statParked;
     AvailabilitySink availSink;
 };
 

@@ -173,6 +173,11 @@ class HostRunner::HostCore : public Clocked
                 return;
               }
               case Op::Kind::ReqStart: {
+                if (!reqHist)
+                    reqHist = &statGroup.histogram(
+                        "reqLatencyPs",
+                        static_cast<double>(owner.cfg.serve.latBucketPs),
+                        owner.cfg.serve.latBuckets);
                 // Same semantics as the NMP core: open-loop arrivals
                 // are relative to runStart and start the latency
                 // clock even when they are already in the past.
@@ -200,12 +205,6 @@ class HostRunner::HostCore : public Clocked
                     stallStart = now();
                     return;
                 }
-                if (!reqHist)
-                    reqHist = &statGroup.histogram(
-                        "reqLatencyPs",
-                        static_cast<double>(
-                            owner.cfg.serve.latBucketPs),
-                        owner.cfg.serve.latBuckets);
                 reqHist->sample(
                     static_cast<double>(now() - reqStart));
                 ++statRequests;
@@ -245,6 +244,8 @@ class HostRunner::HostCore : public Clocked
     stats::Scalar &statInstructions;
     stats::Scalar &statStallPs;
     stats::Scalar &statRequests;
+    /** Kept for the request-latency histogram, which the first
+     * ReqStart op creates (as on the NMP cores). */
     stats::Group &statGroup;
     stats::Histogram *reqHist = nullptr;
 };

@@ -92,9 +92,7 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
         static_cast<double>(cfg.serve.latBucketPs),
         cfg.serve.latBuckets);
     double wait_ps = 0;
-    // Reliability counters (docs/serving.md): the per-core scalars
-    // exist only when a core dispatched a ReqStart with the layer
-    // armed, so folding them keeps rel-off runs byte-identical.
+    // Reliability counters (docs/serving.md), summed over the cores.
     struct RelCounter
     {
         const char *coreName; ///< Per-core scalar name.
@@ -110,10 +108,8 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
         {"reqHedges", "hedgedRequests"},
         {"reqHedgeWins", "hedgeWins"},
     };
-    bool relSeen = false;
     // Under rack pooling the same walk also folds each host's pool
-    // partition into a per-host SLO histogram; single-host runs
-    // build nothing extra so their stats JSON keeps its shape.
+    // partition into a per-host SLO histogram.
     std::vector<stats::Histogram> perHost;
     if (cfg.rackEnabled())
         perHost.assign(cfg.rack.hosts,
@@ -138,17 +134,17 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
             wait_ps += sit->second.value();
         for (RelCounter &rc : relCounters) {
             const auto rit = g.scalars().find(rc.coreName);
-            if (rit != g.scalars().end()) {
-                relSeen = true;
+            if (rit != g.scalars().end())
                 rc.sum += rit->second.value();
-            }
         }
     });
-    // Zero completed requests still produce an explicit all-zero
-    // block when the reliability layer ran (everything may have been
-    // shed or failed fast -- that IS the result); without it there is
-    // nothing serving-shaped to report.
-    if (merged.total() == 0 && !relSeen)
+    // Errors: deadline misses, sheds and failures.
+    const double errors =
+        relCounters[0].sum + relCounters[1].sum + relCounters[4].sum;
+    // A run that completed no request and dropped none served
+    // nothing. One that dropped them all still reports: that IS the
+    // result.
+    if (merged.total() == 0 && errors == 0)
         return false;
 
     stats::Group &serve = reg.group("serve");
@@ -173,7 +169,7 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
     serve.scalar("offeredQps")
         .set(cfg.serve.mode == "open" ? cfg.serve.offeredQps : 0);
     serve.scalar("reqWaitPs").set(wait_ps);
-    if (relSeen) {
+    if (cfg.serve.relEnabled()) {
         for (const RelCounter &rc : relCounters)
             serve.scalar(rc.outName).set(rc.sum);
         // Goodput: on-time completions per second. Deadline-missed,
@@ -185,9 +181,6 @@ aggregate(stats::Registry &reg, const SystemConfig &cfg,
                            (static_cast<double>(kernel_ticks) * 1e-12)
                      : 0);
         // Error budget: errors over everything the run disposed of.
-        const double errors = relCounters[0].sum +  // deadlineMisses
-                              relCounters[1].sum +  // shedRequests
-                              relCounters[4].sum;   // failedRequests
         const double disposed = requests + errors;
         serve.scalar("errorRate")
             .set(disposed > 0 ? errors / disposed : 0);

@@ -63,9 +63,12 @@ std::vector<ThreadPlan> buildPlans(const ServeConfig &s,
  * Merge the per-core "reqLatencyPs" histograms into the "serve"
  * group: histogram "latencyPs" plus requests / latencyP50Ps /
  * latencyP95Ps / latencyP99Ps / achievedQps / offeredQps scalars.
+ * The reliability scalars (deadlineMisses ... errorRate,
+ * goodputQps) are written exactly when cfg.serve.relEnabled().
  * Rebuilt from scratch each call (idempotent); cores are visited in
  * sorted-name order, so the result is deterministic. Returns false
- * (and writes nothing) when no core retired a request.
+ * (and writes nothing) when no request completed and none was shed,
+ * missed or failed.
  */
 bool aggregate(stats::Registry &reg, const SystemConfig &cfg,
                Tick kernel_ticks);

@@ -1,0 +1,208 @@
+/** @file Golden stats: one small scenario per subsystem (each IDC
+ * fabric, each DRAM family, BER and stuck-link faults, forwarded and
+ * pooled rack, open- and closed-loop serving, the chaos serving
+ * cell), each pinned to its checked-in default stats JSON under
+ * tests/golden/. A change that moves any simulated result shows up as
+ * a golden diff; scripts/regen_golden.sh rewrites the files.
+ *
+ * The replay test checks provenance: the config block of a dump,
+ * parsed back through SystemConfig::fromString and re-run with the
+ * same workload, must reproduce the dump byte for byte.
+ *
+ * With DIMMLINK_GOLDEN_WRITE=<dir> set, the golden test writes each
+ * scenario's dump to <dir>/<name>.json instead of comparing. */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/config.hh"
+#include "common/stats_json.hh"
+#include "system/runner.hh"
+#include "system/system.hh"
+#include "workloads/workload.hh"
+
+namespace dimmlink {
+namespace {
+
+struct Scenario
+{
+    const char *name;
+    /** A system preset, or a config file under configs/. */
+    const char *base;
+    std::vector<std::string> overrides;
+    const char *workload;
+    std::uint64_t scale = 1;
+    unsigned rounds = 1;
+};
+
+void
+PrintTo(const Scenario &s, std::ostream *os)
+{
+    *os << s.name;
+}
+
+/** The two-host chaos cell of scripts/ci.sh: host 1's rack port dies
+ * mid-run on the forwarded route, here with every reliability knob
+ * armed. */
+const std::vector<std::string> chaosOverrides = {
+    "rack.idcMode=forwarded", "rack.hostDownId=1",
+    "rack.hostDownAtPs=500000000", "rack.hostDownForPs=60000000",
+    "link.retryTimeoutPs=40000000", "serve.requests=4096",
+    "serve.latBuckets=512", "serve.deadlineUs=25", "serve.maxRetries=3",
+    "serve.backoffUs=5", "serve.hedgeAfterUs=10", "serve.maxInflight=128",
+};
+
+/** The 1->2 bridge link of a 4-DIMM HalfRing dead for the whole run:
+ * the retry budget exhausts and transfers fail over to the host. */
+const std::vector<std::string> stuckOverrides = {
+    "link.topology=HalfRing", "faults.model=stuck", "faults.stuckAtPs=0",
+    "faults.stuckForPs=400000000000000", "faults.stuckPeriodPs=0",
+    "faults.linkFilter=link1to2", "faults.seed=7",
+    "faults.onExhausted=failover",
+};
+
+const std::vector<Scenario> &
+scenarios()
+{
+    static const std::vector<Scenario> all = {
+        {"fabric_dimmlink", "8D-4C", {}, "pagerank", 10},
+        {"fabric_mcn", "8D-4C", {"system.idcMethod=mcn"}, "pagerank", 10},
+        {"fabric_aim", "8D-4C", {"system.idcMethod=aim"}, "pagerank", 10},
+        {"fabric_abc", "8D-4C", {"system.idcMethod=abc"},
+         "pagerank", 10},
+        {"dram_ddr5", "8D-4C", {"dram.standard=ddr5"}, "bfs", 9},
+        {"dram_lpddr5x", "8D-4C", {"dram.standard=lpddr5x"}, "bfs", 9},
+        {"dram_hbm2", "8D-4C", {"dram.standard=hbm2"}, "bfs", 9},
+        {"fault_ber", "4D-2C",
+         {"faults.model=ber", "faults.ber=2e-5", "faults.seed=7"},
+         "bfs", 6, 2},
+        {"fault_stuck_failover", "4D-2C", stuckOverrides, "bfs", 6},
+        {"rack_pooled", "rack_2host.json",
+         {"serve.requests=1024", "serve.latBuckets=512"}, "kv"},
+        {"rack_forwarded", "rack_2host.json",
+         {"rack.idcMode=forwarded", "serve.requests=1024",
+          "serve.latBuckets=512"},
+         "kv"},
+        {"kv_open", "4D-2C",
+         {"serve.requests=512", "serve.keys=8192",
+          "serve.latBuckets=512"},
+         "kv"},
+        {"kv_closed", "4D-2C",
+         {"serve.mode=closed", "serve.requests=512", "serve.keys=8192",
+          "serve.latBuckets=512"},
+         "kv"},
+        {"chaos_serving", "rack_2host.json", chaosOverrides, "kv"},
+    };
+    return all;
+}
+
+SystemConfig
+configOf(const Scenario &s)
+{
+    const std::string base = s.base;
+    SystemConfig cfg =
+        base.find(".json") == std::string::npos
+            ? SystemConfig::preset(base)
+            : SystemConfig::fromFile(std::string(DIMMLINK_SOURCE_DIR) +
+                                     "/configs/" + base);
+    for (const std::string &o : s.overrides)
+        cfg.applyOverride(o);
+    return cfg;
+}
+
+/** Run @p s's workload on @p cfg, as example_simulate does, and
+ * return the default stats JSON (config block included). */
+std::string
+runDump(const Scenario &s, const SystemConfig &cfg)
+{
+    System sys(cfg);
+    workloads::WorkloadParams p;
+    p.numThreads = cfg.numDimms * cfg.dimm.numCores;
+    p.numDimms = cfg.numDimms;
+    p.scale = s.scale;
+    p.rounds = s.rounds;
+    p.serve = cfg.serve;
+    auto wl = workloads::makeWorkload(s.workload, p, sys.addressMap());
+    Runner runner(sys, *wl);
+    EXPECT_TRUE(runner.run().verified) << s.name;
+    std::ostringstream os;
+    stats::dumpJson(sys.stats(), os, /*include_empty=*/false, &cfg);
+    return os.str();
+}
+
+/** The flat JSON object of @p dump's "config" block, which dumpJson
+ * writes on one line followed by a comma. */
+std::string
+configBlock(const std::string &dump)
+{
+    const std::string tag = "\n  \"config\": ";
+    const std::size_t begin = dump.find(tag);
+    if (begin == std::string::npos)
+        return {};
+    const std::size_t first = begin + tag.size();
+    const std::size_t end = dump.find(",\n", first);
+    return dump.substr(first, end - first);
+}
+
+std::string
+goldenPath(const std::string &dir, const Scenario &s)
+{
+    return dir + "/" + s.name + ".json";
+}
+
+class GoldenStats : public testing::TestWithParam<Scenario>
+{
+};
+
+TEST_P(GoldenStats, MatchesCheckedInDump)
+{
+    const Scenario &s = GetParam();
+    const std::string dump = runDump(s, configOf(s));
+    if (const char *dir = std::getenv("DIMMLINK_GOLDEN_WRITE")) {
+        std::ofstream out(goldenPath(dir, s), std::ios::binary);
+        ASSERT_TRUE(out) << goldenPath(dir, s);
+        out << dump;
+        return;
+    }
+    const std::string path = goldenPath(
+        std::string(DIMMLINK_SOURCE_DIR) + "/tests/golden", s);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden " << path
+                    << " (scripts/regen_golden.sh writes it)";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    // Compare whole strings, but report only whether they differ: a
+    // dump is tens of kilobytes.
+    EXPECT_TRUE(dump == golden.str())
+        << s.name << ": stats differ from " << path
+        << "; if the change is intended, run scripts/regen_golden.sh "
+           "and review the diff";
+}
+
+TEST_P(GoldenStats, ReplaysFromItsOwnConfigBlock)
+{
+    const Scenario &s = GetParam();
+    const std::string dump = runDump(s, configOf(s));
+    const std::string block = configBlock(dump);
+    ASSERT_FALSE(block.empty()) << s.name << ": no config block";
+    const SystemConfig replayed =
+        SystemConfig::fromString(block, std::string(s.name) + " dump");
+    EXPECT_TRUE(runDump(s, replayed) == dump)
+        << s.name << ": re-running from the dump's config block gave "
+           "different stats";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, GoldenStats, testing::ValuesIn(scenarios()),
+    [](const testing::TestParamInfo<Scenario> &info) {
+        return std::string(info.param.name);
+    });
+
+} // namespace
+} // namespace dimmlink

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/stats_json.hh"
 #include "system/runner.hh"
@@ -68,16 +70,32 @@ runKv(const SystemConfig &cfg)
     return run;
 }
 
-TEST(RackConfig, KeysAreHiddenFromDescribe)
+TEST(RackConfig, KeysAreDescribed)
 {
-    // Like sim.* and obs.*: the config header embedded in stats JSON
-    // must keep its pre-rack shape.
+    // Every rack.* key changes results, so the config header embedded
+    // in stats JSON records each one; only the execution-only obs.*
+    // and watchdog.* keys and the dram.standard alias stay out.
     const auto cfg = twoHostConfig();
-    EXPECT_EQ(cfg.describe().find("rack."), std::string::npos);
+    EXPECT_NE(cfg.describe().find("\"rack.hosts\": 2"),
+              std::string::npos);
+    std::vector<std::string> described;
     for (const auto &[key, value] : cfg.describeEntries()) {
         (void)value;
-        EXPECT_NE(key.substr(0, 5), "rack.");
+        described.push_back(key);
+        EXPECT_NE(key.substr(0, 4), "obs.");
+        EXPECT_NE(key.substr(0, 9), "watchdog.");
+        EXPECT_NE(key, "dram.standard");
     }
+    unsigned rack_keys = 0;
+    for (const std::string &key : SystemConfig::knownKeys()) {
+        if (key.substr(0, 5) != "rack.")
+            continue;
+        ++rack_keys;
+        EXPECT_NE(std::find(described.begin(), described.end(), key),
+                  described.end())
+            << key;
+    }
+    EXPECT_EQ(rack_keys, 14u);
 }
 
 TEST(RackConfig, PartitionHelpers)

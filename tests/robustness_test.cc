@@ -708,13 +708,19 @@ TEST(Config, AcceptsAllExhaustPolicies)
 // Off-by-default invisibility.
 // ---------------------------------------------------------------------
 
-TEST(Invisibility, RecoveryKeysAreHiddenFromDescribe)
+TEST(Invisibility, RecoveryKeysAreDescribed)
 {
+    // The recovery keys change results, so the config header of a
+    // stats dump records them; the execution-only watchdog does not.
     const auto d = SystemConfig::preset("4D-2C").describe();
-    EXPECT_EQ(d.find("suspectAfter"), std::string::npos);
-    EXPECT_EQ(d.find("reprobeIntervalPs"), std::string::npos);
-    EXPECT_EQ(d.find("onExhausted"), std::string::npos);
+    EXPECT_NE(d.find("\"faults.suspectAfter\": 2"), std::string::npos);
+    EXPECT_NE(d.find("\"faults.reprobeIntervalPs\": 20000000"),
+              std::string::npos);
+    EXPECT_NE(d.find("\"faults.onExhausted\": \"failover\""),
+              std::string::npos);
     EXPECT_EQ(d.find("watchdog"), std::string::npos);
+    EXPECT_EQ(d.find("\"obs."), std::string::npos);
+    EXPECT_EQ(d.find("dram.standard"), std::string::npos);
 }
 
 TEST(Invisibility, FaultFreeRunEmitsNoRecoveryStats)
@@ -731,15 +737,20 @@ TEST(Invisibility, FaultFreeRunEmitsNoRecoveryStats)
     Runner runner(sys, *wl);
     EXPECT_TRUE(runner.run().verified);
 
+    // Every recovery counter stays at zero, so the default dump
+    // (zero values omitted) shows none of them.
     std::ostringstream os;
-    stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
+    stats::dumpJson(sys.stats(), os);
     const std::string json = os.str();
     for (const char *stat :
          {"dllFailovers", "failoverBytes", "hostReroutes",
           "proxyNotifyFallbacks", "linkSuspectEvents",
           "linkDownEvents", "linkRecoveredEvents", "healthProbesSent",
-          "healthProbesFailed", "droppedUnroutable"})
+          "healthProbesFailed", "droppedUnroutable"}) {
         EXPECT_EQ(json.find(stat), std::string::npos) << stat;
+        EXPECT_DOUBLE_EQ(sys.stats().sumScalar("fabric.dl", stat), 0.0)
+            << stat;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -237,9 +237,8 @@ TEST(Serving, EmbedClosedLoopServes)
 
 TEST(Serving, NonServingRunsHaveNoServeGroup)
 {
-    // The serve group and per-core request stats must stay invisible
-    // when no request retires, so batch-kernel stats dumps are
-    // unchanged by this feature.
+    // A run that serves no request reports no serve group and no
+    // per-core request stats in its default dump.
     auto cfg = SystemConfig::preset("4D-2C");
     System sys(cfg);
     workloads::WorkloadParams p;
@@ -250,7 +249,8 @@ TEST(Serving, NonServingRunsHaveNoServeGroup)
     Runner runner(sys, *wl);
     const RunResult r = runner.run();
     EXPECT_TRUE(r.verified);
-    EXPECT_FALSE(sys.stats().hasScalar("serve.requests"));
+    EXPECT_DOUBLE_EQ(sys.stats().sumScalar("serve", "requests"), 0.0);
+    EXPECT_DOUBLE_EQ(sys.stats().sumScalar("dimm", "requests"), 0.0);
     std::ostringstream os;
     stats::dumpJson(sys.stats(), os);
     EXPECT_EQ(os.str().find("reqLatencyPs"), std::string::npos);
@@ -307,6 +307,101 @@ TEST(Serving, HostBaselineServes)
     EXPECT_TRUE(r.verified);
     EXPECT_DOUBLE_EQ(host.stats().scalar("serve.requests"), 96.0);
     EXPECT_GT(host.stats().scalar("serve.latencyP50Ps"), 0.0);
+}
+
+/** Forwards next() and nothing else, like a profiling wrapper. */
+class PassThroughProgram : public ThreadProgram
+{
+  public:
+    explicit PassThroughProgram(std::unique_ptr<ThreadProgram> inner)
+        : inner(std::move(inner))
+    {}
+
+    Op next() override { return inner->next(); }
+
+  private:
+    std::unique_ptr<ThreadProgram> inner;
+};
+
+/** Wraps every program of @p inner in a PassThroughProgram. */
+class PassThroughWorkload : public workloads::Workload
+{
+  public:
+    PassThroughWorkload(workloads::Workload &inner,
+                        const dram::GlobalAddressMap &gmap)
+        : Workload(inner.params(), gmap), inner(inner)
+    {}
+
+    std::string name() const override { return inner.name(); }
+
+    std::unique_ptr<ThreadProgram>
+    program(ThreadId tid) override
+    {
+        return std::make_unique<PassThroughProgram>(inner.program(tid));
+    }
+
+    void reset() override { inner.reset(); }
+    bool verify() const override { return inner.verify(); }
+
+  private:
+    workloads::Workload &inner;
+};
+
+TEST(Serving, WrappedProgramsServeLikeBareOnes)
+{
+    // The cores learn that a program serves requests from its op
+    // stream alone: a wrapper that forwards only next() must yield
+    // the same stats, on the NMP cores (with and without the
+    // reliability layer) and on the host baseline.
+    for (const double deadline_us : {0.0, 50.0}) {
+        auto cfg = SystemConfig::preset("4D-2C");
+        cfg.serve.requests = 96;
+        cfg.serve.keys = 4096;
+        cfg.serve.deadlineUs = deadline_us;
+        workloads::WorkloadParams p;
+        p.numThreads = cfg.numDimms * cfg.dimm.numCores;
+        p.numDimms = cfg.numDimms;
+        p.serve = cfg.serve;
+        std::string dumps[2];
+        for (const bool wrap : {false, true}) {
+            System sys(cfg);
+            auto wl = workloads::makeWorkload("kv", p, sys.addressMap());
+            PassThroughWorkload wrapped(*wl, sys.addressMap());
+            Runner runner(sys, wrap ? static_cast<workloads::Workload &>(
+                                          wrapped)
+                                    : *wl);
+            EXPECT_TRUE(runner.run().verified) << deadline_us;
+            EXPECT_DOUBLE_EQ(sys.stats().scalar("serve.requests"), 96.0)
+                << deadline_us;
+            std::ostringstream os;
+            stats::dumpJson(sys.stats(), os);
+            dumps[wrap] = os.str();
+        }
+        EXPECT_NE(dumps[1].find("reqLatencyPs"), std::string::npos);
+        EXPECT_EQ(dumps[0], dumps[1]) << deadline_us;
+    }
+
+    auto cfg = SystemConfig::preset("4D-2C");
+    cfg.serve.requests = 96;
+    cfg.serve.keys = 4096;
+    workloads::WorkloadParams p;
+    p.numThreads = cfg.host.numCores;
+    p.numDimms = cfg.numDimms;
+    p.serve = cfg.serve;
+    dram::GlobalAddressMap gmap(cfg.numDimms, cfg.dimm.capacityBytes);
+    std::string dumps[2];
+    for (const bool wrap : {false, true}) {
+        HostRunner host(cfg);
+        auto wl = workloads::makeWorkload("kv", p, gmap);
+        PassThroughWorkload wrapped(*wl, gmap);
+        const RunResult r = wrap ? host.run(wrapped) : host.run(*wl);
+        EXPECT_TRUE(r.verified);
+        EXPECT_DOUBLE_EQ(host.stats().scalar("serve.requests"), 96.0);
+        std::ostringstream os;
+        stats::dumpJson(host.stats(), os);
+        dumps[wrap] = os.str();
+    }
+    EXPECT_EQ(dumps[0], dumps[1]);
 }
 
 TEST(Serving, ConfigRejectsBadKnobs)
@@ -418,6 +513,8 @@ TEST(Reliability, HostHealthViewMirrorsRouteFailover)
 struct RelStats
 {
     std::string json;
+    /** Default dump: zero-valued stats omitted. */
+    std::string dump;
     double requests = 0, misses = 0, shed = 0, retries = 0,
            fastFails = 0, failed = 0, hedges = 0, hedgeWins = 0,
            goodput = 0, errorRate = 0;
@@ -456,6 +553,9 @@ runReliability(const SystemConfig &cfg, const char *workload = "kv")
     std::ostringstream os;
     stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
     out.json = os.str();
+    std::ostringstream dump;
+    stats::dumpJson(sys.stats(), dump);
+    out.dump = dump.str();
     return out;
 }
 
@@ -544,14 +644,19 @@ TEST(Reliability, HedgedGetsRaceTheReplica)
 
 TEST(Reliability, KnobsOffKeepTheStatsShape)
 {
-    // The armed-but-idle layer writes nothing: a rel-off run must not
-    // grow any reliability scalar, per core or aggregated.
+    // The idle layer counts nothing: a rel-off run leaves every
+    // reliability scalar, per core or aggregated, at zero, so the
+    // default dump (zero values omitted) shows none of them.
     auto cfg = relConfig();
     const RelStats r = runReliability(cfg);
     EXPECT_DOUBLE_EQ(r.requests, 192.0);
-    EXPECT_EQ(r.json.find("goodputQps"), std::string::npos);
-    EXPECT_EQ(r.json.find("reqDeadlineMisses"), std::string::npos);
-    EXPECT_EQ(r.json.find("reqShed"), std::string::npos);
+    EXPECT_EQ(r.dump.find("goodputQps"), std::string::npos);
+    EXPECT_EQ(r.dump.find("reqDeadlineMisses"), std::string::npos);
+    EXPECT_EQ(r.dump.find("reqShed"), std::string::npos);
+    for (const double v : {r.misses, r.shed, r.retries, r.fastFails,
+                           r.failed, r.hedges, r.hedgeWins, r.goodput,
+                           r.errorRate})
+        EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 /** The chaos scenario of bench/chaos_serving.cc, shrunk for a unit
