@@ -1,7 +1,8 @@
 /** @file Golden stats: one small scenario per subsystem (each IDC
  * fabric, each DRAM family, BER and stuck-link faults, forwarded and
  * pooled rack, open- and closed-loop serving, the chaos serving
- * cell), each pinned to its checked-in default stats JSON under
+ * cell, and the host-CPU baseline on a batch and a serving
+ * workload), each pinned to its checked-in default stats JSON under
  * tests/golden/. A change that moves any simulated result shows up as
  * a golden diff; scripts/regen_golden.sh rewrites the files.
  *
@@ -23,6 +24,8 @@
 
 #include "common/config.hh"
 #include "common/stats_json.hh"
+#include "dram/address_map.hh"
+#include "system/host_runner.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
 #include "workloads/workload.hh"
@@ -39,6 +42,9 @@ struct Scenario
     const char *workload;
     std::uint64_t scale = 1;
     unsigned rounds = 1;
+    /** Run on the host-CPU baseline (HostRunner) instead of the NMP
+     * system. */
+    bool host = false;
 };
 
 void
@@ -98,6 +104,13 @@ scenarios()
           "serve.latBuckets=512"},
          "kv"},
         {"chaos_serving", "rack_2host.json", chaosOverrides, "kv"},
+        // The denominator of Fig. 10: one of its batch cells, and
+        // open-loop serving with no reliability knobs.
+        {"host_pagerank", "8D-4C", {}, "pagerank", 10, 2, true},
+        {"host_kv_open", "4D-2C",
+         {"serve.requests=512", "serve.keys=8192",
+          "serve.latBuckets=512"},
+         "kv", 1, 1, true},
     };
     return all;
 }
@@ -116,22 +129,33 @@ configOf(const Scenario &s)
     return cfg;
 }
 
-/** Run @p s's workload on @p cfg, as example_simulate does, and
- * return the default stats JSON (config block included). */
+/** Run @p s's workload on @p cfg, as example_simulate does (or as
+ * its --cpu baseline does), and return the default stats JSON
+ * (config block included). */
 std::string
 runDump(const Scenario &s, const SystemConfig &cfg)
 {
-    System sys(cfg);
     workloads::WorkloadParams p;
-    p.numThreads = cfg.numDimms * cfg.dimm.numCores;
+    p.numThreads = s.host ? cfg.host.numCores
+                          : cfg.numDimms * cfg.dimm.numCores;
     p.numDimms = cfg.numDimms;
     p.scale = s.scale;
     p.rounds = s.rounds;
     p.serve = cfg.serve;
+    std::ostringstream os;
+    if (s.host) {
+        HostRunner host(cfg);
+        const dram::GlobalAddressMap gmap(cfg.numDimms,
+                                          cfg.dimm.capacityBytes);
+        auto wl = workloads::makeWorkload(s.workload, p, gmap);
+        EXPECT_TRUE(host.run(*wl).verified) << s.name;
+        stats::dumpJson(host.stats(), os, /*include_empty=*/false, &cfg);
+        return os.str();
+    }
+    System sys(cfg);
     auto wl = workloads::makeWorkload(s.workload, p, sys.addressMap());
     Runner runner(sys, *wl);
     EXPECT_TRUE(runner.run().verified) << s.name;
-    std::ostringstream os;
     stats::dumpJson(sys.stats(), os, /*include_empty=*/false, &cfg);
     return os.str();
 }
