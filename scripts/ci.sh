@@ -456,4 +456,25 @@ if ! cmp -s "$trace_dir/prov.out" "$trace_dir/prov-replay.out"; then
 fi
 echo "    provenance OK: rack shape and deadline recorded, replay identical"
 
+echo "==> committed results regenerate byte for byte"
+# The four committed BENCH_*.json files are deterministic simulator
+# output: each bench/ binary must rewrite its file exactly as
+# committed. A change meant to move results regenerates and commits
+# them.
+regen() { # <committed file> <bench binary> [args...]
+    local file="$1"
+    shift
+    "$root/build/bench/$@" "$trace_dir/$file" > /dev/null
+    if ! cmp -s "$trace_dir/$file" "$root/$file"; then
+        echo "$file differs from its regenerated copy"
+        diff "$trace_dir/$file" "$root/$file" | head
+        exit 1
+    fi
+    echo "    [$file] OK: identical"
+}
+regen BENCH_dram.json fig16_bandwidth --standards
+regen BENCH_chaos.json chaos_serving
+regen BENCH_serving.json serving
+regen BENCH_rack.json rack_scale
+
 echo "==> CI green"

@@ -6,7 +6,9 @@ namespace dimmlink {
 
 Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
            const dram::Timing &timing,
-           const dram::GlobalAddressMap &gmap, stats::Registry &reg)
+           const dram::GlobalAddressMap &gmap,
+           const serve_rel::HostHealthView *host_view,
+           stats::Registry &reg)
     : id_(id)
 {
     const std::string base = "dimm" + std::to_string(id);
@@ -28,8 +30,8 @@ Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
             cname + ".l1", cfg.dimm.l1Bytes, cfg.dimm.l1Assoc,
             cfg.dimm.lineBytes, reg.group(cname + ".l1")));
         cores.push_back(std::make_unique<NmpCore>(
-            eq, cname, id, static_cast<CoreId>(c), cfg, *mc,
-            l1s.back().get(), l2.get(), reg));
+            eq, cname, id, cfg, *mc, l1s.back().get(), l2.get(), gmap,
+            host_view, reg));
     }
 }
 
@@ -40,8 +42,6 @@ Dimm::connect(idc::Fabric *fabric, BarrierEndpoint *barrier,
     mc->setFabric(fabric);
     for (auto &core : cores) {
         core->setBarrier(barrier);
-        core->setHomeLookup(
-            [gmap](Addr a) { return gmap->dimmOf(a); });
         core->setBroadcaster(
             [this, fabric, gmap](Addr addr, std::uint64_t bytes,
                                  EventCallback done) {

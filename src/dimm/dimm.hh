@@ -22,9 +22,13 @@ namespace dimmlink {
 class Dimm
 {
   public:
+    /** @p host_view: the rack host-health view the cores' circuit
+     * breakers consult (see CoreEngine); it outlives the DIMM. */
     Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
          const dram::Timing &timing,
-         const dram::GlobalAddressMap &gmap, stats::Registry &reg);
+         const dram::GlobalAddressMap &gmap,
+         const serve_rel::HostHealthView *host_view,
+         stats::Registry &reg);
 
     DimmId id() const { return id_; }
 

@@ -5,8 +5,9 @@
  * a per-core circuit breaker over rack-route health, and the
  * host-health view the breaker consults.
  *
- * Each NmpCore owns its Backoff and CircuitBreaker; the System owns
- * the one HostHealthView every core reads.
+ * Each core (dimm/core_engine.hh) owns its Backoff and
+ * CircuitBreaker; the System owns the one HostHealthView every NMP
+ * core reads.
  */
 
 #ifndef DIMMLINK_DIMM_RELIABILITY_HH
@@ -33,13 +34,6 @@ struct Params
     Tick breakerReopenPs = 0; ///< Open -> half-open penalty window.
     unsigned maxRetries = 0;
     unsigned maxInflight = 0; ///< 0 = never shed.
-
-    bool
-    enabled() const
-    {
-        return deadlinePs > 0 || hedgeAfterPs > 0 || maxRetries > 0 ||
-               maxInflight > 0;
-    }
 
     static Params from(const ServeConfig &serve);
 };

@@ -4,250 +4,57 @@
 
 #include "common/bitfield.hh"
 #include "common/log.hh"
-#include "sim/clocked.hh"
+#include "dimm/core_engine.hh"
 #include "workloads/serving.hh"
 
 namespace dimmlink {
 
 /**
- * One OoO-approximated host core: same op semantics as an NMP core,
- * but with host frequency/IPC, the host cache hierarchy, and
- * channel-based DRAM access.
+ * One OoO-approximated host core: the shared op-stream engine at host
+ * frequency and IPC, over the host cache hierarchy and channel-based
+ * DRAM access. The host has no rack health view, so its circuit
+ * breaker never trips.
  */
-class HostRunner::HostCore : public Clocked
+class HostRunner::HostCore : public CoreEngine
 {
   public:
     HostCore(HostRunner &owner, unsigned idx)
-        : Clocked(owner.eventq,
-                  "hostcore" + std::to_string(idx),
-                  owner.cfg.host.coreFreqMHz),
+        : CoreEngine(owner.eventq, "hostcore" + std::to_string(idx),
+                     owner.cfg.host.coreFreqMHz,
+                     Pace{owner.cfg.host.computeIpc,
+                          owner.cfg.host.computeIpc, mshrs},
+                     owner.cfg, /*host_view=*/nullptr, /*my_host=*/0,
+                     owner.registry),
           owner(owner),
-          idx(idx),
-          statInstructions(owner.registry
-                               .group(name())
-                               .scalar("instructions")),
-          statStallPs(
-              owner.registry.group(name()).scalar("stallPs")),
-          statRequests(
-              owner.registry.group(name()).scalar("requests")),
-          statGroup(owner.registry.group(name()))
+          idx(idx)
     {
     }
-
-    void
-    run(std::unique_ptr<ThreadProgram> program,
-        std::function<void()> on_done)
-    {
-        prog = std::move(program);
-        onDone = std::move(on_done);
-        haveOp = false;
-        outstanding = 0;
-        issueDebt = 0;
-        runStart = now();
-        reqStart = now();
-        state = State::Ready;
-        queue().schedule(clockEdge(), [this] { advance(); },
-                         EventPriority::Core);
-    }
-
-    bool busy() const { return state != State::Idle; }
 
   private:
-    enum class State {
-        Idle, Ready, Computing, StallMshr, Fence, Barrier, Broadcast,
-        Waiting
-    };
+    static constexpr unsigned mshrs = 16;
 
     void
-    onResponse()
+    issueRef(const MemRef &ref) override
     {
-        --outstanding;
-        if (state == State::StallMshr ||
-            (state == State::Fence && outstanding == 0)) {
-            statStallPs += static_cast<double>(now() - stallStart);
-            state = State::Ready;
-            advance();
-        }
+        owner.memAccess(ref.addr, ref.bytes, ref.isWrite, ref.cls, idx,
+                        expectResponse(/*remote=*/false));
     }
 
     void
-    issueRef(const MemRef &ref)
+    arriveBarrier(std::function<void()> release) override
     {
-        ++statInstructions;
-        ++outstanding;
-        owner.memAccess(ref.addr, ref.bytes, ref.isWrite, ref.cls,
-                        idx, [this] { onResponse(); });
+        owner.coreBarrier(std::move(release));
     }
 
     void
-    advance()
+    broadcast(Addr addr, std::uint64_t bytes,
+              EventCallback done) override
     {
-        while (state == State::Ready) {
-            if (issueDebt > 0) {
-                const auto cyc = static_cast<Cycles>(std::max(
-                    1.0, static_cast<double>(issueDebt) /
-                             owner.cfg.host.computeIpc));
-                issueDebt = 0;
-                state = State::Computing;
-                scheduleCycles(cyc,
-                               [this] {
-                                   state = State::Ready;
-                                   advance();
-                               },
-                               EventPriority::Core);
-                return;
-            }
-            if (!haveOp) {
-                op = prog->next();
-                haveOp = true;
-                refIdx = 0;
-            }
-            switch (op.kind) {
-              case Op::Kind::Compute: {
-                statInstructions +=
-                    static_cast<double>(op.instructions);
-                const auto cyc = std::max<Cycles>(
-                    1, static_cast<Cycles>(
-                           static_cast<double>(op.instructions) /
-                           owner.cfg.host.computeIpc + 0.5));
-                state = State::Computing;
-                scheduleCycles(cyc,
-                               [this] {
-                                   state = State::Ready;
-                                   haveOp = false;
-                                   advance();
-                               },
-                               EventPriority::Core);
-                return;
-              }
-              case Op::Kind::Mem:
-              // The host baseline has no reliability engine: a hedged
-              // batch runs as its primary fanout (fenced), and the
-              // replica refs are ignored. memHedged() always sets
-              // fenceAfter, so the shared path below drains it.
-              case Op::Kind::HedgedMem: {
-                while (refIdx < op.refs.size()) {
-                    if (outstanding >= mshrs) {
-                        state = State::StallMshr;
-                        stallStart = now();
-                        return;
-                    }
-                    issueRef(op.refs[refIdx]);
-                    ++refIdx;
-                    ++issueDebt;
-                }
-                if (op.fenceAfter && outstanding > 0) {
-                    state = State::Fence;
-                    stallStart = now();
-                    return;
-                }
-                haveOp = false;
-                break;
-              }
-              case Op::Kind::Barrier: {
-                if (outstanding > 0) {
-                    state = State::Fence;
-                    stallStart = now();
-                    return;
-                }
-                state = State::Barrier;
-                owner.coreBarrier([this] {
-                    state = State::Ready;
-                    haveOp = false;
-                    advance();
-                });
-                return;
-              }
-              case Op::Kind::Broadcast: {
-                if (outstanding > 0) {
-                    state = State::Fence;
-                    stallStart = now();
-                    return;
-                }
-                state = State::Broadcast;
-                owner.broadcast(op.bcastAddr, op.bcastBytes, [this] {
-                    state = State::Ready;
-                    haveOp = false;
-                    advance();
-                });
-                return;
-              }
-              case Op::Kind::ReqStart: {
-                if (!reqHist)
-                    reqHist = &statGroup.histogram(
-                        "reqLatencyPs",
-                        static_cast<double>(owner.cfg.serve.latBucketPs),
-                        owner.cfg.serve.latBuckets);
-                // Same semantics as the NMP core: open-loop arrivals
-                // are relative to runStart and start the latency
-                // clock even when they are already in the past.
-                const Tick arrival = op.tickArg == Op::reqNow
-                                         ? now()
-                                         : runStart + op.tickArg;
-                reqStart = arrival;
-                if (arrival > now()) {
-                    state = State::Waiting;
-                    queue().schedule(arrival,
-                                     [this] {
-                                         state = State::Ready;
-                                         haveOp = false;
-                                         advance();
-                                     },
-                                     EventPriority::Core);
-                    return;
-                }
-                haveOp = false;
-                break;
-              }
-              case Op::Kind::ReqEnd: {
-                if (outstanding > 0) {
-                    state = State::Fence;
-                    stallStart = now();
-                    return;
-                }
-                reqHist->sample(
-                    static_cast<double>(now() - reqStart));
-                ++statRequests;
-                haveOp = false;
-                break;
-              }
-              case Op::Kind::Done: {
-                state = State::Idle;
-                prog.reset();
-                haveOp = false;
-                auto cb = std::move(onDone);
-                onDone = nullptr;
-                if (cb)
-                    cb();
-                return;
-              }
-            }
-        }
+        owner.broadcast(addr, bytes, std::move(done));
     }
 
     HostRunner &owner;
     unsigned idx;
-    static constexpr unsigned mshrs = 16;
-
-    State state = State::Idle;
-    std::unique_ptr<ThreadProgram> prog;
-    std::function<void()> onDone;
-    Op op;
-    std::size_t refIdx = 0;
-    bool haveOp = false;
-    std::uint64_t issueDebt = 0;
-    unsigned outstanding = 0;
-    Tick stallStart = 0;
-    Tick runStart = 0;
-    Tick reqStart = 0;
-
-    stats::Scalar &statInstructions;
-    stats::Scalar &statStallPs;
-    stats::Scalar &statRequests;
-    /** Kept for the request-latency histogram, which the first
-     * ReqStart op creates (as on the NMP cores). */
-    stats::Group &statGroup;
-    stats::Histogram *reqHist = nullptr;
 };
 
 HostRunner::HostRunner(SystemConfig cfg_) : cfg(std::move(cfg_))
@@ -303,7 +110,7 @@ HostRunner::coreBarrier(std::function<void()> release)
 
 void
 HostRunner::dramLine(ChannelId ch, Addr addr, bool is_write,
-                     std::function<void()> done)
+                     EventCallback done)
 {
     // DRAM command/array timing first, then the data burst crosses
     // the shared channel.
@@ -345,7 +152,7 @@ HostRunner::drainDram(ChannelId ch)
 void
 HostRunner::memAccess(Addr addr, std::uint32_t bytes, bool is_write,
                       DataClass cls, unsigned core_idx,
-                      std::function<void()> done)
+                      EventCallback done)
 {
     const unsigned line = cfg.host.lineBytes;
     const Addr first = roundDown(addr, line);
@@ -353,8 +160,7 @@ HostRunner::memAccess(Addr addr, std::uint32_t bytes, bool is_write,
 
     auto lines = static_cast<std::size_t>((last - first) / line) + 1;
     auto remaining = std::make_shared<std::size_t>(lines);
-    auto done_sh =
-        std::make_shared<std::function<void()>>(std::move(done));
+    auto done_sh = std::make_shared<EventCallback>(std::move(done));
     auto finish_line = [remaining, done_sh] {
         if (--*remaining == 0 && *done_sh)
             (*done_sh)();
@@ -393,7 +199,7 @@ HostRunner::memAccess(Addr addr, std::uint32_t bytes, bool is_write,
 
 void
 HostRunner::broadcast(Addr addr, std::uint64_t bytes,
-                      std::function<void()> done)
+                      EventCallback done)
 {
     // A CPU "broadcast" is a memcpy into every DIMM's local copy.
     (void)addr;
@@ -424,7 +230,8 @@ HostRunner::run(workloads::Workload &wl)
     const Tick start = eventq.now();
 
     for (unsigned i = 0; i < cores.size(); ++i) {
-        cores[i]->run(wl.program(static_cast<ThreadId>(i)), [this] {
+        const auto tid = static_cast<ThreadId>(i);
+        cores[i]->run(tid, wl.program(tid), [this] {
             if (++threadsDone == cores.size())
                 allDone = true;
         });

@@ -1,9 +1,11 @@
 /**
  * @file
  * The 16-core host CPU baseline of Fig. 10: the same workload op
- * streams execute on OoO-approximated host cores with an L1 + shared
- * LLC hierarchy and shared-channel DRAM bandwidth — the denominator
- * of every speedup the paper reports.
+ * streams run on the same op-stream engine as the NMP cores
+ * (dimm/core_engine.hh), here as OoO-approximated host cores with an
+ * L1 + shared LLC hierarchy and shared-channel DRAM bandwidth — the
+ * denominator of every speedup the paper reports. Serving workloads
+ * get the same request engine, serve.* reliability knobs included.
  */
 
 #ifndef DIMMLINK_SYSTEM_HOST_RUNNER_HH
@@ -52,7 +54,7 @@ class HostRunner
     /** One real DDR4 controller per channel: host misses pay full
      * DRAM timing (bank conflicts, refresh) plus bus occupancy. */
     std::vector<std::unique_ptr<dram::DramController>> dramCtrl;
-    std::vector<std::deque<std::function<void()>>> dramPending;
+    std::vector<std::deque<EventCallback>> dramPending;
     std::unique_ptr<Cache> llc;
     std::vector<std::unique_ptr<Cache>> l1s;
     std::vector<std::unique_ptr<HostCore>> cores;
@@ -67,16 +69,12 @@ class HostRunner
 
     void coreBarrier(std::function<void()> release);
     void memAccess(Addr addr, std::uint32_t bytes, bool is_write,
-                   DataClass cls, unsigned core_idx,
-                   std::function<void()> done);
+                   DataClass cls, unsigned core_idx, EventCallback done);
     /** Line fetch through channel @p ch's DRAM controller + bus. */
     void dramLine(ChannelId ch, Addr addr, bool is_write,
-                  std::function<void()> done);
+                  EventCallback done);
     void drainDram(ChannelId ch);
-    void broadcast(Addr addr, std::uint64_t bytes,
-                   std::function<void()> done);
-
-    friend class HostCore;
+    void broadcast(Addr addr, std::uint64_t bytes, EventCallback done);
 };
 
 } // namespace dimmlink

@@ -36,11 +36,13 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
         chan_ptrs.push_back(ch.get());
     fabric_ = idc::makeFabric(eventq, cfg, chan_ptrs, registry);
 
+    relView_ = serve_rel::HostHealthView(
+        cfg.rackEnabled() ? cfg.rack.hosts : 0);
     const dram::Timing timing = cfg.dramTiming();
     for (unsigned d = 0; d < cfg.numDimms; ++d)
         dimms.push_back(std::make_unique<Dimm>(
             eventq, static_cast<DimmId>(d), cfg, timing, *gmap,
-            registry));
+            &relView_, registry));
 
     sync_ = std::make_unique<SyncManager>(eventq, cfg, fabric_.get(),
                                           registry);
@@ -56,36 +58,20 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     for (auto &dimm : dimms)
         dimm->connect(fabric_.get(), sync_.get(), gmap.get());
 
-    if (cfg.serve.relEnabled())
-        wireReliability();
+    // The cores' circuit breakers read the rack's host health.
+    if (cfg.rackEnabled())
+        fabric_->setHostAvailabilitySink(
+            [this](unsigned host, bool is_gw, bool up) {
+                if (host >= relView_.portUp.size())
+                    return;
+                (is_gw ? relView_.gwUp : relView_.portUp)[host] =
+                    up ? 1 : 0;
+            });
 
     if (cfg.obs.sampleIntervalPs > 0)
         buildSampler();
     if (cfg.watchdog.stallPs > 0)
         buildWatchdog();
-}
-
-void
-System::wireReliability()
-{
-    relParams_ = serve_rel::Params::from(cfg.serve);
-    relView_ = serve_rel::HostHealthView(
-        cfg.rackEnabled() ? cfg.rack.hosts : 0);
-    for (unsigned d = 0; d < cfg.numDimms; ++d) {
-        const DimmId id = static_cast<DimmId>(d);
-        for (unsigned c = 0; c < cfg.dimm.numCores; ++c)
-            dimms[d]->core(static_cast<CoreId>(c))
-                .setReliability(&relParams_, &relView_, cfg.hostOf(id));
-    }
-
-    if (!cfg.rackEnabled())
-        return;
-    fabric_->setHostAvailabilitySink([this](unsigned host, bool is_gw,
-                                            bool up) {
-        if (host >= relView_.portUp.size())
-            return;
-        (is_gw ? relView_.gwUp : relView_.portUp)[host] = up ? 1 : 0;
-    });
 }
 
 System::~System() = default;

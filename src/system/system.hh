@@ -91,7 +91,6 @@ class System
   private:
     void buildSampler();
     void buildWatchdog();
-    void wireReliability();
 
     Tick hostAccess(Addr global, std::uint64_t bytes, bool is_write);
 
@@ -108,10 +107,8 @@ class System
     std::unique_ptr<SyncManager> sync_;
     std::unique_ptr<obs::Sampler> sampler_;
     std::unique_ptr<Watchdog> watchdog_;
-    /** Resolved serve.* reliability knobs and the rack host-health
-     * view; the cores hold pointers into both, so they live for the
-     * System's lifetime. */
-    serve_rel::Params relParams_;
+    /** The rack host-health view; the cores hold a pointer to it, so
+     * it lives for the System's lifetime. */
     serve_rel::HostHealthView relView_;
     bool nmpMode = false;
 };

@@ -166,15 +166,14 @@ class EmbedWorkload : public Workload
         const bool rel = p.serve.relEnabled();
         const bool hedge = p.serve.hedgeAfterUs > 0;
         for (std::size_t i = 0; i < plan.reqs.size(); ++i) {
-            if (rel)
-                co_yield Op::reqStartServe(
-                    open ? plan.reqs[i].arrivalPs : Op::reqNow,
-                    plan.reqs[i].shedAfterPs,
-                    static_cast<std::int32_t>(
-                        rowDimm(plan.keys[i * pooling])));
-            else
-                co_yield open ? Op::reqStart(plan.reqs[i].arrivalPs)
-                              : Op::reqStartNow();
+            // The home DIMM is the circuit breaker's target: requests
+            // carry it only while the reliability layer is on.
+            co_yield Op::reqStartServe(
+                open ? plan.reqs[i].arrivalPs : Op::reqNow,
+                plan.reqs[i].shedAfterPs,
+                rel ? static_cast<std::int32_t>(
+                          rowDimm(plan.keys[i * pooling]))
+                    : -1);
             std::vector<MemRef> refs;
             std::vector<MemRef> hedgeRefs;
             for (unsigned k = 0; k < pooling; ++k) {

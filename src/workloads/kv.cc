@@ -159,14 +159,11 @@ class KvWorkload : public Workload
         for (std::size_t i = 0; i < plan.reqs.size(); ++i) {
             const serving::Request &req = plan.reqs[i];
             const std::uint64_t key = plan.keys[i];
-            if (rel)
-                co_yield Op::reqStartServe(
-                    open ? req.arrivalPs : Op::reqNow,
-                    req.shedAfterPs,
-                    static_cast<std::int32_t>(keyDimm(key)));
-            else
-                co_yield open ? Op::reqStart(req.arrivalPs)
-                              : Op::reqStartNow();
+            // The home DIMM is the circuit breaker's target: requests
+            // carry it only while the reliability layer is on.
+            co_yield Op::reqStartServe(
+                open ? req.arrivalPs : Op::reqNow, req.shedAfterPs,
+                rel ? static_cast<std::int32_t>(keyDimm(key)) : -1);
             // Hash the key and dispatch to the value's home.
             co_yield Op::compute(16);
             if (!req.isGet)

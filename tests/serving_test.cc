@@ -291,22 +291,41 @@ TEST(ServingDeterminism, SeedChangesTheRun)
     EXPECT_NE(a, runServing(s));
 }
 
-TEST(Serving, HostBaselineServes)
+/** Serve kv on the host baseline of @p cfg. */
+std::unique_ptr<HostRunner>
+runHostKv(const SystemConfig &cfg)
 {
-    auto cfg = SystemConfig::preset("4D-2C");
-    cfg.serve.requests = 96;
-    cfg.serve.keys = 4096;
-    HostRunner host(cfg);
+    auto host = std::make_unique<HostRunner>(cfg);
     workloads::WorkloadParams p;
     p.numThreads = cfg.host.numCores;
     p.numDimms = cfg.numDimms;
     p.serve = cfg.serve;
     dram::GlobalAddressMap gmap(cfg.numDimms, cfg.dimm.capacityBytes);
     auto wl = workloads::makeWorkload("kv", p, gmap);
-    const RunResult r = host.run(*wl);
-    EXPECT_TRUE(r.verified);
-    EXPECT_DOUBLE_EQ(host.stats().scalar("serve.requests"), 96.0);
-    EXPECT_GT(host.stats().scalar("serve.latencyP50Ps"), 0.0);
+    EXPECT_TRUE(host->run(*wl).verified);
+    return host;
+}
+
+TEST(Serving, HostBaselineServes)
+{
+    auto cfg = SystemConfig::preset("4D-2C");
+    cfg.serve.requests = 96;
+    cfg.serve.keys = 4096;
+    const auto host = runHostKv(cfg);
+    EXPECT_DOUBLE_EQ(host->stats().scalar("serve.requests"), 96.0);
+    EXPECT_GT(host->stats().scalar("serve.latencyP50Ps"), 0.0);
+}
+
+TEST(Serving, HostOpenLoopCountsArrivalWaits)
+{
+    // The host cores run the NMP cores' request engine, so an
+    // open-loop host core idling until an arrival counts the wait.
+    auto cfg = SystemConfig::preset("4D-2C");
+    cfg.serve.mode = "open";
+    cfg.serve.requests = 96;
+    cfg.serve.keys = 4096;
+    const auto host = runHostKv(cfg);
+    EXPECT_GT(host->stats().scalar("serve.reqWaitPs"), 0.0);
 }
 
 /** Forwards next() and nothing else, like a profiling wrapper. */
@@ -611,6 +630,25 @@ TEST(Reliability, DispositionsPartitionTheRunUnderPressure)
     EXPECT_GT(r.misses, 0.0);
     EXPECT_GT(r.requests, 0.0);
     EXPECT_DOUBLE_EQ(r.requests + r.misses + r.shed + r.failed, 640.0);
+}
+
+TEST(Reliability, HostBaselineHonoursTheDeadline)
+{
+    // An overdriven run on the host baseline, whose p99 without a
+    // deadline is ~0.9 us: its cores run the reliability layer too,
+    // so a 0.5 us deadline catches the tail.
+    auto cfg = relConfig();
+    cfg.serve.offeredQps = 1e9;
+    cfg.serve.requests = 640;
+    cfg.serve.deadlineUs = 0.5;
+    const auto host = runHostKv(cfg);
+    const stats::Registry &reg = host->stats();
+    const double misses = reg.scalar("serve.deadlineMisses");
+    EXPECT_GT(misses, 0.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("serve.requests") + misses +
+                         reg.scalar("serve.shedRequests") +
+                         reg.scalar("serve.failedRequests"),
+                     640.0);
 }
 
 TEST(Reliability, OverloadShedsTheQueueTail)
