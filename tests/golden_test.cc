@@ -73,6 +73,14 @@ const std::vector<std::string> stuckOverrides = {
     "faults.onExhausted=failover",
 };
 
+/** The same dead link under the drop policy: exhausted transfers
+ * complete unsent and a host-forwarded note resyncs the stream. */
+const std::vector<std::string> stuckDropOverrides = [] {
+    auto o = stuckOverrides;
+    o.back() = "faults.onExhausted=drop";
+    return o;
+}();
+
 const std::vector<Scenario> &
 scenarios()
 {
@@ -89,6 +97,7 @@ scenarios()
          {"faults.model=ber", "faults.ber=2e-5", "faults.seed=7"},
          "bfs", 6, 2},
         {"fault_stuck_failover", "4D-2C", stuckOverrides, "bfs", 6},
+        {"fault_stuck_drop", "4D-2C", stuckDropOverrides, "bfs", 6},
         {"rack_pooled", "rack_2host.json",
          {"serve.requests=1024", "serve.latBuckets=512"}, "kv"},
         {"rack_forwarded", "rack_2host.json",
