@@ -103,10 +103,12 @@ dllErrorSweep()
                 static_cast<std::uint8_t>(i & 0x3f), 64);
             tx.send(p,
                     [&](const proto::Packet &wp) {
-                        const auto wire = proto::encode(wp);
+                        auto wire = proto::encode(wp);
+                        if (rng.chance(rate))
+                            wire[wire.size() / 2] ^= 0x10;
                         std::vector<proto::Packet> out;
                         std::optional<proto::Packet> ctrl;
-                        rx.onArrive(wire, rng.chance(rate), out, ctrl);
+                        rx.onArrive(wire, out, ctrl);
                         delivered += static_cast<unsigned>(out.size());
                         if (ctrl)
                             tx.onControl(*ctrl);

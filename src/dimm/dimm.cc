@@ -15,9 +15,6 @@ Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
 
     mc = std::make_unique<LocalMc>(eq, base + ".mc", id, cfg, timing,
                                    gmap, reg);
-    dlc = std::make_unique<DlController>(
-        eq, base + ".dlc", id, cfg.link.retryTimeoutPs,
-        cfg.link.maxRetries, reg, cfg.link.retryWindow);
 
     l2 = std::make_unique<Cache>(base + ".l2", cfg.dimm.l2Bytes,
                                  cfg.dimm.l2Assoc, cfg.dimm.lineBytes,

@@ -1,8 +1,10 @@
 /**
  * @file
  * One NMP DIMM with the centralized buffer-chip architecture: NMP
- * cores with private L1s and a shared L2, the Local MC with
- * rank-parallel DRAM controllers, and the DL-Controller.
+ * cores with private L1s and a shared L2, and the Local MC with
+ * rank-parallel DRAM controllers. The DIMM's DL-Controller (its DLL
+ * retry engine) lives in idc::DlFabric, the one component that drives
+ * it.
  */
 
 #ifndef DIMMLINK_DIMM_DIMM_HH
@@ -13,7 +15,6 @@
 
 #include "common/config.hh"
 #include "dimm/cache.hh"
-#include "dimm/dl_controller.hh"
 #include "dimm/local_mc.hh"
 #include "dimm/nmp_core.hh"
 
@@ -38,7 +39,6 @@ class Dimm
         return static_cast<unsigned>(cores.size());
     }
     LocalMc &localMc() { return *mc; }
-    DlController &dlController() { return *dlc; }
     Cache &l2Cache() { return *l2; }
 
     /** Wire every core + the MC to the IDC fabric and sync/broadcast
@@ -56,7 +56,6 @@ class Dimm
   private:
     DimmId id_;
     std::unique_ptr<LocalMc> mc;
-    std::unique_ptr<DlController> dlc;
     std::vector<std::unique_ptr<Cache>> l1s;
     std::unique_ptr<Cache> l2;
     std::vector<std::unique_ptr<NmpCore>> cores;

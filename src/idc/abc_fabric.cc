@@ -3,90 +3,18 @@
 namespace dimmlink {
 namespace idc {
 
-namespace {
-
-std::vector<DimmId>
-allDimms(const SystemConfig &cfg)
-{
-    std::vector<DimmId> v(cfg.numDimms);
-    for (unsigned i = 0; i < cfg.numDimms; ++i)
-        v[i] = static_cast<DimmId>(i);
-    return v;
-}
-
-} // namespace
-
 AbcFabric::AbcFabric(EventQueue &eq, const SystemConfig &cfg_,
                      std::vector<host::Channel *> channels_,
                      stats::Registry &reg)
-    : Fabric(eq, cfg_, reg, "fabric.abc"),
-      channels(channels_),
-      path(eq, cfg_, channels_, allDimms(cfg_), reg),
+    : McnFabric(eq, cfg_, std::move(channels_), reg, "fabric.abc"),
       statChannelBroadcasts(
           reg.group("fabric.abc").scalar("channelBroadcasts"))
 {
 }
 
 void
-AbcFabric::submit(Transaction t)
-{
-    ++statTransactions;
-    const Tick started = eventq.now();
-    path.request(t.src, [this, t = std::move(t), started]() mutable {
-        execute(std::move(t), started);
-    });
-}
-
-void
-AbcFabric::execute(Transaction t, Tick started)
-{
-    const DimmId src = t.src;
-    const DimmId dst = t.dst;
-    const Addr addr = t.addr;
-    const std::uint32_t bytes = t.bytes;
-    EventCallback finish = [this, cb = std::move(t.onComplete),
-                            started]() mutable {
-        statLatencyPs.sample(
-            static_cast<double>(eventq.now() - started));
-        if (cb)
-            cb();
-    };
-
-    switch (t.type) {
-      case Transaction::Type::RemoteRead:
-        // P2P cannot use the broadcast bus: plain CPU forwarding.
-        statBytesViaHost += bytes;
-        memAccess(dst, addr, bytes, /*is_write=*/false,
-                  [this, src, dst, bytes,
-                   finish = std::move(finish)]() mutable {
-                      path.forwarder().copy(dst, src, bytes,
-                                            std::move(finish));
-                  });
-        break;
-      case Transaction::Type::RemoteWrite:
-        statBytesViaHost += bytes;
-        path.forwarder().copy(
-            src, dst, bytes,
-            [this, dst, addr, bytes,
-             finish = std::move(finish)]() mutable {
-                memAccess(dst, addr, bytes, /*is_write=*/true,
-                          std::move(finish));
-            });
-        break;
-      case Transaction::Type::Broadcast:
-        ++statBroadcasts;
-        executeBroadcast(src, addr, bytes, std::move(finish));
-        break;
-      case Transaction::Type::SyncMessage:
-        statBytesViaHost += bytes;
-        path.forwarder().copy(src, dst, bytes, std::move(finish));
-        break;
-    }
-}
-
-void
-AbcFabric::executeBroadcast(DimmId src, Addr addr, std::uint32_t bytes,
-                            EventCallback finish)
+AbcFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
+                     EventCallback finish)
 {
     memAccess(
         src, addr, bytes, /*is_write=*/false,

@@ -4,38 +4,30 @@
  * 3). The host issues customized broadcast-read/-write commands on the
  * multi-drop bus of one channel, reaching every DIMM in that channel
  * with a single occupancy; traffic crossing channels and all P2P
- * transactions fall back to CPU forwarding.
+ * transactions fall back to CPU forwarding exactly as under MCN, so
+ * the fabric is McnFabric with its own broadcast.
  */
 
 #ifndef DIMMLINK_IDC_ABC_FABRIC_HH
 #define DIMMLINK_IDC_ABC_FABRIC_HH
 
-#include <vector>
-
-#include "idc/fabric.hh"
+#include "idc/mcn_fabric.hh"
 
 namespace dimmlink {
 namespace idc {
 
-class AbcFabric : public Fabric
+class AbcFabric : public McnFabric
 {
   public:
     AbcFabric(EventQueue &eq, const SystemConfig &cfg,
               std::vector<host::Channel *> channels,
               stats::Registry &reg);
 
-    void submit(Transaction t) override;
-    void enterNmpMode() override { path.start(); }
-    void exitNmpMode() override { path.stop(); }
+  protected:
+    void broadcast(DimmId src, Addr addr, std::uint32_t bytes,
+                   EventCallback finish) override;
 
   private:
-    void execute(Transaction t, Tick started);
-    void executeBroadcast(DimmId src, Addr addr, std::uint32_t bytes,
-                          EventCallback finish);
-
-    std::vector<host::Channel *> channels;
-    CpuForwardPath path;
-
     stats::Scalar &statChannelBroadcasts;
 };
 

@@ -125,16 +125,10 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
             exhaustPolicy = ExhaustPolicy::Panic;
         else
             exhaustPolicy = ExhaustPolicy::Failover;
-        const auto sender_fb = exhaustPolicy == ExhaustPolicy::Panic
-                                   ? proto::ExhaustFallback::Panic
-                                   : proto::ExhaustFallback::Drop;
-        for (unsigned d = 0; d < cfg.numDimms; ++d) {
-            dllCtl.push_back(std::make_unique<DlController>(
-                eventq, "fabric.dl.dllc" + std::to_string(d),
-                static_cast<DimmId>(d), cfg.link.retryTimeoutPs,
-                cfg.link.maxRetries, reg, cfg.link.retryWindow,
-                sender_fb));
-        }
+        for (unsigned d = 0; d < cfg.numDimms; ++d)
+            dllCtl.push_back(std::make_unique<DllCtl>(
+                eventq, cfg.link,
+                reg.group("fabric.dl.dllc" + std::to_string(d))));
         // One health tracker per group, probing over the physical
         // links and feeding route recomputation on down/up edges.
         for (unsigned g = 0; g < groups; ++g) {
@@ -170,6 +164,16 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
 }
 
 DlFabric::~DlFabric() = default;
+
+DlFabric::DllCtl::DllCtl(EventQueue &eq, const LinkConfig &link,
+                         stats::Group &g)
+    : sender(eq, link.retryTimeoutPs, link.maxRetries, g,
+             link.retryWindow),
+      receiver(g, link.retryWindow),
+      packetized(g.scalar("packetized")),
+      decoded(g.scalar("decoded"))
+{
+}
 
 void
 DlFabric::setHostAvailabilitySink(HostAvailabilitySink s)
@@ -377,7 +381,7 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
             pkt.dst = static_cast<std::uint8_t>(d);
             pkt.cmd = c > 0 ? proto::DlCommand::WriteReq
                             : proto::DlCommand::ReadReq;
-            pkt.tag = dllCtl[s]->allocTag();
+            pkt.tag = proto::allocTag(dllCtl[s]->nextTag);
             pkt.payload.assign(static_cast<std::size_t>(c), 0);
             ++statPacketsLink;
             statBytesViaLink +=
@@ -482,11 +486,14 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
     rec->s = s;
     rec->d = d;
     rec->payload = pkt.payload.size();
-    dllCtl[s]->sendReliable(
+    DllCtl &c = *dllCtl[s];
+    ++c.packetized;
+    // Every exhaustion reaches dllFailed, which applies
+    // faults.onExhausted; the sender's fail-stop never runs.
+    c.sender.send(
         std::move(pkt),
-        [this, rec](const proto::Packet &p,
-                    std::vector<std::uint8_t> wire) {
-            dllTransmit(rec, p, std::move(wire));
+        [this, rec](const proto::Packet &p) {
+            dllTransmit(rec, p, proto::encode(p));
         },
         /*on_acked=*/[this, rec] { dllAcked(rec); },
         /*on_failed=*/[this, rec] { dllFailed(rec); });
@@ -568,7 +575,7 @@ DlFabric::wireEjected(WireRec *rec)
                 ++statDllCtrlDropped;
                 return;
             }
-            dllCtl[d]->onControlArrive(c);
+            dllCtl[d]->sender.onControl(c);
         },
         EventPriority::Control);
 }
@@ -689,17 +696,27 @@ DlFabric::completeDllDelivery(const proto::Packet &p)
 void
 DlFabric::dllReceive(DimmId d, const std::vector<std::uint8_t> &wire)
 {
-    dllCtl[d]->onWireArrive(
-        wire, /*corrupted=*/false,
-        [this, d](const proto::Packet &ctrl) {
-            sendDllControl(d, ctrl);
-        },
-        [this](proto::Packet p) { completeDllDelivery(p); },
-        // A behind-window arrival is normally a filtered duplicate,
-        // but after a stream resync it can be the only copy of a
-        // sequence the skip jumped over while it was still in
-        // flight: claim its completion if it is still waiting.
-        [this](proto::Packet p) { completeDllDelivery(p); });
+    DllCtl &c = *dllCtl[d];
+    // Borrow the spare list rather than allocate one per arrival; a
+    // re-entrant call would find it moved out and allocate its own.
+    std::vector<proto::Packet> ready = std::move(dllReadySpare);
+    ready.clear();
+    std::vector<proto::Packet> stale;
+    std::optional<proto::Packet> ctrl;
+    c.receiver.onArrive(wire, ready, ctrl, &stale);
+    if (ctrl)
+        sendDllControl(d, *ctrl);
+    for (const proto::Packet &p : ready) {
+        ++c.decoded;
+        completeDllDelivery(p);
+    }
+    // A behind-window arrival is normally a filtered duplicate, but
+    // after a stream resync it can be the only copy of a sequence the
+    // skip jumped over while it was still in flight: claim its
+    // completion if it is still waiting.
+    for (const proto::Packet &p : stale)
+        completeDllDelivery(p);
+    dllReadySpare = std::move(ready);
 }
 
 void
@@ -712,9 +729,13 @@ DlFabric::dllStreamResync(DimmId s, DimmId d, std::uint16_t seq)
     // the host-delivered DLL header and advances its reorder stream
     // past the permanent gap; held packets the skip releases complete
     // like normal in-order deliveries.
-    dllCtl[d]->skipReceive(
-        static_cast<std::uint8_t>(s), seq,
-        [this](proto::Packet p) { completeDllDelivery(p); });
+    DllCtl &c = *dllCtl[d];
+    std::vector<proto::Packet> ready;
+    c.receiver.skipTo(static_cast<std::uint8_t>(s), seq, ready);
+    for (const proto::Packet &p : ready) {
+        ++c.decoded;
+        completeDllDelivery(p);
+    }
 }
 
 void
@@ -1073,12 +1094,14 @@ DlFabric::debugDump()
     }
     for (std::size_t d = 0; d < dllCtl.size(); ++d) {
         const auto &c = *dllCtl[d];
-        if (c.retryInFlight() == 0 && c.retryQueued() == 0 &&
-            c.receiverBuffered() == 0)
+        const std::size_t in_flight = c.sender.inFlight();
+        const std::size_t queued = c.sender.queued();
+        const std::size_t buffered = c.receiver.bufferedPackets();
+        if (in_flight == 0 && queued == 0 && buffered == 0)
             continue;
-        os << "  dllc" << d << ": retryInFlight=" << c.retryInFlight()
-           << " retryQueued=" << c.retryQueued()
-           << " receiverBuffered=" << c.receiverBuffered() << "\n";
+        os << "  dllc" << d << ": retryInFlight=" << in_flight
+           << " retryQueued=" << queued
+           << " receiverBuffered=" << buffered << "\n";
     }
     for (std::size_t g = 0; g < health.size(); ++g) {
         if (health[g]->numSuspectOrDown() == 0)

@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "common/ring.hh"
-#include "dimm/dl_controller.hh"
 #include "fault/link_health.hh"
 #include "idc/fabric.hh"
 #include "noc/network.hh"
 #include "proto/codec.hh"
+#include "proto/dll.hh"
 #include "sim/record_pool.hh"
 
 namespace dimmlink {
@@ -55,7 +55,7 @@ class DlFabric : public Fabric
     {
         std::size_t n = 0;
         for (const auto &c : dllCtl)
-            n += c->retryInFlight();
+            n += c->sender.inFlight();
         return n;
     }
 
@@ -259,8 +259,24 @@ class DlFabric : public Fabric
     bool dllPath = false;
     /** Parsed from cfg.faults.onExhausted. */
     ExhaustPolicy exhaustPolicy = ExhaustPolicy::Failover;
-    /** The fabric's per-DIMM DL-Controllers, indexed by global id. */
-    std::vector<std::unique_ptr<DlController>> dllCtl;
+    /**
+     * One DIMM's DL-Controller (Fig. 6): the DLL retry sender and
+     * receiver, the NW-interface packet counters and the 6-bit TAG
+     * counter. Its stats live under fabric.dl.dllcN.
+     */
+    struct DllCtl
+    {
+        DllCtl(EventQueue &eq, const LinkConfig &link, stats::Group &g);
+
+        proto::RetrySender sender;
+        proto::RetryReceiver receiver;
+        stats::Scalar &packetized;
+        stats::Scalar &decoded;
+        std::uint8_t nextTag = 0;
+    };
+    /** Per-DIMM DL-Controllers, indexed by global id (empty unless
+     * @ref dllPath). */
+    std::vector<std::unique_ptr<DllCtl>> dllCtl;
     /** Per-group link health trackers (empty with faults off). */
     std::vector<std::unique_ptr<fault::LinkHealth>> health;
     /** In-flight transfer completions, keyed by (SRC, DST, sequence)
@@ -269,6 +285,8 @@ class DlFabric : public Fabric
      * on permanent failure, whichever comes first. */
     using DllKey = std::tuple<std::uint8_t, std::uint8_t, std::uint16_t>;
     std::map<DllKey, EventCallback> dllWaiting;
+    /** dllReceive's delivery list, kept for its capacity. */
+    std::vector<proto::Packet> dllReadySpare;
 
     /**
      * One reliable DLL packet, shared by the [this, rec] transmit,

@@ -21,8 +21,8 @@ allDimms(const SystemConfig &cfg)
 
 McnFabric::McnFabric(EventQueue &eq, const SystemConfig &cfg_,
                      std::vector<host::Channel *> channels_,
-                     stats::Registry &reg)
-    : Fabric(eq, cfg_, reg, "fabric.mcn"),
+                     stats::Registry &reg, std::string name)
+    : Fabric(eq, cfg_, reg, std::move(name)),
       channels(channels_),
       path(eq, cfg_, channels_, allDimms(cfg_), reg)
 {
@@ -78,36 +78,39 @@ McnFabric::execute(Transaction t, Tick started)
             });
         break;
       }
-      case Transaction::Type::Broadcast: {
-        // MCN-BC: the host replays the payload to every other DIMM,
-        // point-to-point (no hardware broadcast support).
+      case Transaction::Type::Broadcast:
         ++statBroadcasts;
-        memAccess(
-            src, addr, bytes, /*is_write=*/false,
-            [this, src, bytes, finish = std::move(finish)]() mutable {
-                if (cfg.numDimms < 2) {
-                    finish();
-                    return;
-                }
-                auto *cd = countdowns.start(cfg.numDimms - 1,
-                                            std::move(finish));
-                for (DimmId d = 0; d < cfg.numDimms; ++d) {
-                    if (d == src)
-                        continue;
-                    statBytesViaHost += bytes;
-                    path.forwarder().copy(
-                        src, d, bytes,
-                        [this, cd] { countdowns.land(cd); });
-                }
-            });
+        broadcast(src, addr, bytes, std::move(finish));
         break;
-      }
       case Transaction::Type::SyncMessage: {
         statBytesViaHost += bytes;
         path.forwarder().copy(src, dst, bytes, std::move(finish));
         break;
       }
     }
+}
+
+void
+McnFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
+                     EventCallback finish)
+{
+    memAccess(
+        src, addr, bytes, /*is_write=*/false,
+        [this, src, bytes, finish = std::move(finish)]() mutable {
+            if (cfg.numDimms < 2) {
+                finish();
+                return;
+            }
+            auto *cd = countdowns.start(cfg.numDimms - 1,
+                                        std::move(finish));
+            for (DimmId d = 0; d < cfg.numDimms; ++d) {
+                if (d == src)
+                    continue;
+                statBytesViaHost += bytes;
+                path.forwarder().copy(src, d, bytes,
+                                      [this, cd] { countdowns.land(cd); });
+            }
+        });
 }
 
 namespace {

@@ -49,12 +49,11 @@ makeNack(const std::vector<std::uint8_t> &image)
 
 RetrySender::RetrySender(EventQueue &eq, Tick timeout_ps,
                          unsigned max_retries, stats::Group &sg,
-                         unsigned window, ExhaustFallback fallback)
+                         unsigned window)
     : eventq(eq),
       timeout(timeout_ps),
       maxRetries(max_retries),
       window_(window),
-      fallback_(fallback),
       statSent(sg.scalar("dllSent")),
       statAcked(sg.scalar("dllAcked")),
       statRetries(sg.scalar("dllRetries")),
@@ -186,16 +185,10 @@ RetrySender::retransmit(std::uint8_t dst, std::uint16_t seq)
         ++statFailures;
         auto failed = std::move(e.onFailed);
         finish(st, it);
-        if (failed)
-            failed();
-        else if (fallback_ == ExhaustFallback::Panic)
+        if (!failed)
             panic("DL link failed permanently after %u retries",
                   maxRetries);
-        else
-            warnRateLimited(
-                "dll-exhausted", 256,
-                "DLL transfer to DIMM %u dropped after %u retries",
-                static_cast<unsigned>(dst), maxRetries);
+        failed();
         return;
     }
     ++e.tries;
@@ -254,18 +247,14 @@ RetryReceiver::RetryReceiver(stats::Group &sg, unsigned window)
 
 void
 RetryReceiver::onArrive(const std::vector<std::uint8_t> &wire,
-                        bool corrupted, std::vector<Packet> &deliver,
+                        std::vector<Packet> &deliver,
                         std::optional<Packet> &ack,
                         std::vector<Packet> *stale)
 {
-    std::vector<std::uint8_t> image = wire;
-    if (corrupted && !image.empty())
-        image[image.size() / 2] ^= 0x10;
-
     Packet pkt;
-    if (!decode(image, pkt)) {
+    if (!decode(wire, pkt)) {
         ++statCorrupt;
-        ack = makeNack(image);
+        ack = makeNack(wire);
         return;
     }
     ++statValid;

@@ -36,15 +36,6 @@ namespace dimmlink {
 namespace proto {
 
 /**
- * What a RetrySender does when a send exhausts its retry budget and
- * the caller supplied no on_failed handler. Panic preserves the
- * historical fail-stop behavior; Drop logs a rate-limited warning and
- * discards the transfer, for callers (the DL fabric) that recover at
- * a higher layer.
- */
-enum class ExhaustFallback { Panic, Drop };
-
-/**
  * Sender-side retry state for one DIMM's DL-Controller. Sequence
  * numbers live in the low 16 bits of the DLL field.
  */
@@ -61,14 +52,14 @@ class RetrySender
     static constexpr unsigned maxWindow = 8192;
 
     RetrySender(EventQueue &eq, Tick timeout_ps, unsigned max_retries,
-                stats::Group &sg, unsigned window = defaultWindow,
-                ExhaustFallback fallback = ExhaustFallback::Panic);
+                stats::Group &sg, unsigned window = defaultWindow);
 
     /**
      * Send @p pkt reliably. @p transmit is called immediately (or as
      * soon as the send window opens) and again on every retry;
      * @p on_acked fires when the ACK arrives; @p on_failed fires after
-     * the retry budget is exhausted.
+     * the retry budget is exhausted. Without @p on_failed an exhausted
+     * budget is fail-stop: the simulation panics.
      */
     void send(Packet pkt, TransmitFn transmit,
               std::function<void()> on_acked,
@@ -132,7 +123,6 @@ class RetrySender
     Tick timeout;
     unsigned maxRetries;
     unsigned window_;
-    ExhaustFallback fallback_;
     /** Per-destination streams, keyed by the packet's DST field. */
     std::map<std::uint8_t, Stream> streams;
 
@@ -147,11 +137,11 @@ class RetrySender
 };
 
 /**
- * Receiver-side helper: validates the wire image (optionally through
- * an injected corruption), builds the matching ACK/NACK, filters
- * duplicate deliveries caused by retransmitted packets whose original
- * ACK was lost, and reorders out-of-sequence arrivals so the upward
- * delivery is exactly-once and in-order per source.
+ * Receiver-side helper: validates the wire image, builds the matching
+ * ACK/NACK, filters duplicate deliveries caused by retransmitted
+ * packets whose original ACK was lost, and reorders out-of-sequence
+ * arrivals so the upward delivery is exactly-once and in-order per
+ * source.
  */
 class RetryReceiver
 {
@@ -161,7 +151,6 @@ class RetryReceiver
 
     /**
      * Process an arriving transaction packet's wire image.
-     * @param corrupted inject a bit flip before validation (tests).
      * @param deliver appended with every packet that became
      *        deliverable, in sequence order (a gap fill can release
      *        several held packets at once).
@@ -169,7 +158,7 @@ class RetryReceiver
      *        empty when the image is too damaged to even NACK (the
      *        sender's timeout is the backstop then).
      */
-    void onArrive(const std::vector<std::uint8_t> &wire, bool corrupted,
+    void onArrive(const std::vector<std::uint8_t> &wire,
                   std::vector<Packet> &deliver,
                   std::optional<Packet> &ack,
                   std::vector<Packet> *stale = nullptr);

@@ -52,6 +52,17 @@ struct HeaderLayout
                   lenBits == 64);
 };
 
+/** Hand out the TAG @p next holds and advance it through the 6-bit
+ * TAG space, wrapping to 0 (the TAGs a DL-Controller recycles). */
+inline std::uint8_t
+allocTag(std::uint8_t &next)
+{
+    const std::uint8_t tag = next;
+    next = static_cast<std::uint8_t>((next + 1) &
+                                     ((1u << HeaderLayout::tagBits) - 1));
+    return tag;
+}
+
 /** Geometry constants. */
 constexpr unsigned flitBytes = 16;     ///< 128-bit flits.
 constexpr unsigned maxPayloadBytes = 256;

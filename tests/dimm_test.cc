@@ -1,13 +1,11 @@
-/** @file DIMM-module tests: the Local MC path, the NMP core's op
- * execution (MSHRs, fences, stall attribution), and the
- * DL-Controller's functional packet path. */
+/** @file DIMM-module tests: the Local MC path and the NMP core's op
+ * execution (MSHRs, fences, stall attribution). */
 
 #include <gtest/gtest.h>
 
 #include <deque>
 
 #include "common/config.hh"
-#include "dimm/dl_controller.hh"
 #include "system/system.hh"
 #include "workloads/op_stream.hh"
 
@@ -193,77 +191,6 @@ TEST_F(DimmFixture, FlushAfterKernel)
                         true)});
     // exitNmpMode() flushed the caches.
     EXPECT_FALSE(sys->dimm(0).l2Cache().probe(4096));
-}
-
-TEST(DlControllerTest, TagsRecycleThroughSixBits)
-{
-    EventQueue eq;
-    stats::Registry reg;
-    DlController dlc(eq, "dlc", 0, 1000, 3, reg);
-    for (unsigned i = 0; i < 64; ++i)
-        EXPECT_EQ(dlc.allocTag(), i);
-    EXPECT_EQ(dlc.allocTag(), 0u); // wrapped
-}
-
-TEST(DlControllerTest, PacketBufferFifo)
-{
-    EventQueue eq;
-    stats::Registry reg;
-    DlController dlc(eq, "dlc", 0, 1000, 3, reg);
-    EXPECT_FALSE(dlc.popPacket().has_value());
-    dlc.pushPacket({1, 2, 3});
-    dlc.pushPacket({4, 5});
-    EXPECT_EQ(dlc.packetBufferDepth(), 2u);
-    auto a = dlc.popPacket();
-    ASSERT_TRUE(a.has_value());
-    EXPECT_EQ(a->size(), 3u);
-    auto b = dlc.popPacket();
-    ASSERT_TRUE(b.has_value());
-    EXPECT_EQ(b->size(), 2u);
-    EXPECT_FALSE(dlc.popPacket().has_value());
-}
-
-TEST(DlControllerTest, PollingRegisters)
-{
-    EventQueue eq;
-    stats::Registry reg;
-    DlController dlc(eq, "dlc", 0, 1000, 3, reg);
-    EXPECT_EQ(dlc.pollingCount(), 0u);
-    dlc.raiseForward();
-    dlc.raiseForward();
-    EXPECT_EQ(dlc.pollingCount(), 2u);
-    EXPECT_EQ(dlc.pollClear(), 2u);
-    EXPECT_EQ(dlc.pollingCount(), 0u);
-}
-
-TEST(DlControllerTest, ReliablePathEndToEnd)
-{
-    EventQueue eq;
-    stats::Registry reg;
-    DlController tx(eq, "tx", 0, 1000, 3, reg);
-    DlController rx(eq, "rx", 1, 1000, 3, reg);
-
-    proto::Packet delivered;
-    bool got = false, acked = false;
-    tx.sendReliable(
-        proto::Codec::makeWriteReq(0, 1, 0x123, tx.allocTag(), 32),
-        [&](const proto::Packet &, std::vector<std::uint8_t> wire) {
-            rx.onWireArrive(
-                wire, /*corrupted=*/false,
-                [&](const proto::Packet &ctrl) {
-                    tx.onControlArrive(ctrl);
-                },
-                [&](proto::Packet p) {
-                    delivered = std::move(p);
-                    got = true;
-                });
-        },
-        [&] { acked = true; });
-    eq.run();
-    EXPECT_TRUE(got);
-    EXPECT_TRUE(acked);
-    EXPECT_EQ(delivered.addr, 0x123u);
-    EXPECT_EQ(delivered.cmd, proto::DlCommand::WriteReq);
 }
 
 } // namespace

@@ -15,7 +15,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/stats_json.hh"
-#include "dimm/dl_controller.hh"
 #include "fault/fault_model.hh"
 #include "proto/codec.hh"
 #include "proto/dll.hh"
@@ -162,7 +161,7 @@ TEST(DllNack, NackReadsSequenceBehindThePayload)
 
     std::vector<Packet> out;
     std::optional<Packet> ctrl;
-    rx.onArrive(wire, false, out, ctrl);
+    rx.onArrive(wire, out, ctrl);
     EXPECT_TRUE(out.empty());
     ASSERT_TRUE(ctrl.has_value());
     EXPECT_EQ(ctrl->cmd, DlCommand::DllNack);
@@ -186,7 +185,7 @@ TEST(DllNack, UnreadableLenProducesNoNackAndTimeoutRecovers)
 
     std::vector<Packet> out;
     std::optional<Packet> ctrl;
-    rx.onArrive(wire, false, out, ctrl);
+    rx.onArrive(wire, out, ctrl);
     EXPECT_TRUE(out.empty());
     EXPECT_FALSE(ctrl.has_value());
     EXPECT_DOUBLE_EQ(reg.scalar("rx.dllCorrupt"), 1.0);
@@ -203,7 +202,7 @@ TEST(DllNack, UnreadableLenProducesNoNackAndTimeoutRecovers)
                     w[7] ^= 0x80; // first copy arrives unreadable
                 std::vector<Packet> o;
                 std::optional<Packet> c;
-                rx.onArrive(w, false, o, c);
+                rx.onArrive(w, o, c);
                 if (c)
                     tx.onControl(*c);
             },
@@ -309,7 +308,7 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
         const auto wire = proto::encode(p);
         std::vector<Packet> out;
         std::optional<Packet> ctrl;
-        rx.onArrive(wire, false, out, ctrl);
+        rx.onArrive(wire, out, ctrl);
         for (const Packet &q : out) {
             std::uint32_t idx = 0;
             std::memcpy(&idx, q.payload.data(), 4);
@@ -360,9 +359,9 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
 {
     EventQueue eq;
     stats::Registry reg;
-    DlController txc(eq, "txc", 0, /*timeout=*/3000, /*retries=*/64,
-                     reg);
-    DlController rxc(eq, "rxc", 1, 3000, 64, reg);
+    proto::RetrySender txc(eq, /*timeout=*/3000, /*retries=*/64,
+                           reg.group("txc"));
+    proto::RetryReceiver rxc(reg.group("rxc"));
     Rng rng(GetParam());
 
     constexpr std::uint32_t total = 1500;
@@ -374,18 +373,25 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
             if (rng.chance(0.05))
                 return; // ACK/NACK lost
             eq.scheduleIn(1 + rng.below(400),
-                          [&, ctrl] { txc.onControlArrive(ctrl); },
+                          [&, ctrl] { txc.onControl(ctrl); },
                           EventPriority::Delivery);
         };
-    auto deliver = [&](Packet q) {
-        std::uint32_t idx = 0;
-        std::memcpy(&idx, q.payload.data(), 4);
-        EXPECT_EQ(idx, next_expected);
-        ++next_expected;
-        ++delivered;
+    auto arrive = [&](const std::vector<std::uint8_t> &wire) {
+        std::vector<Packet> ready;
+        std::optional<Packet> ctrl;
+        rxc.onArrive(wire, ready, ctrl);
+        if (ctrl)
+            send_control(*ctrl);
+        for (const Packet &q : ready) {
+            std::uint32_t idx = 0;
+            std::memcpy(&idx, q.payload.data(), 4);
+            EXPECT_EQ(idx, next_expected);
+            ++next_expected;
+            ++delivered;
+        }
     };
-    auto transmit = [&](const Packet &,
-                        std::vector<std::uint8_t> wire) {
+    auto transmit = [&](const Packet &p) {
+        const auto wire = proto::encode(p);
         const double fate = rng.real();
         if (fate < 0.10)
             return; // dropped in flight
@@ -397,27 +403,26 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
                     1u << rng.below(8));
             eq.scheduleIn(
                 1 + rng.below(400),
-                [&, w = std::move(w)] {
-                    rxc.onWireArrive(w, false, send_control, deliver);
-                },
+                [&, w = std::move(w)] { arrive(w); },
                 EventPriority::Delivery);
         }
     };
 
+    std::uint8_t tag = 0;
     for (std::uint32_t i = 0; i < total; ++i) {
         Packet p = proto::Codec::makeWriteReq(
-            0, 1, (i * 64) & 0xffffff, txc.allocTag(), 4);
+            0, 1, (i * 64) & 0xffffff, proto::allocTag(tag), 4);
         std::memcpy(p.payload.data(), &i, 4);
-        txc.sendReliable(p, transmit, nullptr,
-                         [] { FAIL() << "retry budget exhausted"; });
+        txc.send(p, transmit, nullptr,
+                 [] { FAIL() << "retry budget exhausted"; });
     }
     eq.run();
 
     EXPECT_EQ(delivered, total);
     EXPECT_EQ(next_expected, total);
-    EXPECT_EQ(txc.retryInFlight(), 0u);
-    EXPECT_EQ(txc.retryQueued(), 0u);
-    EXPECT_EQ(rxc.receiverBuffered(), 0u);
+    EXPECT_EQ(txc.inFlight(), 0u);
+    EXPECT_EQ(txc.queued(), 0u);
+    EXPECT_EQ(rxc.bufferedPackets(), 0u);
     EXPECT_DOUBLE_EQ(reg.scalar("txc.dllFailures"), 0.0);
     // The schedule above guarantees losses, so recovery really ran.
     EXPECT_GT(reg.scalar("txc.dllRetries"), 0.0);

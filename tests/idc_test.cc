@@ -20,11 +20,14 @@ class FabricFixture
 {
   public:
     FabricFixture(IdcMethod method, const std::string &preset,
-                  PollingMode polling = PollingMode::Proxy)
+                  PollingMode polling = PollingMode::Proxy,
+                  const std::vector<std::string> &overrides = {})
     {
         cfg = SystemConfig::preset(preset);
         cfg.idcMethod = method;
         cfg.pollingMode = polling;
+        for (const std::string &o : overrides)
+            cfg.applyOverride(o);
         for (unsigned c = 0; c < cfg.numChannels; ++c) {
             const std::string n = "host.channel" + std::to_string(c);
             channels.push_back(std::make_unique<host::Channel>(
@@ -206,6 +209,25 @@ TEST(DlFabricTest, DistanceReflectsHopsAndGroups)
     EXPECT_DOUBLE_EQ(fab.distance(0, 3), 3.0);
     // Crossing groups costs far more than any intra-group path.
     EXPECT_GT(fab.distance(0, 4), fab.distance(0, 3) * 3);
+}
+
+TEST(DlFabricTest, ReliablePathEndToEnd)
+{
+    // A fault model puts intra-group data on the DLL transport: the
+    // source DIMM's DL-Controller packetizes and sends under retry,
+    // the destination's CRC-checks, ACKs and decodes.
+    FabricFixture f(IdcMethod::DimmLink, "4D-2C", PollingMode::Proxy,
+                    {"faults.model=ber", "faults.ber=1e-12"});
+    f.complete(makeTxn(Transaction::Type::RemoteWrite, 0, 1, 32));
+    while (f.fabric->dllInFlight() > 0 && f.eq.step()) {
+    }
+    EXPECT_EQ(f.fabric->dllInFlight(), 0u);
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc0.packetized"), 1.0);
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc0.dllAcked"), 1.0);
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc0.dllRetries"), 0.0);
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc1.dllValid"), 1.0);
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc1.decoded"), 1.0);
+    EXPECT_EQ(f.memAccesses, 1u);
 }
 
 TEST(DlFabricTest, WireBytesIncludeHeaderPerPacket)

@@ -134,6 +134,14 @@ TEST(Packet, DecodeRejectsBadSizes)
     EXPECT_FALSE(decode(cut, q));
 }
 
+TEST(Packet, TagsRecycleThroughSixBits)
+{
+    std::uint8_t next = 0;
+    for (unsigned i = 0; i < 64; ++i)
+        EXPECT_EQ(allocTag(next), i);
+    EXPECT_EQ(allocTag(next), 0u); // wrapped
+}
+
 TEST(Codec, Segmentation)
 {
     EXPECT_EQ(Codec::segment(0).size(), 1u);
@@ -173,12 +181,13 @@ class DllFixture : public ::testing::Test
     transportTo(const Packet &p, unsigned &arrivals,
                 unsigned corrupt_count, unsigned &delivered)
     {
-        const auto wire = encode(p);
-        const bool corrupted = arrivals < corrupt_count;
+        auto wire = encode(p);
+        if (arrivals < corrupt_count)
+            wire[wire.size() / 2] ^= 0x10;
         ++arrivals;
         std::vector<Packet> out;
         std::optional<Packet> ctrl;
-        receiver.onArrive(wire, corrupted, out, ctrl);
+        receiver.onArrive(wire, out, ctrl);
         delivered += static_cast<unsigned>(out.size());
         if (ctrl)
             sender.onControl(*ctrl);
@@ -255,7 +264,7 @@ TEST_F(DllFixture, DuplicateDeliveryIsFiltered)
                     const auto wire = encode(wp);
                     std::vector<Packet> out;
                     std::optional<Packet> ctrl;
-                    receiver.onArrive(wire, false, out, ctrl);
+                    receiver.onArrive(wire, out, ctrl);
                     delivered += static_cast<unsigned>(out.size());
                     if (!first_ack_dropped) {
                         first_ack_dropped = true; // lose the ACK

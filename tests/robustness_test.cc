@@ -18,7 +18,6 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/stats_json.hh"
-#include "dimm/dl_controller.hh"
 #include "fault/link_health.hh"
 #include "idc/dl_fabric.hh"
 #include "noc/topology.hh"
@@ -304,27 +303,26 @@ TEST(WarnRateLimit, CountsEveryCallAndKeysAreIndependent)
 }
 
 // ---------------------------------------------------------------------
-// Exhaustion fallback policies on the retry sender.
+// Retry exhaustion on the sender: on_failed, or fail-stop without it.
 // ---------------------------------------------------------------------
 
-TEST(ExhaustFallback, DropWarnsAndReleasesTheWindow)
+TEST(ExhaustFallback, OnFailedRunsAndReleasesTheWindow)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8,
-                              proto::ExhaustFallback::Drop);
-    resetWarnCounts();
+    proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8);
     Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 1, 64);
     bool acked = false;
+    unsigned failed = 0;
     sender.send(
         p, [](const Packet &) { /* wire eats every transmission */ },
-        [&acked] { acked = true; });
+        [&acked] { acked = true; }, [&failed] { ++failed; });
     while (eq.step()) {
     }
     EXPECT_FALSE(acked);
+    EXPECT_EQ(failed, 1u);
     EXPECT_EQ(sender.inFlight(), 0u); // entry retired, window open
-    EXPECT_GE(warnCount("dll-exhausted"), 1u);
-    resetWarnCounts();
+    EXPECT_DOUBLE_EQ(reg.scalar("dll.dllFailures"), 1.0);
 }
 
 TEST(ExhaustFallbackDeathTest, PanicPreservesFailStop)
@@ -333,8 +331,7 @@ TEST(ExhaustFallbackDeathTest, PanicPreservesFailStop)
         {
             EventQueue eq;
             stats::Registry reg;
-            proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8,
-                                      proto::ExhaustFallback::Panic);
+            proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8);
             Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 1, 64);
             sender.send(p, [](const Packet &) {}, [] {});
             while (eq.step()) {
@@ -366,8 +363,8 @@ TEST(ReceiverResync, SkipReleasesHeldPacketsAndReopensTheStream)
     std::optional<Packet> ack;
 
     // Sequences 1 and 3 arrive ahead of the gap at 0 and are held.
-    rx.onArrive(wireWithSeq(1, 2, 1), false, out, ack);
-    rx.onArrive(wireWithSeq(1, 2, 3), false, out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 1), out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 3), out, ack);
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(rx.bufferedPackets(), 2u);
 
@@ -384,7 +381,7 @@ TEST(ReceiverResync, SkipReleasesHeldPacketsAndReopensTheStream)
 
     // The stream continues in order right after the resync point.
     out.clear();
-    rx.onArrive(wireWithSeq(1, 2, 4), false, out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 4), out, ack);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].dll & 0xffff, 4u);
 }
@@ -396,7 +393,7 @@ TEST(ReceiverResync, StaleSkipsAreNoOps)
     std::vector<Packet> out;
     std::optional<Packet> ack;
 
-    rx.onArrive(wireWithSeq(1, 2, 0), false, out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 0), out, ack);
     ASSERT_EQ(out.size(), 1u);
     out.clear();
 
@@ -404,7 +401,7 @@ TEST(ReceiverResync, StaleSkipsAreNoOps)
     // resync notification) must not rewind or re-deliver anything.
     rx.skipTo(1, 0, out);
     EXPECT_TRUE(out.empty());
-    rx.onArrive(wireWithSeq(1, 2, 1), false, out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 1), out, ack);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].dll & 0xffff, 1u);
 }
@@ -417,7 +414,7 @@ TEST(ReceiverResync, SkipIsPerSourceStream)
     std::optional<Packet> ack;
 
     rx.skipTo(1, 3, out); // source 1 jumps to 4 ...
-    rx.onArrive(wireWithSeq(5, 2, 0), false, out, ack);
+    rx.onArrive(wireWithSeq(5, 2, 0), out, ack);
     ASSERT_EQ(out.size(), 1u); // ... source 5 still starts at 0
     EXPECT_EQ(out[0].src, 5);
 }
@@ -439,7 +436,7 @@ TEST(ReceiverResync, LateCopyOfASkippedSequenceSurfacesAsStale)
     // sender retires it, not re-delivered, but surfaced through the
     // stale list so the caller can fire the pending completion.
     std::vector<Packet> stale;
-    rx.onArrive(wireWithSeq(1, 2, 1), false, out, ack, &stale);
+    rx.onArrive(wireWithSeq(1, 2, 1), out, ack, &stale);
     EXPECT_TRUE(out.empty());
     ASSERT_EQ(stale.size(), 1u);
     EXPECT_EQ(stale[0].dll & 0xffff, 1u);
@@ -602,24 +599,27 @@ TEST(Fuzz, DecodeRejectsEverySingleBitFlip)
 
 TEST(Fuzz, ControllerReceivePathSurvivesGarbage)
 {
-    EventQueue eq;
     stats::Registry reg;
-    DlController ctl(eq, "fuzz.dl", 0, 1000, 2, reg);
+    proto::RetryReceiver rx(reg.group("fuzz.dl"));
     Rng rng(0xc0ffee);
 
-    unsigned controls = 0, delivered = 0;
-    const auto send_control = [&controls](const Packet &) {
-        ++controls;
+    unsigned delivered = 0;
+    const auto arrive = [&](const std::vector<std::uint8_t> &wire) {
+        std::vector<Packet> out, stale;
+        std::optional<Packet> ack;
+        rx.onArrive(wire, out, ack, &stale);
+        delivered += static_cast<unsigned>(out.size() + stale.size());
     };
-    const auto deliver = [&delivered](Packet) { ++delivered; };
 
-    // Pure noise, then damaged variants of a valid image.
+    // Pure noise (every other image with one more flipped bit), then
+    // damaged variants of a valid image.
     for (int i = 0; i < 1500; ++i) {
         std::vector<std::uint8_t> wire(rng.below(400));
         for (auto &b : wire)
             b = static_cast<std::uint8_t>(rng.below(256));
-        ctl.onWireArrive(wire, /*corrupted=*/(i & 1) != 0,
-                         send_control, deliver);
+        if ((i & 1) != 0 && !wire.empty())
+            wire[wire.size() / 2] ^= 0x10;
+        arrive(wire);
     }
     const auto valid =
         proto::encode(proto::Codec::makeWriteReq(1, 0, 0x80, 2, 48));
@@ -627,12 +627,11 @@ TEST(Fuzz, ControllerReceivePathSurvivesGarbage)
         auto wire = valid;
         const auto bit = rng.below(wire.size() * 8);
         wire[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        ctl.onWireArrive(wire, false, send_control, deliver);
-    }
-    while (eq.step()) {
+        arrive(wire);
     }
     EXPECT_EQ(delivered, 0u); // nothing valid ever arrived
-    EXPECT_EQ(ctl.receiverBuffered(), 0u);
+    EXPECT_EQ(rx.bufferedPackets(), 0u);
+    EXPECT_DOUBLE_EQ(reg.scalar("fuzz.dl.dllValid"), 0.0);
 }
 
 // ---------------------------------------------------------------------
