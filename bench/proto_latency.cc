@@ -41,7 +41,7 @@ main()
     for (const auto &c : cases) {
         const Packet p =
             Codec::makeWriteReq(0, 1, 0x1000, 0, c.payload);
-        const unsigned cycles = Codec::packetizeCycles(p);
+        const unsigned cycles = Codec::packetizeCycles(p.numFlits());
         std::printf("%-22s %8u %10u %14.1f %14.1f\n", c.name,
                     p.numFlits(), cycles, cycles * 10.0,
                     cycles * 0.5);

@@ -41,17 +41,6 @@ class Forwarder
     void forward(DimmId src, DimmId dst, unsigned bytes,
                  EventCallback delivered);
 
-    /**
-     * Host-performed remote access for the MCN-style baselines: the
-     * host reads @p bytes from @p src DIMM's buffer and pushes them to
-     * the requester, or vice versa. Same cost structure as forward().
-     */
-    void
-    copy(DimmId src, DimmId dst, unsigned bytes, EventCallback delivered)
-    {
-        forward(src, dst, bytes, std::move(delivered));
-    }
-
     /** Jobs waiting for a forwarding thread. */
     std::size_t backlog() const { return jobs.size(); }
 

@@ -1,6 +1,5 @@
 #include "idc/dl_fabric.hh"
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 
@@ -13,34 +12,14 @@ namespace idc {
 
 namespace {
 
-/** Flits for one packet carrying @p bytes of payload. */
-unsigned
-flitsFor(std::uint64_t bytes)
-{
-    return 1 + static_cast<unsigned>(
-                   (bytes + proto::flitBytes - 1) / proto::flitBytes);
-}
-
-/** Packets (<= maxPayloadBytes each, at least one) for @p bytes. */
-std::uint64_t
-packetsFor(std::uint64_t bytes)
-{
-    return bytes == 0 ? 1
-                      : (bytes + proto::maxPayloadBytes - 1) /
-                            proto::maxPayloadBytes;
-}
-
 /** Polling targets: one proxy per group, or every DIMM. */
 std::vector<DimmId>
 pollTargets(const SystemConfig &cfg)
 {
     std::vector<DimmId> v;
-    const bool proxy = cfg.pollingMode == PollingMode::Proxy ||
-                       cfg.pollingMode == PollingMode::ProxyInterrupt;
-    if (proxy) {
+    if (cfg.proxyPolling()) {
         for (unsigned g = 0; g < cfg.numGroups(); ++g)
-            v.push_back(static_cast<DimmId>(g * cfg.groupSize() +
-                                            cfg.groupSize() / 2));
+            v.push_back(cfg.middleDimmOf(g));
     } else {
         for (unsigned d = 0; d < cfg.numDimms; ++d)
             v.push_back(static_cast<DimmId>(d));
@@ -251,41 +230,11 @@ DlFabric::routePath(unsigned group, int from, int to) const
     return edges;
 }
 
-DimmId
-DlFabric::proxyOf(unsigned group) const
-{
-    return static_cast<DimmId>(group * cfg.groupSize() +
-                               cfg.groupSize() / 2);
-}
-
-std::uint64_t
-DlFabric::wireBytesFor(std::uint64_t payload_bytes)
-{
-    std::uint64_t wire = 0;
-    std::uint64_t left = payload_bytes;
-    do {
-        const std::uint64_t chunk =
-            std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        wire += static_cast<std::uint64_t>(flitsFor(chunk)) *
-                proto::flitBytes;
-        left -= chunk;
-    } while (left > 0);
-    return wire;
-}
-
 Tick
 DlFabric::packetizeDelay(unsigned flits) const
 {
-    const Tick period = periodFromMHz(cfg.dimm.coreFreqMHz);
-    return (proto::Codec::controlCycles +
-            proto::Codec::crcCyclesPerFlit * flits) *
-           period;
-}
-
-Tick
-DlFabric::decodeDelay(unsigned flits) const
-{
-    return packetizeDelay(flits);
+    return proto::Codec::packetizeCycles(flits) *
+           periodFromMHz(cfg.dimm.coreFreqMHz);
 }
 
 double
@@ -324,6 +273,18 @@ DlFabric::distance(DimmId j, DimmId k) const
 }
 
 void
+DlFabric::launch(unsigned group, noc::Message msg)
+{
+    // NW-interface packetization before the packet hits the router.
+    const Tick delay = packetizeDelay(msg.flits);
+    eventq.scheduleIn(delay,
+                      [this, group, msg = std::move(msg)]() mutable {
+                          inject(group, std::move(msg));
+                      },
+                      EventPriority::Control);
+}
+
+void
 DlFabric::inject(unsigned group, noc::Message msg)
 {
     auto &q = injectQ[group][static_cast<std::size_t>(msg.src)];
@@ -356,80 +317,59 @@ DlFabric::sendIntraGroup(DimmId s, DimmId d,
     // instead of feeding packets into a black hole.
     if (dllPath &&
         !nets[group]->graph().reachable(nodeIdx(s), nodeIdx(d))) {
-        hostFallback(s, d, payload_bytes, std::move(delivered));
+        ++statHostReroutes;
+        hostPathSend(s, d, payload_bytes, std::move(delivered));
         return;
     }
+    bridgeSend(s, nodeIdx(d), 1, payload_bytes, std::move(delivered));
+}
 
-    // Segment into <=256-byte packets; the last delivery completes
-    // the transfer (paths are deterministic and FIFO, but count for
-    // safety). A single-packet transfer needs no count.
-    const std::uint64_t packets = packetsFor(payload_bytes);
+void
+DlFabric::bridgeSend(DimmId s, int dst, unsigned copies,
+                     std::uint64_t bytes, EventCallback done)
+{
+    const unsigned group = groupIdx(s);
+    // The last copy of the last packet completes the transfer (paths
+    // are deterministic and FIFO, but count for safety). A
+    // single-packet transfer needs no count.
+    const std::uint64_t packets = proto::packetsFor(bytes);
     CountdownPool::Countdown *xfer =
-        packets > 1 ? countdowns.start(packets, std::move(delivered))
+        packets > 1 ? countdowns.start(packets * copies, std::move(done))
                     : nullptr;
-    std::uint64_t left = payload_bytes;
-    do {
-        const std::uint64_t c =
-            std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        left -= c;
+    proto::forEachSegment(bytes, [&](unsigned chunk) {
+        ++statPacketsLink;
+        statBytesViaLink += static_cast<double>(proto::wireBytesFor(chunk));
         if (dllPath) {
-            // Reliable transport: each chunk becomes a real DL packet
-            // whose wire image crosses the (possibly faulty) bridge
-            // under CRC + retry protection.
-            proto::Packet pkt;
-            pkt.src = static_cast<std::uint8_t>(s);
-            pkt.dst = static_cast<std::uint8_t>(d);
-            pkt.cmd = c > 0 ? proto::DlCommand::WriteReq
-                            : proto::DlCommand::ReadReq;
-            pkt.tag = proto::allocTag(dllCtl[s]->nextTag);
-            pkt.payload.assign(static_cast<std::size_t>(c), 0);
-            ++statPacketsLink;
-            statBytesViaLink +=
-                static_cast<double>(flitsFor(c)) * proto::flitBytes;
             EventCallback landed;
             if (xfer)
                 landed = [this, xfer] { countdowns.land(xfer); };
             else
-                landed = std::move(delivered);
-            if (tr) {
-                const std::uint64_t aid = tr->nextAsyncId();
-                tr->asyncBegin(trk, nmDllXfer, eventq.now(), aid);
-                landed = [this, aid, landed = std::move(landed)]() mutable {
-                    tr->asyncEnd(trk, nmDllXfer, eventq.now(), aid);
-                    if (landed)
-                        landed();
-                };
-            }
-            sendDllPacket(s, d, std::move(pkt), std::move(landed));
-            continue;
+                landed = std::move(done);
+            sendDllPacket(s, dimmAt(group, dst), chunk, std::move(landed));
+            return;
         }
-
-        const unsigned flits = flitsFor(c);
         noc::Message msg;
         msg.src = nodeIdx(s);
-        msg.dst = nodeIdx(d);
-        msg.flits = flits;
+        msg.broadcast = dst == toAll;
+        msg.dst = msg.broadcast ? 0 : dst;
+        msg.flits = proto::flitsFor(chunk);
         msg.id = nextMsgId++;
-        ++statPacketsLink;
-        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
         PacketRec *rec = packetRecs.acquire();
         rec->xfer = xfer;
         if (!xfer)
-            rec->done = std::move(delivered);
-        rec->flits = flits;
-        // Packet lifetime span: packetize begin -> decoded at d.
-        if (tr) {
+            rec->done = std::move(done);
+        rec->flits = msg.flits;
+        rec->copies = copies;
+        if (msg.broadcast) {
+            rec->bcastSrc = msg.src;
+        } else if (tr) {
+            // Packet lifetime span: packetize begin -> decoded at dst.
             rec->aid = tr->nextAsyncId();
             tr->asyncBegin(trk, nmPacket, eventq.now(), rec->aid);
         }
         msg.deliver = [this, rec](int node) { packetEjected(rec, node); };
-        // NW-interface packetization before hitting the router.
-        eventq.scheduleIn(packetizeDelay(flits),
-                          [this, group, msg = std::move(msg)]() mutable {
-                              inject(group, std::move(msg));
-                          },
-                          EventPriority::Control);
-    } while (left > 0);
+        launch(group, std::move(msg));
+    });
 }
 
 void
@@ -440,8 +380,9 @@ DlFabric::packetEjected(PacketRec *rec, int node)
         packetLanded(rec);
         return;
     }
-    // NW-interface CRC check + decode at the destination.
-    eventq.scheduleIn(decodeDelay(rec->flits),
+    // NW-interface CRC check + decode at the destination (as long as
+    // packetizing it took).
+    eventq.scheduleIn(packetizeDelay(rec->flits),
                       [this, rec] { packetLanded(rec); },
                       EventPriority::Control);
 }
@@ -464,29 +405,33 @@ DlFabric::packetLanded(PacketRec *rec)
 }
 
 void
-DlFabric::hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                       EventCallback delivered)
-{
-    ++statHostReroutes;
-    const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
-    ++statPacketsHost;
-    statBytesViaHost += wire;
-    requestForward(s, [this, s, d, wire,
-                       delivered = std::move(delivered)]() mutable {
-        path.forwarder().forward(s, d, wire, std::move(delivered));
-    });
-}
-
-void
-DlFabric::sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
+DlFabric::sendDllPacket(DimmId s, DimmId d, unsigned bytes,
                         EventCallback delivered)
 {
+    // Reliable transport: the chunk becomes a real DL packet whose
+    // wire image crosses the (possibly faulty) bridge under CRC +
+    // retry protection.
+    DllCtl &c = *dllCtl[s];
+    const std::uint8_t tag = proto::allocTag(c.nextTag);
+    const auto src = static_cast<std::uint8_t>(s);
+    const auto dst = static_cast<std::uint8_t>(d);
+    proto::Packet pkt =
+        bytes > 0 ? proto::Codec::makeWriteReq(src, dst, 0, tag, bytes)
+                  : proto::Codec::makeReadReq(src, dst, 0, tag);
+    if (tr) {
+        const std::uint64_t aid = tr->nextAsyncId();
+        tr->asyncBegin(trk, nmDllXfer, eventq.now(), aid);
+        delivered = [this, aid, landed = std::move(delivered)]() mutable {
+            tr->asyncEnd(trk, nmDllXfer, eventq.now(), aid);
+            if (landed)
+                landed();
+        };
+    }
     DllRec *rec = dllRecs.acquire();
     rec->delivered = std::move(delivered);
     rec->s = s;
     rec->d = d;
-    rec->payload = pkt.payload.size();
-    DllCtl &c = *dllCtl[s];
+    rec->payload = bytes;
     ++c.packetized;
     // Every exhaustion reaches dllFailed, which applies
     // faults.onExhausted; the sender's fail-stop never runs.
@@ -529,7 +474,6 @@ void
 DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
                    std::vector<std::uint8_t> wire, bool control)
 {
-    const unsigned group = groupIdx(s);
     noc::Message msg;
     msg.src = nodeIdx(s);
     msg.dst = nodeIdx(d);
@@ -548,11 +492,7 @@ DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
     // A dropped image needs no completion of its own (the sender's
     // retry timeout recovers), only its record back.
     msg.onDropped = [this, rec] { wireRecs.release(rec); };
-    eventq.scheduleIn(packetizeDelay(flits),
-                      [this, group, msg = std::move(msg)]() mutable {
-                          inject(group, std::move(msg));
-                      },
-                      EventPriority::Control);
+    launch(groupIdx(s), std::move(msg));
 }
 
 void
@@ -564,7 +504,7 @@ DlFabric::wireEjected(WireRec *rec)
     const bool control = rec->control;
     wireRecs.release(rec);
     eventq.scheduleIn(
-        decodeDelay(flits),
+        packetizeDelay(flits),
         [this, d, control, w = std::move(w)] {
             if (!control) {
                 dllReceive(d, *w);
@@ -642,13 +582,8 @@ DlFabric::dllFailed(DllRec *rec)
                         static_cast<unsigned>(d));
         if (cb)
             cb();
-        const auto note = static_cast<unsigned>(wireBytesFor(0));
-        ++statPacketsHost;
-        statBytesViaHost += note;
-        requestForward(s, [this, s, d, note, seq] {
-            path.forwarder().forward(
-                s, d, note, [this, s, d, seq] { dllStreamResync(s, d, seq); });
-        });
+        hostPathSend(s, d, 0,
+                     [this, s, d, seq] { dllStreamResync(s, d, seq); });
         break;
       }
       case ExhaustPolicy::Failover: {
@@ -658,22 +593,16 @@ DlFabric::dllFailed(DllRec *rec)
         // its arrival also resyncs the receiver's stream past the
         // retired sequence.
         ++statFailovers;
-        const auto wire = static_cast<unsigned>(wireBytesFor(payload));
-        statFailoverBytes += wire;
-        ++statPacketsHost;
-        statBytesViaHost += wire;
+        statFailoverBytes +=
+            static_cast<double>(proto::wireBytesFor(payload));
         if (tr)
             tr->instant(trk, nmFailover, eventq.now(), seq);
-        requestForward(s, [this, s, d, wire, seq,
-                           cb = std::move(cb)]() mutable {
-            path.forwarder().forward(
-                s, d, wire,
-                [this, s, d, seq, cb = std::move(cb)]() mutable {
-                    dllStreamResync(s, d, seq);
-                    if (cb)
-                        cb();
-                });
-        });
+        hostPathSend(s, d, payload,
+                     [this, s, d, seq, cb = std::move(cb)]() mutable {
+                         dllStreamResync(s, d, seq);
+                         if (cb)
+                             cb();
+                     });
         break;
       }
     }
@@ -752,19 +681,16 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
     // Control packets cross the same faulty links as data; a
     // corrupted ACK/NACK is dropped at the far end and the data
     // sender's retry timeout takes over.
-    sendWire(from, static_cast<DimmId>(ctrl.dst), 1, proto::encode(ctrl),
-             /*control=*/true);
+    sendWire(from, static_cast<DimmId>(ctrl.dst), ctrl.numFlits(),
+             proto::encode(ctrl), /*control=*/true);
 }
 
 void
 DlFabric::requestForward(DimmId src, EventCallback job)
 {
-    const bool proxy_mode =
-        cfg.pollingMode == PollingMode::Proxy ||
-        cfg.pollingMode == PollingMode::ProxyInterrupt;
     const DimmId proxy =
-        proxy_mode ? proxyOf(groupIdx(src)) : src;
-    if (!proxy_mode || proxy == src) {
+        cfg.proxyPolling() ? cfg.middleDimmOf(groupIdx(src)) : src;
+    if (proxy == src) {
         // The job runs once host polling discovers the target.
         path.request(proxy, std::move(job));
         return;
@@ -793,9 +719,9 @@ DlFabric::requestForward(DimmId src, EventCallback job)
     noc::Message note;
     note.src = nodeIdx(src);
     note.dst = nodeIdx(proxy);
-    note.flits = 1;
+    note.flits = proto::flitsFor(0);
     note.id = nextMsgId++;
-    statBytesViaLink += proto::flitBytes;
+    statBytesViaLink += static_cast<double>(proto::wireBytesFor(0));
     note.deliver = [this, rec](int) {
         const DimmId p = rec->proxy;
         if (EventCallback claimed = claimProxyJob(rec))
@@ -814,14 +740,10 @@ DlFabric::requestForward(DimmId src, EventCallback job)
         // timeout that protects DLL data packets; past it, the host
         // discovers the request on its own polling cadence.
         eventq.scheduleIn(
-            packetizeDelay(1) + cfg.link.retryTimeoutPs,
+            packetizeDelay(note.flits) + cfg.link.retryTimeoutPs,
             [this, rec] { proxyNoteLost(rec); }, EventPriority::Control);
     }
-    eventq.scheduleIn(packetizeDelay(1),
-                      [this, g, note = std::move(note)]() mutable {
-                          inject(g, std::move(note));
-                      },
-                      EventPriority::Control);
+    launch(g, std::move(note));
 }
 
 EventCallback
@@ -885,39 +807,7 @@ DlFabric::groupBroadcast(DimmId s, std::uint64_t bytes,
 
     // Every node (including the source's own router) ejects each
     // broadcast packet once.
-    const std::uint64_t packets = packetsFor(bytes);
-    CountdownPool::Countdown *xfer =
-        packets > 1
-            ? countdowns.start(packets * gs, std::move(all_delivered))
-            : nullptr;
-    std::uint64_t left = bytes;
-    do {
-        const std::uint64_t c =
-            std::min<std::uint64_t>(left, proto::maxPayloadBytes);
-        left -= c;
-        const unsigned flits = flitsFor(c);
-        noc::Message msg;
-        msg.src = nodeIdx(s);
-        msg.dst = 0;
-        msg.broadcast = true;
-        msg.flits = flits;
-        msg.id = nextMsgId++;
-        ++statPacketsLink;
-        statBytesViaLink += static_cast<double>(flits) * proto::flitBytes;
-        PacketRec *rec = packetRecs.acquire();
-        rec->xfer = xfer;
-        if (!xfer)
-            rec->done = std::move(all_delivered);
-        rec->flits = flits;
-        rec->copies = gs;
-        rec->bcastSrc = nodeIdx(s);
-        msg.deliver = [this, rec](int node) { packetEjected(rec, node); };
-        eventq.scheduleIn(packetizeDelay(flits),
-                          [this, group, msg = std::move(msg)]() mutable {
-                              inject(group, std::move(msg));
-                          },
-                          EventPriority::Control);
-    } while (left > 0);
+    bridgeSend(s, toAll, gs, bytes, std::move(all_delivered));
 }
 
 void
@@ -925,7 +815,8 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
                        std::uint64_t payload_bytes,
                        EventCallback done)
 {
-    const auto wire = static_cast<unsigned>(wireBytesFor(payload_bytes));
+    const auto wire =
+        static_cast<unsigned>(proto::wireBytesFor(payload_bytes));
     if (!rackFabric || cfg.hostOf(s) == cfg.hostOf(d)) {
         // Intra-host: exactly the pre-rack sequence, so single-host
         // runs keep byte-identical timing and stats.
@@ -1053,7 +944,7 @@ DlFabric::doBroadcast(const Transaction &t, EventCallback finish)
                   for (unsigned g = 0; g < cfg.numGroups(); ++g) {
                       if (g == groupIdx(src))
                           continue;
-                      const DimmId entry = proxyOf(g);
+                      const DimmId entry = cfg.middleDimmOf(g);
                       hostPathSend(src, entry, bytes,
                                    [this, entry, bytes, cd] {
                                        groupBroadcast(

@@ -59,19 +59,12 @@ class DlFabric : public Fabric
         return n;
     }
 
-    /** The polling proxy (and sync master) DIMM of @p group: the
-     * middle of the group to minimize average hops. */
-    DimmId proxyOf(unsigned group) const;
-
     const noc::Network &network(unsigned group) const
     {
         return *nets[group];
     }
     /** Mutable access, e.g. to mask a bridge link down mid-run. */
     noc::Network &network(unsigned group) { return *nets[group]; }
-
-    /** Wire bytes (flit-padded, incl. header/tail) for a payload. */
-    static std::uint64_t wireBytesFor(std::uint64_t payload_bytes);
 
     /** In-flight DLL keys, retry windows, health and backlog state. */
     std::string debugDump() override;
@@ -101,9 +94,9 @@ class DlFabric : public Fabric
                                    static_cast<unsigned>(node));
     }
 
-    /** NW-interface packetize latency for one packet of @p flits. */
+    /** NW-interface latency to packetize one packet of @p flits (or
+     * to check and decode it: the same control FSM and CRC). */
     Tick packetizeDelay(unsigned flits) const;
-    Tick decodeDelay(unsigned flits) const;
 
     /**
      * Send @p payload_bytes from @p s to @p d inside one group,
@@ -117,14 +110,26 @@ class DlFabric : public Fabric
     void sendIntraGroup(DimmId s, DimmId d, std::uint64_t payload_bytes,
                         EventCallback delivered);
 
+    /** bridgeSend's destination node for a group broadcast. */
+    static constexpr int toAll = -1;
     /**
-     * Transmit one DL packet from @p s to @p d (same group) under DLL
-     * retry protection. @p delivered fires at d when the packet is
-     * first decoded and released in order; a transfer whose retry
-     * budget is exhausted counts toward dllFailedTransfers and still
-     * completes so the simulation can terminate.
+     * Segment @p bytes from @p s into bridge packets for node @p dst
+     * of its group, or for every node when @p dst is @ref toAll; each
+     * packet lands @p copies times (1, or the group size for a
+     * broadcast). @p done fires after the last copy lands. Unicasts
+     * ride the reliable DLL transport when @ref dllPath is set.
      */
-    void sendDllPacket(DimmId s, DimmId d, proto::Packet pkt,
+    void bridgeSend(DimmId s, int dst, unsigned copies,
+                    std::uint64_t bytes, EventCallback done);
+
+    /**
+     * Transmit one DL packet carrying @p bytes from @p s to @p d (same
+     * group) under DLL retry protection. @p delivered fires at d when
+     * the packet is first decoded and released in order; a transfer
+     * whose retry budget is exhausted counts toward dllFailedTransfers
+     * and still completes so the simulation can terminate.
+     */
+    void sendDllPacket(DimmId s, DimmId d, unsigned bytes,
                        EventCallback delivered);
     /** A DLL wire image finished decode at DIMM @p d. */
     void dllReceive(DimmId d, const std::vector<std::uint8_t> &wire);
@@ -142,6 +147,8 @@ class DlFabric : public Fabric
     /** Send an ACK/NACK produced at @p from back over the bridge. */
     void sendDllControl(DimmId from, const proto::Packet &ctrl);
 
+    /** Packetize @p msg, then inject it into @p group's network. */
+    void launch(unsigned group, noc::Message msg);
     /** Inject one message, queueing on backpressure. */
     void inject(unsigned group, noc::Message msg);
     void drainInjectQueue(unsigned group, int node);
@@ -157,22 +164,15 @@ class DlFabric : public Fabric
     void requestForward(DimmId src, EventCallback job);
 
     /**
-     * Deliver @p payload_bytes from @p s to @p d (same group) over the
-     * host CPU-forwarding path instead of the bridge — the degraded
-     * route for pairs the routing tables can no longer connect.
-     */
-    void hostFallback(DimmId s, DimmId d, std::uint64_t payload_bytes,
-                      EventCallback delivered);
-
-    /**
-     * Move one inter-group packet of @p payload_bytes from @p s to
-     * @p d over the host path: polling discovery plus the Forwarder
-     * copy when both ends share a host (the exact pre-rack sequence),
-     * and — when a rack is configured and the endpoints live under
-     * different hosts — the same path composed with an inter-host
-     * crossing, or the pooled DIMM-Link bridge lanes that bypass both
-     * hosts, with failover onto the surviving path (counted in
-     * rack.reroutes). @p done fires like a Forwarder delivery.
+     * Move @p payload_bytes from @p s to @p d over the host path (an
+     * inter-group transfer, a pair the bridge can no longer connect,
+     * or a DLL exhaustion's failover/resync): polling discovery plus
+     * the Forwarder copy when both ends share a host, and — when a
+     * rack is configured and the endpoints live under different hosts
+     * — the same path composed with an inter-host crossing, or the
+     * pooled DIMM-Link bridge lanes that bypass both hosts, with
+     * failover onto the surviving path (counted in rack.reroutes).
+     * @p done fires like a Forwarder delivery.
      */
     void hostPathSend(DimmId s, DimmId d, std::uint64_t payload_bytes,
                       EventCallback done);

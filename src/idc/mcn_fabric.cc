@@ -62,14 +62,14 @@ McnFabric::execute(Transaction t, Tick started)
         memAccess(dst, addr, bytes, /*is_write=*/false,
                   [this, src, dst, bytes,
                    finish = std::move(finish)]() mutable {
-                      path.forwarder().copy(dst, src, bytes,
-                                            std::move(finish));
+                      path.forwarder().forward(dst, src, bytes,
+                                               std::move(finish));
                   });
         break;
       }
       case Transaction::Type::RemoteWrite: {
         statBytesViaHost += bytes;
-        path.forwarder().copy(
+        path.forwarder().forward(
             src, dst, bytes,
             [this, dst, addr, bytes,
              finish = std::move(finish)]() mutable {
@@ -84,7 +84,7 @@ McnFabric::execute(Transaction t, Tick started)
         break;
       case Transaction::Type::SyncMessage: {
         statBytesViaHost += bytes;
-        path.forwarder().copy(src, dst, bytes, std::move(finish));
+        path.forwarder().forward(src, dst, bytes, std::move(finish));
         break;
       }
     }
@@ -107,8 +107,8 @@ McnFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
                 if (d == src)
                     continue;
                 statBytesViaHost += bytes;
-                path.forwarder().copy(src, d, bytes,
-                                      [this, cd] { countdowns.land(cd); });
+                path.forwarder().forward(
+                    src, d, bytes, [this, cd] { countdowns.land(cd); });
             }
         });
 }

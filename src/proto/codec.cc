@@ -61,18 +61,5 @@ Codec::makeSyncMsg(std::uint8_t src, std::uint8_t dst, std::uint8_t tag)
     return base(src, dst, DlCommand::SyncMsg, 0, tag, 0);
 }
 
-std::vector<unsigned>
-Codec::segment(std::uint64_t bytes)
-{
-    std::vector<unsigned> sizes;
-    while (bytes > maxPayloadBytes) {
-        sizes.push_back(maxPayloadBytes);
-        bytes -= maxPayloadBytes;
-    }
-    if (bytes > 0 || sizes.empty())
-        sizes.push_back(static_cast<unsigned>(bytes));
-    return sizes;
-}
-
 } // namespace proto
 } // namespace dimmlink

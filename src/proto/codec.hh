@@ -3,7 +3,8 @@
  * The NW-Interface's transaction-layer codec: builders for the DL
  * function packets plus the packetization/decode latency model the
  * FPGA prototype of Section V-A measures (18 cycles of control logic
- * per packet, with the CRC pipelined per flit in an ASIC).
+ * per packet, with the CRC pipelined per flit in an ASIC). Packet
+ * sizing and segmentation live beside the format in packet.hh.
  */
 
 #ifndef DIMMLINK_PROTO_CODEC_HH
@@ -23,18 +24,12 @@ class Codec
     /** Pipelined CRC cycles per flit in the ASIC implementation. */
     static constexpr unsigned crcCyclesPerFlit = 2;
 
-    /** Cycles to packetize @p p in the buffer chip. */
-    static unsigned
-    packetizeCycles(const Packet &p)
+    /** Cycles to packetize a packet of @p flits in the buffer chip;
+     * checking and decoding it at the destination costs the same. */
+    static constexpr unsigned
+    packetizeCycles(unsigned flits)
     {
-        return controlCycles + crcCyclesPerFlit * p.numFlits();
-    }
-
-    /** Cycles to check + decode @p p at the destination. */
-    static unsigned
-    decodeCycles(const Packet &p)
-    {
-        return controlCycles + crcCyclesPerFlit * p.numFlits();
+        return controlCycles + crcCyclesPerFlit * flits;
     }
 
     /** Remote read request: header-only packet. */
@@ -61,13 +56,6 @@ class Codec
     /** Synchronization message (single flit). */
     static Packet makeSyncMsg(std::uint8_t src, std::uint8_t dst,
                               std::uint8_t tag);
-
-    /**
-     * Split @p bytes of bulk data into maximal packets; the final
-     * packet carries the remainder.
-     * @return per-packet payload sizes.
-     */
-    static std::vector<unsigned> segment(std::uint64_t bytes);
 };
 
 } // namespace proto

@@ -15,10 +15,12 @@
 #ifndef DIMMLINK_PROTO_PACKET_HH
 #define DIMMLINK_PROTO_PACKET_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitfield.hh"
 #include "common/types.hh"
 
 namespace dimmlink {
@@ -67,6 +69,50 @@ allocTag(std::uint8_t &next)
 constexpr unsigned flitBytes = 16;     ///< 128-bit flits.
 constexpr unsigned maxPayloadBytes = 256;
 constexpr unsigned maxPayloadFlits = maxPayloadBytes / flitBytes;
+static_assert(maxPayloadBytes % flitBytes == 0,
+              "a full packet's payload fills whole flits");
+
+/** Packets @p bytes of data segments into: maximal packets, the last
+ * carrying the remainder, and at least one (a header-only packet). */
+constexpr std::uint64_t
+packetsFor(std::uint64_t bytes)
+{
+    return bytes == 0 ? 1 : divCeil(bytes, maxPayloadBytes);
+}
+
+/** Flits of one packet carrying @p payload_bytes: the header/tail
+ * flit plus the flit-padded payload. */
+constexpr unsigned
+flitsFor(std::uint64_t payload_bytes)
+{
+    return 1 + static_cast<unsigned>(divCeil(payload_bytes, flitBytes));
+}
+
+/** Wire bytes of @p bytes of data once segmented: one header/tail
+ * flit per packet plus the flit-padded payload (every packet but the
+ * last is full, and a full payload pads to nothing). */
+constexpr std::uint64_t
+wireBytesFor(std::uint64_t bytes)
+{
+    return packetsFor(bytes) * flitBytes + roundUp(bytes, flitBytes);
+}
+
+/**
+ * Walk the packets @p bytes of data segments into, in order: calls
+ * @p chunk with each packet's payload size (maxPayloadBytes, then the
+ * remainder; a single 0 for no data).
+ */
+template <typename F>
+void
+forEachSegment(std::uint64_t bytes, F &&chunk)
+{
+    do {
+        const auto c = static_cast<unsigned>(
+            std::min<std::uint64_t>(bytes, maxPayloadBytes));
+        bytes -= c;
+        chunk(c);
+    } while (bytes > 0);
+}
 
 /**
  * Byte offset of the tail (CRC word, then DLL word) in the wire image
@@ -93,15 +139,10 @@ struct Packet
     std::uint32_t dll = 0;
 
     /** Payload flit count (the LEN field). */
-    unsigned
-    payloadFlits() const
-    {
-        return static_cast<unsigned>(
-            (payload.size() + flitBytes - 1) / flitBytes);
-    }
+    unsigned payloadFlits() const { return numFlits() - 1; }
 
     /** Total flits on the wire (header/tail flit + payload flits). */
-    unsigned numFlits() const { return 1 + payloadFlits(); }
+    unsigned numFlits() const { return flitsFor(payload.size()); }
 
     /** Total bytes on the wire. */
     unsigned wireBytes() const { return numFlits() * flitBytes; }

@@ -19,13 +19,6 @@ SyncManager::SyncManager(EventQueue &eq, const SystemConfig &cfg_,
 }
 
 DimmId
-SyncManager::masterOf(unsigned group) const
-{
-    return static_cast<DimmId>(group * cfg.groupSize() +
-                               cfg.groupSize() / 2);
-}
-
-DimmId
 SyncManager::globalMaster() const
 {
     return masterOf(0);

@@ -42,7 +42,7 @@ class SyncManager : public BarrierEndpoint
                 std::function<void()> release) override;
 
     /** The sync master DIMM of a group (middle of the group). */
-    DimmId masterOf(unsigned group) const;
+    DimmId masterOf(unsigned group) const { return cfg.middleDimmOf(group); }
     /** The global master DIMM. */
     DimmId globalMaster() const;
 

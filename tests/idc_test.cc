@@ -232,10 +232,46 @@ TEST(DlFabricTest, ReliablePathEndToEnd)
 
 TEST(DlFabricTest, WireBytesIncludeHeaderPerPacket)
 {
-    EXPECT_EQ(DlFabric::wireBytesFor(0), 16u);
-    EXPECT_EQ(DlFabric::wireBytesFor(64), 16u + 64u);
-    EXPECT_EQ(DlFabric::wireBytesFor(256), 272u);
-    EXPECT_EQ(DlFabric::wireBytesFor(512), 544u);
+    EXPECT_EQ(proto::wireBytesFor(0), 16u);
+    EXPECT_EQ(proto::wireBytesFor(64), 16u + 64u);
+    EXPECT_EQ(proto::wireBytesFor(256), 272u);
+    EXPECT_EQ(proto::wireBytesFor(512), 544u);
+}
+
+TEST(DlFabricTest, SegmentationMatchesProto)
+{
+    // What the fabric puts on the bridge is what proto/ sizes: one
+    // group (4D-2C), so no host path or remote-group leg adds to it.
+    const std::vector<std::vector<std::string>> arms = {
+        {}, {"faults.model=ber", "faults.ber=1e-12"}};
+    for (const auto &overrides : arms) {
+        SCOPED_TRACE(overrides.empty() ? "fault-free" : "DLL-armed");
+        FabricFixture f(IdcMethod::DimmLink, "4D-2C", PollingMode::Proxy,
+                        overrides);
+        f.complete(makeTxn(Transaction::Type::RemoteWrite, 0, 1, 1000));
+        while (f.fabric->dllInFlight() > 0 && f.eq.step()) {
+        }
+        EXPECT_EQ(proto::packetsFor(1000), 4u);
+        EXPECT_EQ(proto::wireBytesFor(1000), 1072u);
+        EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.packetsViaLink"),
+                         static_cast<double>(proto::packetsFor(1000)));
+        EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.bytesViaLink"),
+                         static_cast<double>(proto::wireBytesFor(1000)));
+        EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.packetsViaHost"), 0.0);
+        if (!overrides.empty()) {
+            // The fault model is armed but corrupted nothing: every
+            // packet crossed once, under the DLL, with no retry.
+            EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc0.packetized"),
+                             static_cast<double>(proto::packetsFor(1000)));
+            EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.dllc0.dllRetries"),
+                             0.0);
+        }
+    }
+
+    FabricFixture f(IdcMethod::DimmLink, "4D-2C");
+    f.complete(makeTxn(Transaction::Type::Broadcast, 0, 0, 600));
+    EXPECT_DOUBLE_EQ(f.reg.scalar("fabric.dl.packetsViaLink"),
+                     static_cast<double>(proto::packetsFor(600)));
 }
 
 TEST(AimFabricTest, BusContentionSerializes)

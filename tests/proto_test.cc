@@ -144,25 +144,26 @@ TEST(Packet, TagsRecycleThroughSixBits)
 
 TEST(Codec, Segmentation)
 {
-    EXPECT_EQ(Codec::segment(0).size(), 1u);
-    EXPECT_EQ(Codec::segment(256).size(), 1u);
-    EXPECT_EQ(Codec::segment(257).size(), 2u);
-    const auto sizes = Codec::segment(1000);
-    EXPECT_EQ(sizes.size(), 4u);
-    unsigned total = 0;
-    for (unsigned s : sizes)
-        total += s;
-    EXPECT_EQ(total, 1000u);
+    EXPECT_EQ(packetsFor(0), 1u);
+    EXPECT_EQ(packetsFor(256), 1u);
+    EXPECT_EQ(packetsFor(257), 2u);
+    std::vector<unsigned> sizes;
+    forEachSegment(1000, [&](unsigned c) { sizes.push_back(c); });
+    EXPECT_EQ(sizes, (std::vector<unsigned>{256, 256, 256, 232}));
+    EXPECT_EQ(packetsFor(1000), sizes.size());
+    sizes.clear();
+    forEachSegment(0, [&](unsigned c) { sizes.push_back(c); });
+    EXPECT_EQ(sizes, std::vector<unsigned>{0}); // header-only packet
 }
 
 TEST(Codec, LatencyModel)
 {
     const Packet small = Codec::makeReadReq(0, 1, 0, 0);
     const Packet big = Codec::makeWriteReq(0, 1, 0, 0, 256);
-    EXPECT_EQ(Codec::packetizeCycles(small), 18u + 2u);
-    EXPECT_EQ(Codec::packetizeCycles(big), 18u + 2u * 17);
-    EXPECT_GT(Codec::packetizeCycles(big),
-              Codec::packetizeCycles(small));
+    EXPECT_EQ(Codec::packetizeCycles(small.numFlits()), 18u + 2u);
+    EXPECT_EQ(Codec::packetizeCycles(big.numFlits()), 18u + 2u * 17);
+    EXPECT_EQ(flitsFor(0), small.numFlits());
+    EXPECT_EQ(flitsFor(256), big.numFlits());
 }
 
 /** A lossy in-memory transport between a sender and a receiver. */
