@@ -56,7 +56,6 @@ main()
             SystemConfig base;
             base.numDimms = shape.dimms;
             base.numChannels = shape.channels;
-            base.host.numChannels = shape.channels;
 
             RunResult mcn;
             std::printf("%-9s", wl.c_str());

@@ -41,7 +41,7 @@ main()
         const double gbps = t.gbPerPin;
         EventQueue eq;
         stats::Registry reg;
-        noc::Link link(eq, "l", gbps, 0, 128, reg.group("l"));
+        noc::Link link(eq, "l", gbps, 0, reg.group("l"));
         const Tick four_flits = link.serializationTime(4);
         std::printf("%-14s %-13s %12.0f %6.0fmm %12.2f %13.1f ns\n",
                     t.ref, t.media, t.gbPerPin, t.reachMm,

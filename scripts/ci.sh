@@ -34,7 +34,7 @@ echo "==> end-to-end run from the checked-in config"
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 -p system.dramScheduler=FCFS \
+    -p system.dramScheduler=FCFS \
     --workload stream --scale 4 --rounds 1
 
 echo "==> malformed CLI numbers are usage errors (exit 2)"
@@ -58,7 +58,6 @@ trap 'rm -rf "$trace_dir"' EXIT
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 \
     --workload bfs --scale 4 --rounds 1 \
     --trace-out "$trace_dir/trace.json" \
     --sample-interval-ps 1000000 \
@@ -88,13 +87,11 @@ echo "==> zero-perturbation guard: tracing off matches untraced output"
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 \
     --workload bfs --scale 4 --rounds 1 --json \
     -p obs.trace=false > "$trace_dir/off.out"
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 \
     --workload bfs --scale 4 --rounds 1 --json > "$trace_dir/plain.out"
 if ! cmp -s "$trace_dir/off.out" "$trace_dir/plain.out"; then
     echo "tracing-off run diverged from plain run"
@@ -114,13 +111,12 @@ echo "==> DRAM standards matrix"
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 \
     --workload bfs --scale 5 --rounds 1 --json \
     > "$trace_dir/std-base.out"
 "$root/build/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 -p dram.standard=ddr4 \
+    -p dram.standard=ddr4 \
     --workload bfs --scale 5 --rounds 1 --json \
     > "$trace_dir/std-alias.out"
 if ! cmp -s "$trace_dir/std-base.out" "$trace_dir/std-alias.out"; then
@@ -135,7 +131,7 @@ for std in ddr4 ddr5 lpddr5x hbm2; do
         "$root/build/examples/example_simulate" \
             --config "$root/configs/default.json" \
             -p system.numDimms=4 -p system.numChannels=2 \
-            -p host.numChannels=2 -p dram.standard="$std" \
+            -p dram.standard="$std" \
             --workload "$wl" --scale 5 --rounds 1 > /dev/null
     done
     echo "    [$std] OK: 10-workload matrix completed and verified"
@@ -151,7 +147,6 @@ for wl in kv embed; do
         "$root/build-asan/examples/example_simulate" \
         --config "$root/configs/default.json" \
         -p system.numDimms=4 -p system.numChannels=2 \
-        -p host.numChannels=2 \
         --workload "$wl" --requests 256 -p serve.keys=8192 --json \
         > "$trace_dir/serve-$wl.out"
     python3 - "$trace_dir/serve-$wl.out" <<'EOF'
@@ -176,7 +171,6 @@ for wl in kv embed; do
         "$root/build/examples/example_simulate" \
             --config "$root/configs/default.json" \
             -p system.numDimms=4 -p system.numChannels=2 \
-            -p host.numChannels=2 \
             --workload "$wl" --requests 256 -p serve.keys=8192 --json \
             > "$trace_dir/serve$run.out"
     done
@@ -196,7 +190,6 @@ soak_out="$(ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     "$root/build-asan/examples/example_simulate" \
     --config "$root/configs/default.json" \
     -p system.numDimms=4 -p system.numChannels=2 \
-    -p host.numChannels=2 \
     -p faults.model=ber -p faults.ber=2e-5 -p faults.seed=7 \
     --workload bfs --scale 6 --rounds 2 --json)"
 if ! grep -q '"dllCorrupt": [1-9]' <<<"$soak_out"; then
@@ -236,7 +229,7 @@ for model in stuck ber; do
                 "$root/build-asan/examples/example_simulate" \
                 --config "$root/configs/default.json" \
                 -p system.numDimms=4 -p system.numChannels=2 \
-                -p host.numChannels=2 -p link.topology="$topo" \
+                -p link.topology="$topo" \
                 "${fault_args[@]}" -p faults.seed=7 \
                 -p faults.onExhausted="$policy" \
                 -p watchdog.stallPs=1000000000 \
@@ -313,7 +306,7 @@ for policy in failover drop; do
         "$root/build-asan/examples/example_simulate" \
         --config "$root/configs/default.json" \
         -p system.numDimms=4 -p system.numChannels=2 \
-        -p host.numChannels=2 -p link.topology=HalfRing \
+        -p link.topology=HalfRing \
         -p faults.model=stuck -p faults.stuckAtPs=0 \
         -p faults.stuckForPs=25000000 -p faults.stuckPeriodPs=0 \
         -p faults.linkFilter=link1to2 -p faults.seed=17 \

@@ -330,7 +330,6 @@ fields()
         CFG_FIELD("host.numCores", host.numCores),
         CFG_FIELD("host.coreFreqMHz", host.coreFreqMHz),
         CFG_FIELD("host.computeIpc", host.computeIpc),
-        CFG_FIELD("host.numChannels", host.numChannels),
         CFG_FIELD("host.channelGBps", host.channelGBps),
         CFG_FIELD("host.l1Bytes", host.l1Bytes),
         CFG_FIELD("host.l1Assoc", host.l1Assoc),
@@ -342,7 +341,6 @@ fields()
         CFG_FIELD("host.forwardLatencyPs", host.forwardLatencyPs),
         CFG_FIELD("host.interruptLatencyPs", host.interruptLatencyPs),
         CFG_FIELD("host.pollIntervalPs", host.pollIntervalPs),
-        CFG_FIELD("host.pollReadBytes", host.pollReadBytes),
         CFG_FIELD("host.pollChannelPs", host.pollChannelPs),
         CFG_FIELD("host.pollThreads", host.pollThreads),
         CFG_FIELD("host.forwardIssuePs", host.forwardIssuePs),
@@ -365,7 +363,6 @@ fields()
         CFG_FIELD("link.routerLatencyPs", link.routerLatencyPs),
         CFG_FIELD("link.wireLatencyPs", link.wireLatencyPs),
         CFG_FIELD("link.bufferFlits", link.bufferFlits),
-        CFG_FIELD("link.flitBits", link.flitBits),
         CFG_FIELD("link.retryTimeoutPs", link.retryTimeoutPs),
         CFG_FIELD("link.maxRetries", link.maxRetries),
         CFG_FIELD("link.retryWindow", link.retryWindow),
@@ -506,9 +503,6 @@ SystemConfig::validate() const
     if (numDimms % groupSize() != 0)
         fatal("numDimms (%u) must be a multiple of the group size (%u)",
               numDimms, groupSize());
-    if (host.numChannels < numChannels)
-        fatal("host provides %u channels but the system needs %u",
-              host.numChannels, numChannels);
 
     // Topology vs. group shape.
     if (link.topology == Topology::Mesh ||
@@ -519,9 +513,6 @@ SystemConfig::validate() const
     }
     if (link.linkGBps <= 0)
         fatal("link.linkGBps must be positive, got %g", link.linkGBps);
-    if (link.flitBits == 0 || link.flitBits % 8 != 0)
-        fatal("link.flitBits (%u) must be a positive multiple of 8",
-              link.flitBits);
     if (link.bufferFlits == 0)
         fatal("link.bufferFlits must be positive");
 
@@ -736,7 +727,6 @@ SystemConfig::preset(const std::string &name)
         fatal("unknown system preset '%s' (valid: 4D-2C, 8D-4C, "
               "12D-6C, 16D-8C)", name.c_str());
     }
-    cfg.host.numChannels = cfg.numChannels;
     return cfg;
 }
 
@@ -854,7 +844,7 @@ SystemConfig::print(std::ostream &os) const
                                                  : "static") << "\n"
        << "  Host: " << host.numCores << " OoO cores @ "
        << host.coreFreqMHz / 1000.0 << " GHz, "
-       << host.numChannels << " channels @ " << host.channelGBps
+       << numChannels << " channels @ " << host.channelGBps
        << " GB/s\n"
        << "  NMP DIMM: " << dimm.numCores << " cores @ "
        << dimm.coreFreqMHz / 1000.0 << " GHz, L1 "
@@ -862,7 +852,7 @@ SystemConfig::print(std::ostream &os) const
        << dimm.l2Bytes / 1024 << " KB, " << dimm.numRanks
        << " ranks\n"
        << "  DIMM-Link: " << link.linkGBps << " GB/s/dir per link, "
-       << toString(link.topology) << ", " << link.flitBits
+       << toString(link.topology) << ", " << proto::flitBytes * 8
        << "-bit flits, " << link.bufferFlits << "-flit buffers\n"
        << "  AIM bus: " << bus.busGBps << " GB/s shared\n"
        << "  DRAM preset: " << dramPreset

@@ -33,10 +33,9 @@ class Link
     /**
      * @param gbps        per-direction bandwidth (GRS: 25 GB/s).
      * @param wire_ps     SerDes + PCB trace latency per traversal.
-     * @param flit_bits   flit width (128 in the DL protocol).
      */
     Link(EventQueue &eq, std::string name, double gbps, Tick wire_ps,
-         unsigned flit_bits, stats::Group &sg);
+         stats::Group &sg);
     ~Link();
 
     /**
@@ -66,7 +65,6 @@ class Link
     std::string name_;
     double gbps_;
     Tick wireLatency;
-    unsigned flitBytes;
     Tick busyUntil = 0;
 
     stats::Scalar &statFlits;

@@ -33,8 +33,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
                 std::to_string(i) + "to" + std::to_string(nb);
             auto &sg = reg.group(lname);
             links.push_back(std::make_unique<Link>(
-                eq, lname, cfg.linkGBps, cfg.wireLatencyPs,
-                cfg.flitBits, sg));
+                eq, lname, cfg.linkGBps, cfg.wireLatencyPs, sg));
             if (faults)
                 links.back()->setFaultModel(
                     fault::makeFaultModel(*faults, lname));

@@ -126,7 +126,7 @@ TEST(Link, SerializationMatchesBandwidth)
 {
     EventQueue eq;
     stats::Registry reg;
-    Link link(eq, "l", 25.0, 8000, 128, reg.group("l"));
+    Link link(eq, "l", 25.0, 8000, reg.group("l"));
     // 10 flits = 160 bytes at 25 GB/s = 6.4 ns.
     EXPECT_EQ(link.serializationTime(10), 6400u);
 
@@ -145,7 +145,7 @@ TEST(Link, BackToBackTransfersQueue)
 {
     EventQueue eq;
     stats::Registry reg;
-    Link link(eq, "l", 25.0, 0, 128, reg.group("l"));
+    Link link(eq, "l", 25.0, 0, reg.group("l"));
     Tick first = 0, second = 0;
     Message a, b;
     a.flits = b.flits = 10;
