@@ -1,6 +1,8 @@
 #include "common/config.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -160,9 +162,12 @@ parseValue(const std::string &v, const char *key, std::uint64_t)
     char *end = nullptr;
     if (!v.empty() && v[0] == '-')
         badValue(key, v, "a non-negative integer");
+    errno = 0;
     const unsigned long long r = std::strtoull(v.c_str(), &end, 0);
     if (end == v.c_str() || *end != '\0')
         badValue(key, v, "a non-negative integer");
+    if (errno == ERANGE)
+        badValue(key, v, "a 64-bit unsigned integer");
     return r;
 }
 
@@ -182,6 +187,8 @@ parseValue(const std::string &v, const char *key, double)
     const double r = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0')
         badValue(key, v, "a number");
+    if (!std::isfinite(r))
+        badValue(key, v, "a finite number");
     return r;
 }
 
@@ -374,8 +381,6 @@ fields()
         CFG_FIELD("faults.model", faults.model),
         CFG_FIELD("faults.ber", faults.ber),
         CFG_FIELD("faults.seed", faults.seed),
-        CFG_FIELD("faults.burstProb", faults.burstProb),
-        CFG_FIELD("faults.burstLen", faults.burstLen),
         CFG_FIELD("faults.degradeFactor", faults.degradeFactor),
         CFG_FIELD("faults.stuckAtPs", faults.stuckAtPs),
         CFG_FIELD("faults.stuckForPs", faults.stuckForPs),
@@ -434,7 +439,6 @@ fields()
         CFG_FIELD("rack.switchHopPs", rack.switchHopPs),
         CFG_FIELD("rack.portGBps", rack.portGBps),
         CFG_FIELD("rack.pooledGBps", rack.pooledGBps),
-        CFG_FIELD("rack.groupsPerHost", rack.groupsPerHost),
         CFG_FIELD("rack.hostDownId", rack.hostDownId),
         CFG_FIELD("rack.hostDownAtPs", rack.hostDownAtPs),
         CFG_FIELD("rack.hostDownForPs", rack.hostDownForPs),
@@ -578,19 +582,11 @@ SystemConfig::validate() const
               faults.model.c_str(), fm.knownList().c_str());
     if (faults.ber < 0.0 || faults.ber >= 1.0)
         fatal("faults.ber (%g) must be within [0, 1)", faults.ber);
-    if (faults.burstProb < 0.0 || faults.burstProb > 1.0)
-        fatal("faults.burstProb (%g) must be within [0, 1]",
-              faults.burstProb);
-    if (faults.burstLen == 0)
-        fatal("faults.burstLen must be positive");
     if (faults.degradeFactor <= 0.0 || faults.degradeFactor > 1.0)
         fatal("faults.degradeFactor (%g) must be within (0, 1]",
               faults.degradeFactor);
-    if (faults.model == "ber" || faults.model == "burst") {
-        if (faults.ber == 0.0)
-            warn("fault model '%s' with faults.ber = 0 injects "
-                 "nothing", faults.model.c_str());
-    }
+    if (faults.model == "ber" && faults.ber == 0.0)
+        warn("fault model 'ber' with faults.ber = 0 injects nothing");
     if (faults.suspectAfter == 0)
         fatal("faults.suspectAfter must be positive");
     if (faults.reprobeIntervalPs == 0)
@@ -662,7 +658,7 @@ SystemConfig::validate() const
                   "(%u): each host needs at least one pool group",
                   rack.hosts, numGroups());
         if (groupsPerHost() * rack.hosts != numGroups())
-            fatal("rack.hosts (%u) x groupsPerHost (%u) must cover "
+            fatal("rack.hosts (%u) x %u groups per host must cover "
                   "the %u DL groups exactly", rack.hosts,
                   groupsPerHost(), numGroups());
         if ((groupsPerHost() * groupSize()) % dimmsPerChannel() != 0)

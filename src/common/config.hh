@@ -171,18 +171,12 @@ struct BusConfig
  */
 struct FaultConfig
 {
-    /** Registered fault model: "none", "ber", "burst", "degrade",
-     * "stuck". */
+    /** Registered fault model: "none", "ber", "degrade", "stuck". */
     std::string model = "none";
-    /** Independent per-bit flip probability (the in-burst rate for
-     * the burst model). */
+    /** ber: independent per-bit flip probability. */
     double ber = 1e-5;
     /** Base seed; per-link streams are derived from it. */
     std::uint64_t seed = 1;
-    /** burst: probability that a message outside a burst starts one. */
-    double burstProb = 1e-3;
-    /** burst: burst length, in consecutive messages. */
-    unsigned burstLen = 8;
     /** degrade: effective-bandwidth multiplier in (0, 1]. */
     double degradeFactor = 0.5;
     /** stuck: outage start tick. */
@@ -366,8 +360,6 @@ struct RackConfig
     double portGBps = 32.0;
     /** Per-direction bandwidth of one pooled DIMM-Link bridge lane. */
     double pooledGBps = 25.0;
-    /** DL groups owned by each host; 0 = auto (numGroups / hosts). */
-    unsigned groupsPerHost = 0;
     /** Failure injection: host whose rack port (and cross-host
      * forwarding CPU) dies at hostDownAtPs; its pool nodes stay
      * powered and reachable over the pooled bridges. 0 ticks = no
@@ -474,13 +466,11 @@ struct SystemConfig
 
     /** Is the rack layer (multi-host pooling) in play? */
     bool rackEnabled() const { return rack.hosts > 1; }
-    /** DL groups owned by each host (resolves the 0 = auto setting;
-     * numGroups() when single-host, so hostOf() degenerates to 0). */
+    /** DL groups owned by each host (numGroups() when single-host,
+     * so hostOf() degenerates to 0). */
     unsigned
     groupsPerHost() const
     {
-        if (rack.groupsPerHost != 0)
-            return rack.groupsPerHost;
         return rack.hosts > 1 ? numGroups() / rack.hosts : numGroups();
     }
     /** Host that owns DL group @p g. */

@@ -517,8 +517,7 @@ CoreEngine::advance()
                 break;
             }
             if (rel.hedgeAfterPs == 0) {
-                // Hedging is off (e.g. replaying a trace with the
-                // knob unset): a hedged batch is a fenced Mem.
+                // Hedging is off: a hedged batch is a fenced Mem.
                 enterStall(State::Fence);
                 return;
             }

@@ -66,13 +66,4 @@ Dimm::flushCaches()
     l2->flush();
 }
 
-bool
-Dimm::quiescent() const
-{
-    for (const auto &core : cores)
-        if (core->busy())
-            return false;
-    return mc->idle();
-}
-
 } // namespace dimmlink

@@ -50,9 +50,6 @@ class Dimm
      * fetch results from DRAM. */
     void flushCaches();
 
-    /** True when no core is running and the MC is drained. */
-    bool quiescent() const;
-
   private:
     DimmId id_;
     std::unique_ptr<LocalMc> mc;

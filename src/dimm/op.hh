@@ -60,11 +60,11 @@ struct Op
     Addr bcastAddr = 0;
     std::uint64_t bcastBytes = 0;
     /** ReqStart: the request's arrival tick, relative to the tick the
-     * thread's run began (so traces replay on any system), or reqNow
-     * for closed-loop mode. An open-loop core idles until the arrival
-     * and measures latency from it -- queueing delay included -- while
-     * a closed-loop core starts the clock when it picks the request
-     * up. */
+     * thread's run began (so a stream runs the same on any system),
+     * or reqNow for closed-loop mode. An open-loop core idles until
+     * the arrival and measures latency from it -- queueing delay
+     * included -- while a closed-loop core starts the clock when it
+     * picks the request up. */
     Tick tickArg = 0;
     /** ReqStart (reliability layer): shed the request if it is still
      * waiting at run start + tickArg2 -- the arrival of the

@@ -53,8 +53,6 @@ FaultModel::applyBitErrors(double ber, unsigned bits,
 std::unique_ptr<FaultModel>
 makeFaultModel(const FaultConfig &cfg, const std::string &link_name)
 {
-    if (cfg.model == "none")
-        return nullptr;
     if (!cfg.linkFilter.empty() &&
         link_name.find(cfg.linkFilter) == std::string::npos)
         return nullptr;

@@ -7,7 +7,7 @@
  * rate, or stalling the link — from a per-link RNG stream derived
  * from the config seed and the link's name, so every run is
  * reproducible and seed-sweepable. Implementations self-register in
- * the FaultModelFactory ("none", "ber", "burst", "degrade", "stuck").
+ * the FaultModelFactory ("none", "ber", "degrade", "stuck").
  */
 
 #ifndef DIMMLINK_FAULT_FAULT_MODEL_HH

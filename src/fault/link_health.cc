@@ -167,17 +167,6 @@ LinkHealth::numSuspectOrDown() const
     return n;
 }
 
-std::vector<LinkHealth::EdgeState>
-LinkHealth::snapshot() const
-{
-    std::vector<EdgeState> out;
-    out.reserve(edges.size());
-    for (const auto &kv : edges)
-        out.push_back({kv.first.first, kv.first.second,
-                       kv.second.state});
-    return out;
-}
-
 std::string
 LinkHealth::dump() const
 {

@@ -98,19 +98,6 @@ class LinkHealth
     /** One line per non-up edge, for hang diagnostics. */
     std::string dump() const;
 
-    /** One registered edge and its current state. */
-    struct EdgeState
-    {
-        int a;
-        int b;
-        LinkState state;
-    };
-    /** Every registered edge with its state, in key order: the
-     * queryable health snapshot consumers (the serving circuit
-     * breaker, tests, debug tooling) read instead of poking edges
-     * one by one. */
-    std::vector<EdgeState> snapshot() const;
-
   private:
     struct Edge
     {

@@ -10,20 +10,6 @@ namespace dimmlink {
 namespace fault {
 namespace {
 
-/** The explicit no-op, so "none" is a registered, listable choice. */
-class NoneModel : public FaultModel
-{
-  public:
-    NoneModel(const FaultConfig &, std::uint64_t seed)
-        : FaultModel(seed)
-    {}
-
-    Effect onTransmit(Tick, unsigned, noc::Message &) override
-    {
-        return {};
-    }
-};
-
 /** Independent random bit errors at a fixed BER. */
 class BerModel : public FaultModel
 {
@@ -41,41 +27,6 @@ class BerModel : public FaultModel
 
   private:
     const double ber;
-};
-
-/**
- * Bursty errors: the link is normally clean; with probability
- * burstProb a message starts a burst, and the next burstLen messages
- * see bit errors at the configured BER (correlated noise — e.g. a
- * marginal lane or a transient EMI event).
- */
-class BurstModel : public FaultModel
-{
-  public:
-    BurstModel(const FaultConfig &cfg, std::uint64_t seed)
-        : FaultModel(seed),
-          ber(cfg.ber),
-          burstProb(cfg.burstProb),
-          burstLen(cfg.burstLen)
-    {}
-
-    Effect onTransmit(Tick, unsigned bits, noc::Message &msg) override
-    {
-        if (inBurstLeft == 0 && rng.chance(burstProb))
-            inBurstLeft = burstLen;
-        Effect e;
-        if (inBurstLeft > 0) {
-            --inBurstLeft;
-            e.corrupted = applyBitErrors(ber, bits, msg) > 0;
-        }
-        return e;
-    }
-
-  private:
-    const double ber;
-    const double burstProb;
-    const unsigned burstLen;
-    unsigned inBurstLeft = 0;
 };
 
 /**
@@ -141,9 +92,12 @@ make(const FaultConfig &cfg, std::uint64_t seed)
     return std::make_unique<M>(cfg, seed);
 }
 
-FaultModelFactory::Registrar regNone("none", make<NoneModel>);
+/** "none" is registered so configs can name it and validate() lists
+ * it; it builds no model, leaving every link unfaulted. */
+FaultModelFactory::Registrar regNone(
+    "none", [](const FaultConfig &, std::uint64_t)
+        -> std::unique_ptr<FaultModel> { return nullptr; });
 FaultModelFactory::Registrar regBer("ber", make<BerModel>);
-FaultModelFactory::Registrar regBurst("burst", make<BurstModel>);
 FaultModelFactory::Registrar regDegrade("degrade", make<DegradeModel>);
 FaultModelFactory::Registrar regStuck("stuck", make<StuckModel>);
 

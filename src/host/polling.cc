@@ -57,12 +57,6 @@ PollingEngine::requestRaised(DimmId target)
     onRequestRaised(target);
 }
 
-void
-PollingEngine::requestsCleared(DimmId target)
-{
-    pendingTargets.erase(target);
-}
-
 Tick
 PollingEngine::pollOne(DimmId target, Tick earliest)
 {

@@ -66,9 +66,6 @@ class PollingEngine
      */
     void requestRaised(DimmId target);
 
-    /** The target's requests were drained by the forwarder. */
-    void requestsCleared(DimmId target);
-
     /** True when ALERT_N wakes the host instead of a periodic sweep. */
     virtual bool interruptDriven() const = 0;
 

@@ -12,7 +12,6 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
     : name_(std::move(name)),
       cfg(cfg_),
       topo(cfg_.topology, nodes),
-      registry(reg),
       statInjected(reg.group(name_).scalar("injected")),
       statInjectBlocked(reg.group(name_).scalar("injectBlocked")),
       statLatencyPs(reg.group(name_).distribution("latencyPs")),
@@ -67,25 +66,6 @@ Network::setRetryHandler(int node, std::function<void()> h)
 {
     routers[static_cast<std::size_t>(node)]->setSpaceFreedHandler(
         std::move(h));
-}
-
-double
-Network::totalLinkBusyPs() const
-{
-    double sum = 0;
-    for (const auto &l : links)
-        sum += registry.scalar(l->name() + ".busyPs");
-    return sum;
-}
-
-std::uint64_t
-Network::messagesDelivered() const
-{
-    double sum = 0;
-    for (unsigned i = 0; i < topo.numNodes(); ++i)
-        sum += registry.scalar(name_ + ".router" + std::to_string(i)
-                               + ".ejected");
-    return static_cast<std::uint64_t>(sum);
 }
 
 } // namespace noc

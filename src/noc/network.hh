@@ -69,10 +69,6 @@ class Network
         return it == linkOf.end() ? nullptr : it->second;
     }
 
-    /** Aggregate statistics for reporting. */
-    double totalLinkBusyPs() const;
-    std::uint64_t messagesDelivered() const;
-
   private:
     std::string name_;
     LinkConfig cfg;
@@ -80,7 +76,6 @@ class Network
     std::vector<std::unique_ptr<Router>> routers;
     std::vector<std::unique_ptr<Link>> links;
     std::map<std::pair<int, int>, Link *> linkOf;
-    stats::Registry &registry;
     stats::Scalar &statInjected;
     stats::Scalar &statInjectBlocked;
     stats::Distribution &statLatencyPs;

@@ -29,30 +29,10 @@ Codec::makeReadReq(std::uint8_t src, std::uint8_t dst, Addr addr,
 }
 
 Packet
-Codec::makeReadResp(std::uint8_t src, std::uint8_t dst, Addr addr,
-                    std::uint8_t tag, unsigned bytes)
-{
-    return base(src, dst, DlCommand::ReadResp, addr, tag, bytes);
-}
-
-Packet
 Codec::makeWriteReq(std::uint8_t src, std::uint8_t dst, Addr addr,
                     std::uint8_t tag, unsigned bytes)
 {
     return base(src, dst, DlCommand::WriteReq, addr, tag, bytes);
-}
-
-Packet
-Codec::makeWriteAck(std::uint8_t src, std::uint8_t dst, Addr addr,
-                    std::uint8_t tag)
-{
-    return base(src, dst, DlCommand::WriteAck, addr, tag, 0);
-}
-
-Packet
-Codec::makeBroadcast(std::uint8_t src, unsigned bytes, std::uint8_t tag)
-{
-    return base(src, 0, DlCommand::Broadcast, 0, tag, bytes);
 }
 
 Packet

@@ -36,22 +36,10 @@ class Codec
     static Packet makeReadReq(std::uint8_t src, std::uint8_t dst,
                               Addr addr, std::uint8_t tag);
 
-    /** Read-return data of @p bytes (zero-filled timing payload). */
-    static Packet makeReadResp(std::uint8_t src, std::uint8_t dst,
-                               Addr addr, std::uint8_t tag,
-                               unsigned bytes);
-
     /** Remote write carrying @p bytes of data. */
     static Packet makeWriteReq(std::uint8_t src, std::uint8_t dst,
                                Addr addr, std::uint8_t tag,
                                unsigned bytes);
-
-    static Packet makeWriteAck(std::uint8_t src, std::uint8_t dst,
-                               Addr addr, std::uint8_t tag);
-
-    /** Broadcast payload packet (DST ignored by routers). */
-    static Packet makeBroadcast(std::uint8_t src, unsigned bytes,
-                                std::uint8_t tag);
 
     /** Synchronization message (single flit). */
     static Packet makeSyncMsg(std::uint8_t src, std::uint8_t dst,

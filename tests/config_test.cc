@@ -163,6 +163,15 @@ TEST(ConfigSetDeathTest, BadTypedValueNamesKey)
     EXPECT_EXIT(cfg.set("system.distanceAwareMapping", "maybe"),
                 ::testing::ExitedWithCode(1),
                 "system.distanceAwareMapping");
+    // Non-finite numbers and integers past 64 bits are rejected: a
+    // NaN link rate would hang the run, a NaN BER would inject
+    // nothing, and strtoull saturates an oversized seed.
+    EXPECT_EXIT(cfg.set("link.linkGBps", "nan"),
+                ::testing::ExitedWithCode(1), "link.linkGBps");
+    EXPECT_EXIT(cfg.set("faults.ber", "nan"),
+                ::testing::ExitedWithCode(1), "faults.ber");
+    EXPECT_EXIT(cfg.set("system.seed", "99999999999999999999999"),
+                ::testing::ExitedWithCode(1), "system.seed");
 }
 
 TEST(ConfigKeys, KnownKeysCoverEverySection)

@@ -46,7 +46,7 @@ TEST(FaultModel, StreamSeedsAreStableAndDecorrelated)
 TEST(FaultModel, FactoryKnowsAllModelsAndFilterGates)
 {
     auto &f = fault::FaultModelFactory::instance();
-    for (const char *m : {"none", "ber", "burst", "degrade", "stuck"})
+    for (const char *m : {"none", "ber", "degrade", "stuck"})
         EXPECT_TRUE(f.contains(m)) << m;
 
     FaultConfig cfg;

@@ -95,7 +95,7 @@ TEST(RackConfig, KeysAreDescribed)
                   described.end())
             << key;
     }
-    EXPECT_EQ(rack_keys, 14u);
+    EXPECT_EQ(rack_keys, 13u);
 }
 
 TEST(RackConfig, PartitionHelpers)

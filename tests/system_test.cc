@@ -287,6 +287,26 @@ TEST(HostBaseline, RunsAndVerifies)
     EXPECT_GT(r.kernelTicks, 0u);
 }
 
+TEST(HostBaseline, BroadcastModeVerifies)
+{
+    // Broadcast-mode PageRank on the host baseline: a host core
+    // carries out each Broadcast op as a copy into every DIMM.
+    auto cfg = SystemConfig::preset("8D-4C");
+    HostRunner host(cfg);
+    workloads::WorkloadParams p;
+    p.numThreads = cfg.host.numCores;
+    p.numDimms = cfg.numDimms;
+    p.scale = 5;
+    p.rounds = 2;
+    p.broadcastMode = true;
+    dram::GlobalAddressMap gmap(cfg.numDimms,
+                                cfg.dimm.capacityBytes);
+    auto wl = workloads::makeWorkload("pagerank", p, gmap);
+    const RunResult r = host.run(*wl);
+    EXPECT_TRUE(r.verified);
+    EXPECT_GT(host.stats().sumScalar("hostcore", "broadcasts"), 0.0);
+}
+
 TEST(HostBaseline, NmpIsFasterOnMemoryBoundKernels)
 {
     // Hotspot is the cleanly bandwidth-bound kernel at test scale
