@@ -1,10 +1,12 @@
 /** @file Golden stats: one small scenario per subsystem (each IDC
  * fabric, each DRAM family, BER and stuck-link faults, forwarded and
  * pooled rack, open- and closed-loop serving, the chaos serving
- * cell, and the host-CPU baseline on a batch and a serving
- * workload), each pinned to its checked-in default stats JSON under
- * tests/golden/. A change that moves any simulated result shows up as
- * a golden diff; scripts/regen_golden.sh rewrites the files.
+ * cell, the host-CPU baseline on a batch and a serving workload, the
+ * ring and torus topologies, interrupt polling, FCFS scheduling and
+ * the direct inter-host fabric), each pinned to its checked-in
+ * default stats JSON under tests/golden/. A change that moves any
+ * simulated result shows up as a golden diff; scripts/regen_golden.sh
+ * rewrites the files.
  *
  * The replay test checks provenance: the config block of a dump,
  * parsed back through SystemConfig::fromString and re-run with the
@@ -120,6 +122,20 @@ scenarios()
          {"serve.requests=512", "serve.keys=8192",
           "serve.latBuckets=512"},
          "kv", 1, 1, true},
+        // One cell per closed choice the default configs never take:
+        // a cyclic and a wrapped-grid topology (Fig. 17), the ALERT_N
+        // polling engine (Table III), in-order DRAM scheduling, and
+        // the direct-attached inter-host fabric.
+        {"topo_ring", "8D-4C", {"link.topology=ring"}, "pagerank", 10},
+        {"topo_torus", "16D-8C", {"link.topology=torus"},
+         "pagerank", 10},
+        {"polling_itrpt", "8D-4C", {"system.pollingMode=P-P+Itrpt"},
+         "pagerank", 10},
+        {"dram_fcfs", "8D-4C", {"system.dramScheduler=FCFS"}, "bfs", 9},
+        {"rack_direct", "rack_2host.json",
+         {"rack.fabric=direct", "rack.idcMode=forwarded",
+          "serve.requests=1024", "serve.latBuckets=512"},
+         "kv"},
     };
     return all;
 }
