@@ -1,10 +1,12 @@
 /**
  * @file
- * Generic string-keyed implementation registry. Every pluggable seam
- * of the simulator (IDC fabrics, NoC topologies, host polling modes,
- * DRAM scheduling policies, workloads) registers its implementations
- * here, so adding a backend means adding one translation unit with a
- * static Registrar — no central switch to edit.
+ * Generic string-keyed implementation registry, for the open sets of
+ * the simulator: workloads, DRAM timing presets and fault models.
+ * Adding one means adding a translation unit with a static Registrar,
+ * no central switch to edit. Closed choices that the config parses
+ * into an enum (IDC method, topology, polling mode) or checks against
+ * a fixed list (DRAM scheduler, inter-host fabric) are built with a
+ * switch at their one construction site instead.
  *
  * Usage, next to the implementation:
  *

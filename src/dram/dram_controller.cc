@@ -10,9 +10,20 @@ namespace dram {
 
 namespace {
 
-constexpr std::size_t npos = SchedPolicy::npos;
+constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
 } // namespace
+
+bool
+schedulerIsFcfs(const std::string &name)
+{
+    if (name == "FCFS")
+        return true;
+    if (name != "FRFCFS")
+        fatal("unknown DRAM scheduling policy '%s' (valid: FCFS, FRFCFS)",
+              name.c_str());
+    return false;
+}
 
 DramController::DramController(EventQueue &eq, std::string name,
                                const Timing &timing, unsigned num_ranks,
@@ -24,7 +35,7 @@ DramController::DramController(EventQueue &eq, std::string name,
       map(timing, num_ranks, line_bytes),
       ranks(num_ranks),
       banks(num_ranks * timing.banksPerRank()),
-      sched(makeSchedPolicy(sched_policy)),
+      fcfs(schedulerIsFcfs(sched_policy)),
       actWindow(num_ranks * timing.subChannels),
       nextCasAnyGroup(timing.subChannels, 0),
       nextCasSameGroup(num_ranks * timing.effGroups(), 0),
@@ -178,6 +189,41 @@ DramController::stepReadyAt(const QueuedReq &qr, Tick now_t,
                      rankBlockedUntil[qr.coord.rank], now_t});
 }
 
+std::size_t
+DramController::pick(const std::deque<QueuedReq> &q, Tick now_t,
+                     Tick &best_ready) const
+{
+    best_ready = maxTick;
+    if (fcfs) {
+        // Only the head of the queue may issue.
+        if (q.empty())
+            return npos;
+        bool row_hit = false;
+        best_ready = stepReadyAt(q.front(), now_t, row_hit);
+        return best_ready <= now_t ? 0 : npos;
+    }
+    // FR-FCFS: the oldest request whose row is open and whose CAS is
+    // ready issues first.
+    std::size_t hit_idx = npos;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        bool row_hit = false;
+        const Tick step_ready = stepReadyAt(q[i], now_t, row_hit);
+        if (row_hit && step_ready <= now_t && hit_idx == npos)
+            hit_idx = i;
+        best_ready = std::min(best_ready, step_ready);
+    }
+    if (hit_idx != npos)
+        return hit_idx;
+    // No ready row hit: let the oldest request make progress if its
+    // next step (ACT or PRE) is ready now.
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        bool row_hit = false;
+        if (stepReadyAt(q[i], now_t, row_hit) <= now_t)
+            return i;
+    }
+    return npos;
+}
+
 Tick
 DramController::actReadyAt(const QueuedReq &qr, Tick now_t) const
 {
@@ -302,7 +348,7 @@ DramController::tick()
 
     Tick best_ready = maxTick;
     if (!q.empty()) {
-        const std::size_t idx = sched->pick(*this, q, now_t, best_ready);
+        const std::size_t idx = pick(q, now_t, best_ready);
         if (idx != npos) {
             QueuedReq &qr = q[static_cast<std::size_t>(idx)];
             const bool was_full =
@@ -323,7 +369,7 @@ DramController::tick()
     std::deque<QueuedReq> &other = serve_writes ? readQ : writeQ;
     if (!other.empty()) {
         Tick other_ready = maxTick;
-        sched->pick(*this, other, now_t, other_ready);
+        pick(other, now_t, other_ready);
         best_ready = std::min(best_ready, other_ready);
     }
 

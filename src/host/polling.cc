@@ -79,15 +79,5 @@ PollingEngine::pollOne(DimmId target, Tick earliest)
     return end;
 }
 
-std::unique_ptr<PollingEngine>
-makePollingEngine(EventQueue &eq, const SystemConfig &cfg,
-                  std::vector<Channel *> channels,
-                  std::vector<DimmId> targets, stats::Registry &reg)
-{
-    return PollingEngineFactory::instance().create(
-        toString(cfg.pollingMode), eq, cfg, std::move(channels),
-        std::move(targets), reg);
-}
-
 } // namespace host
 } // namespace dimmlink

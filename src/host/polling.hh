@@ -11,9 +11,8 @@
  * a target needs attention is the pluggable part. The periodic modes
  * ("Base", "P-P") sweep each channel's targets every poll interval;
  * the ALERT_N modes ("Base+Itrpt", "P-P+Itrpt") sleep until a target
- * raises the shared interrupt line. Implementations register under
- * the PollingMode toString() names; build one with
- * makePollingEngine().
+ * raises the shared interrupt line. makePollingEngine() builds the
+ * one cfg.pollingMode names.
  */
 
 #ifndef DIMMLINK_HOST_POLLING_HH
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/factory.hh"
 #include "common/stats.hh"
 #include "host/channel.hh"
 #include "sim/event_queue.hh"
@@ -65,9 +63,6 @@ class PollingEngine
      * channel; otherwise the next sweep discovers it.
      */
     void requestRaised(DimmId target);
-
-    /** True when ALERT_N wakes the host instead of a periodic sweep. */
-    virtual bool interruptDriven() const = 0;
 
   protected:
     /** Begin the mode's discovery machinery (engine just started). */
@@ -113,14 +108,9 @@ class PollingEngine
     std::vector<Tick> raisedAt;
 };
 
-using PollingEngineFactory =
-    Factory<PollingEngine, EventQueue &, const SystemConfig &,
-            std::vector<Channel *>, std::vector<DimmId>,
-            stats::Registry &>;
-
 /**
- * Build the engine registered under toString(cfg.pollingMode) for the
- * given polled @p targets.
+ * Build cfg.pollingMode's engine (polling_modes.cc) for the given
+ * polled @p targets.
  */
 std::unique_ptr<PollingEngine>
 makePollingEngine(EventQueue &eq, const SystemConfig &cfg,
@@ -128,13 +118,6 @@ makePollingEngine(EventQueue &eq, const SystemConfig &cfg,
                   std::vector<DimmId> targets, stats::Registry &reg);
 
 } // namespace host
-
-template <>
-struct FactoryTraits<host::PollingEngine>
-{
-    static constexpr const char *noun = "polling mode";
-};
-
 } // namespace dimmlink
 
 #endif // DIMMLINK_HOST_POLLING_HH

@@ -46,17 +46,5 @@ AbcFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
         });
 }
 
-namespace {
-
-FabricFactory::Registrar regAbc("ABC-DIMM",
-    [](EventQueue &eq, const SystemConfig &cfg,
-       std::vector<host::Channel *> channels, stats::Registry &reg)
-        -> std::unique_ptr<Fabric> {
-        return std::make_unique<AbcFabric>(eq, cfg, std::move(channels),
-                                       reg);
-    });
-
-} // namespace
-
 } // namespace idc
 } // namespace dimmlink

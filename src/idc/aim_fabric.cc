@@ -100,17 +100,5 @@ AimFabric::submit(Transaction t)
     }
 }
 
-namespace {
-
-FabricFactory::Registrar regAim("AIM",
-    [](EventQueue &eq, const SystemConfig &cfg,
-       std::vector<host::Channel *> channels, stats::Registry &reg)
-        -> std::unique_ptr<Fabric> {
-        return std::make_unique<AimFabric>(eq, cfg, std::move(channels),
-                                       reg);
-    });
-
-} // namespace
-
 } // namespace idc
 } // namespace dimmlink

@@ -113,17 +113,5 @@ McnFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
         });
 }
 
-namespace {
-
-FabricFactory::Registrar regMcn("MCN",
-    [](EventQueue &eq, const SystemConfig &cfg,
-       std::vector<host::Channel *> channels, stats::Registry &reg)
-        -> std::unique_ptr<Fabric> {
-        return std::make_unique<McnFabric>(eq, cfg, std::move(channels),
-                                       reg);
-    });
-
-} // namespace
-
 } // namespace idc
 } // namespace dimmlink

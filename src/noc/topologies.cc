@@ -1,45 +1,54 @@
 /**
  * @file
- * The four registered DL-group topologies (Fig. 17). Each registrar
- * keys on the Topology enum's toString() name.
+ * The four DL-group topologies (Fig. 17): HalfRing is a chain, Ring
+ * closes it, Mesh and Torus are two-row grids.
  */
 
+#include "common/log.hh"
 #include "noc/topology.hh"
 
 namespace dimmlink {
 namespace noc {
 
-namespace {
-
 void
-buildChain(TopologyGraph &g)
+TopologyGraph::build(Topology kind)
 {
-    for (unsigned i = 0; i + 1 < g.numNodes(); ++i)
-        g.addEdge(static_cast<int>(i), static_cast<int>(i + 1));
+    switch (kind) {
+      case Topology::HalfRing:
+        buildChain();
+        return;
+      case Topology::Ring:
+        buildRing();
+        return;
+      case Topology::Mesh:
+        buildGrid(false);
+        return;
+      case Topology::Torus:
+        buildGrid(true);
+        return;
+    }
+    fatal("unknown NoC topology %d (valid: HalfRing, Ring, Mesh, Torus)",
+          static_cast<int>(kind));
 }
 
 /** The practical prototype: a linear chain of DIMMs. */
-class HalfRingBuilder : public TopologyBuilder
+void
+TopologyGraph::buildChain()
 {
-  public:
-    void build(TopologyGraph &g) const override { buildChain(g); }
-};
+    for (unsigned i = 0; i + 1 < n; ++i)
+        addEdge(static_cast<int>(i), static_cast<int>(i + 1));
+}
 
 /** Chain plus a wrap-around link (cyclic once it is a real ring). */
-class RingBuilder : public TopologyBuilder
+void
+TopologyGraph::buildRing()
 {
-  public:
-    void
-    build(TopologyGraph &g) const override
-    {
-        buildChain(g);
-        const unsigned n = g.numNodes();
-        if (n > 2) {
-            g.addEdge(static_cast<int>(n - 1), 0);
-            g.markCyclic();
-        }
+    buildChain();
+    if (n > 2) {
+        addEdge(static_cast<int>(n - 1), 0);
+        cyclic_ = true;
     }
-};
+}
 
 /**
  * Two facing rows of DIMM slots: a 2 x (n/2) grid, with row
@@ -51,82 +60,47 @@ class RingBuilder : public TopologyBuilder
  * into a row, which keeps the channel-dependency graph deadlock-free
  * with bubble injection.
  */
-class GridBuilder : public TopologyBuilder
+void
+TopologyGraph::buildGrid(bool torus)
 {
-  public:
-    explicit GridBuilder(bool torus) : torus(torus) {}
-
-    void
-    build(TopologyGraph &g) const override
-    {
-        const unsigned n = g.numNodes();
-        if (n <= 2) {
-            buildChain(g);
-            return;
-        }
-        const unsigned cols = n / 2;
-        auto id = [cols](unsigned r, unsigned c) {
-            return static_cast<int>(r * cols + c);
-        };
-        for (unsigned r = 0; r < 2; ++r)
-            for (unsigned c = 0; c + 1 < cols; ++c)
-                g.addEdge(id(r, c), id(r, c + 1));
-        for (unsigned c = 0; c < cols; ++c)
-            g.addEdge(id(0, c), id(1, c));
-        const bool wrap = torus && cols > 2;
-        if (wrap) {
-            // Row wrap-around; the column wrap would duplicate the
-            // existing 2-row vertical edges.
-            for (unsigned r = 0; r < 2; ++r)
-                g.addEdge(id(r, 0), id(r, cols - 1));
-            g.markCyclic();
-        }
-        g.setUnicastRoute([cols, wrap](int node, int dst) {
-            const unsigned row = static_cast<unsigned>(node) / cols;
-            const unsigned col = static_cast<unsigned>(node) % cols;
-            const unsigned drow = static_cast<unsigned>(dst) / cols;
-            const unsigned dcol = static_cast<unsigned>(dst) % cols;
-            auto gid = [cols](unsigned r, unsigned c) {
-                return static_cast<int>(r * cols + c);
-            };
-            if (col == dcol)
-                return gid(drow, dcol); // the column hop (or there)
-            // Choose the shorter row direction (wrap on torus only).
-            const unsigned right = (dcol + cols - col) % cols;
-            const unsigned left = (col + cols - dcol) % cols;
-            const bool go_right = wrap ? right <= left : dcol > col;
-            const unsigned next_col = go_right
-                ? (col + 1) % cols
-                : (col + cols - 1) % cols;
-            return gid(row, next_col);
-        });
+    if (n <= 2) {
+        buildChain();
+        return;
     }
-
-  private:
-    const bool torus;
-};
-
-TopologyFactory::Registrar regHalfRing("HalfRing", []()
-    -> std::unique_ptr<TopologyBuilder> {
-    return std::make_unique<HalfRingBuilder>();
-});
-
-TopologyFactory::Registrar regRing("Ring", []()
-    -> std::unique_ptr<TopologyBuilder> {
-    return std::make_unique<RingBuilder>();
-});
-
-TopologyFactory::Registrar regMesh("Mesh", []()
-    -> std::unique_ptr<TopologyBuilder> {
-    return std::make_unique<GridBuilder>(false);
-});
-
-TopologyFactory::Registrar regTorus("Torus", []()
-    -> std::unique_ptr<TopologyBuilder> {
-    return std::make_unique<GridBuilder>(true);
-});
-
-} // namespace
+    const unsigned cols = n / 2;
+    auto id = [cols](unsigned r, unsigned c) {
+        return static_cast<int>(r * cols + c);
+    };
+    for (unsigned r = 0; r < 2; ++r)
+        for (unsigned c = 0; c + 1 < cols; ++c)
+            addEdge(id(r, c), id(r, c + 1));
+    for (unsigned c = 0; c < cols; ++c)
+        addEdge(id(0, c), id(1, c));
+    const bool wrap = torus && cols > 2;
+    if (wrap) {
+        // Row wrap-around; the column wrap would duplicate the
+        // existing 2-row vertical edges.
+        for (unsigned r = 0; r < 2; ++r)
+            addEdge(id(r, 0), id(r, cols - 1));
+        cyclic_ = true;
+    }
+    routeFn = [cols, wrap, id](int node, int dst) {
+        const unsigned row = static_cast<unsigned>(node) / cols;
+        const unsigned col = static_cast<unsigned>(node) % cols;
+        const unsigned drow = static_cast<unsigned>(dst) / cols;
+        const unsigned dcol = static_cast<unsigned>(dst) % cols;
+        if (col == dcol)
+            return id(drow, dcol); // the column hop (or there)
+        // Choose the shorter row direction (wrap on torus only).
+        const unsigned right = (dcol + cols - col) % cols;
+        const unsigned left = (col + cols - dcol) % cols;
+        const bool go_right = wrap ? right <= left : dcol > col;
+        const unsigned next_col = go_right
+            ? (col + 1) % cols
+            : (col + cols - 1) % cols;
+        return id(row, next_col);
+    };
+}
 
 } // namespace noc
 } // namespace dimmlink

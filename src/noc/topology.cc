@@ -14,9 +14,7 @@ TopologyGraph::TopologyGraph(Topology kind, unsigned nodes)
     if (nodes == 0)
         fatal("topology needs at least one node");
 
-    const auto builder =
-        TopologyFactory::instance().create(toString(kind));
-    builder->build(*this);
+    build(kind);
 
     for (auto &list : adj)
         std::sort(list.begin(), list.end());

@@ -36,6 +36,7 @@ InterHostFabric::InterHostFabric(EventQueue &eq,
                                  stats::Registry &reg)
     : eventq(eq),
       cfg(cfg_),
+      switchHops(cfg_.rack.fabric == "switch" ? 2 : 0),
       health(eq, cfg_.faults.suspectAfter, cfg_.faults.reprobeIntervalPs,
              probeTimeoutFor(cfg_)),
       egressFreeAt(cfg_.rack.hosts, 0),
@@ -192,7 +193,7 @@ InterHostFabric::crossing(unsigned a, unsigned b, std::uint64_t bytes,
     const Tick out_end =
         serialize(egressFreeAt[a], now, cfg.rack.portGBps, bytes);
     const Tick arrive = out_end + cfg.rack.latencyPs +
-                        hops(a, b) * cfg.rack.switchHopPs;
+                        switchHops * cfg.rack.switchHopPs;
     const Tick done_at =
         serialize(ingressFreeAt[b], arrive, cfg.rack.portGBps, bytes);
     statCrossLatencyPs.sample(static_cast<double>(done_at - now));
@@ -238,16 +239,8 @@ InterHostFabric::debugDump() const
     if (health.numSuspectOrDown() == 0)
         return "";
     std::ostringstream os;
-    os << "rack (" << kind() << ") health:\n" << health.dump();
+    os << "rack (" << cfg.rack.fabric << ") health:\n" << health.dump();
     return os.str();
-}
-
-std::unique_ptr<InterHostFabric>
-makeInterHostFabric(EventQueue &eq, const SystemConfig &cfg,
-                    stats::Registry &reg)
-{
-    return InterHostFabricFactory::instance().create(cfg.rack.fabric,
-                                                     eq, cfg, reg);
 }
 
 } // namespace rack

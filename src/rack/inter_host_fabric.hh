@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/factory.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "fault/link_health.hh"
@@ -44,13 +43,15 @@ class InterHostFabric
   public:
     InterHostFabric(EventQueue &eq, const SystemConfig &cfg,
                     stats::Registry &reg);
-    virtual ~InterHostFabric() = default;
 
-    /** Switch hops a crossing from host @p a to host @p b pays. */
-    virtual unsigned hops(unsigned a, unsigned b) const = 0;
-
-    /** Registered name ("switch", "direct"). */
-    virtual const char *kind() const = 0;
+    /**
+     * Switch hops every host-forwarded crossing pays: 2 under
+     * rack.fabric "switch" (up to one central CXL switch and out of
+     * it), 0 under "direct" (point-to-point cables between every host
+     * pair, the fully-connected upper bound a real rack approximates
+     * with multiple planes).
+     */
+    unsigned hops() const { return switchHops; }
 
     /** Is host @p h's rack port (and forwarding CPU) routable? */
     bool hostUp(unsigned h) const;
@@ -97,11 +98,11 @@ class InterHostFabric
     /** One line per non-up rack edge, for hang diagnostics. */
     std::string debugDump() const;
 
-  protected:
+  private:
     EventQueue &eventq;
     const SystemConfig &cfg;
+    const unsigned switchHops;
 
-  private:
     /** Synthetic far-end columns of the health graph: (host, kPort)
      * is the host's rack port, (host, kGateway) its bridge attach. */
     static constexpr int kPort = -1;
@@ -146,27 +147,7 @@ class InterHostFabric
     AvailabilitySink availSink;
 };
 
-/**
- * The inter-host fabric registry, keyed by rack.fabric. Like the IDC
- * FabricFactory, implementations self-register from their own
- * translation unit (rack/fabrics.cc).
- */
-using InterHostFabricFactory =
-    Factory<InterHostFabric, EventQueue &, const SystemConfig &,
-            stats::Registry &>;
-
-/** Build the fabric registered under cfg.rack.fabric. */
-std::unique_ptr<InterHostFabric> makeInterHostFabric(
-    EventQueue &eq, const SystemConfig &cfg, stats::Registry &reg);
-
 } // namespace rack
-
-template <>
-struct FactoryTraits<rack::InterHostFabric>
-{
-    static constexpr const char *noun = "inter-host fabric";
-};
-
 } // namespace dimmlink
 
 #endif // DIMMLINK_RACK_INTER_HOST_FABRIC_HH

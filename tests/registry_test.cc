@@ -1,11 +1,12 @@
-/** @file Tests for the implementation registries: the generic Factory
- * machinery, the built-in registrations, the pluggable DRAM scheduler,
- * and registry-vs-direct construction determinism. */
+/** @file Tests for the implementation registries (the generic Factory
+ * machinery and the built-in registrations), the DRAM schedulers, and
+ * the construction of each closed choice: topologies and fabrics. */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/factory.hh"
@@ -13,13 +14,9 @@
 #include "common/stats_json.hh"
 #include "dram/address_map.hh"
 #include "dram/dram_controller.hh"
-#include "dram/sched_policy.hh"
-#include "host/polling.hh"
-#include "idc/abc_fabric.hh"
-#include "idc/aim_fabric.hh"
-#include "idc/dl_fabric.hh"
+#include "dram/timing.hh"
+#include "fault/fault_model.hh"
 #include "idc/fabric.hh"
-#include "idc/mcn_fabric.hh"
 #include "noc/topology.hh"
 #include "sim/event_queue.hh"
 #include "workloads/workload.hh"
@@ -105,46 +102,20 @@ TEST(FactoryDeathTest, DuplicateRegistrationPanics)
 
 TEST(Registries, BuiltInImplementationsAreRegistered)
 {
-    const std::vector<std::string> fabrics =
-        idc::FabricFactory::instance().known();
-    EXPECT_EQ(fabrics, (std::vector<std::string>{
-                           "ABC-DIMM", "AIM", "DIMM-Link", "MCN"}));
-
-    const std::vector<std::string> topos =
-        noc::TopologyFactory::instance().known();
-    EXPECT_EQ(topos, (std::vector<std::string>{"HalfRing", "Mesh",
-                                               "Ring", "Torus"}));
-
-    const std::vector<std::string> polls =
-        host::PollingEngineFactory::instance().known();
-    EXPECT_EQ(polls, (std::vector<std::string>{
-                         "Base", "Base+Itrpt", "P-P", "P-P+Itrpt"}));
-
-    const std::vector<std::string> scheds =
-        dram::SchedPolicyFactory::instance().known();
-    EXPECT_EQ(scheds, (std::vector<std::string>{"FCFS", "FRFCFS"}));
-
     const std::vector<std::string> wls = workloads::knownWorkloads();
     EXPECT_EQ(wls, (std::vector<std::string>{
                        "bfs", "embed", "gups", "hotspot", "kmeans",
                        "kv", "nw", "pagerank", "spmv", "sssp",
                        "stream", "syncbench", "tspow"}));
-}
 
-TEST(Registries, EveryEnumNameResolvesInItsRegistry)
-{
-    for (auto m : {IdcMethod::CpuForwarding, IdcMethod::DedicatedBus,
-                   IdcMethod::ChannelBroadcast, IdcMethod::DimmLink})
-        EXPECT_TRUE(idc::FabricFactory::instance().contains(
-            toString(m)));
-    for (auto t : {Topology::HalfRing, Topology::Ring, Topology::Mesh,
-                   Topology::Torus})
-        EXPECT_TRUE(noc::TopologyFactory::instance().contains(
-            toString(t)));
-    for (auto p : {PollingMode::Baseline, PollingMode::BaselineInterrupt,
-                   PollingMode::Proxy, PollingMode::ProxyInterrupt})
-        EXPECT_TRUE(host::PollingEngineFactory::instance().contains(
-            toString(p)));
+    EXPECT_EQ(dram::Timing::presets(),
+              (std::vector<std::string>{
+                  "DDR4_2400", "DDR4_3200", "DDR5_4800", "DDR5_6400",
+                  "HBM2_2000", "LPDDR5X_8533"}));
+
+    EXPECT_EQ(fault::FaultModelFactory::instance().known(),
+              (std::vector<std::string>{"ber", "degrade", "none",
+                                        "stuck"}));
 }
 
 TEST(RegistriesDeathTest, UnknownTopologyListsAlternatives)
@@ -230,16 +201,17 @@ TEST(SchedPolicyDeathTest, UnknownPolicyListsRegistered)
                                      reg.group("ctl"), "LIFO"),
                 ::testing::ExitedWithCode(1),
                 "unknown DRAM scheduling policy 'LIFO' "
-                "\\(registered: FCFS, FRFCFS\\)");
+                "\\(valid: FCFS, FRFCFS\\)");
 }
 
-// ---- registry-built fabrics behave identically to direct builds -------
+// ---- makeFabric builds each IDC method's fabric ------------------------
 
 namespace {
 
-/** Build a fabric, drive a fixed transaction mix, dump the stats. */
-std::string
-driveFabric(const SystemConfig &cfg, bool via_registry)
+/** Build cfg.idcMethod's fabric, drive a fixed transaction mix, and
+ * return the fabric's name and the stats dump. */
+std::pair<std::string, std::string>
+driveFabric(const SystemConfig &cfg)
 {
     EventQueue eq;
     stats::Registry reg;
@@ -252,30 +224,8 @@ driveFabric(const SystemConfig &cfg, bool via_registry)
         ptrs.push_back(channels.back().get());
     }
 
-    std::unique_ptr<idc::Fabric> fabric;
-    if (via_registry) {
-        fabric = idc::makeFabric(eq, cfg, ptrs, reg);
-    } else {
-        switch (cfg.idcMethod) {
-          case IdcMethod::CpuForwarding:
-            fabric = std::make_unique<idc::McnFabric>(eq, cfg, ptrs,
-                                                      reg);
-            break;
-          case IdcMethod::DedicatedBus:
-            fabric = std::make_unique<idc::AimFabric>(eq, cfg, ptrs,
-                                                      reg);
-            break;
-          case IdcMethod::ChannelBroadcast:
-            fabric = std::make_unique<idc::AbcFabric>(eq, cfg, ptrs,
-                                                      reg);
-            break;
-          case IdcMethod::DimmLink:
-            fabric = std::make_unique<idc::DlFabric>(eq, cfg, ptrs,
-                                                     reg);
-            break;
-        }
-    }
-
+    const std::unique_ptr<idc::Fabric> fabric =
+        idc::makeFabric(eq, cfg, ptrs, reg);
     fabric->setMemAccess([&eq](DimmId, Addr, std::uint32_t, bool,
                                EventCallback done) {
         eq.scheduleIn(60 * tickPerNs, std::move(done));
@@ -306,22 +256,25 @@ driveFabric(const SystemConfig &cfg, bool via_registry)
 
     std::ostringstream os;
     stats::dumpJson(reg, os, true);
-    return os.str();
+    return {fabric->name(), os.str()};
 }
 
 } // namespace
 
 TEST(Registries, FabricsMatchDirectConstructionByteForByte)
 {
-    for (auto m : {IdcMethod::CpuForwarding, IdcMethod::DedicatedBus,
-                   IdcMethod::ChannelBroadcast, IdcMethod::DimmLink}) {
+    const std::pair<IdcMethod, const char *> fabrics[] = {
+        {IdcMethod::CpuForwarding, "fabric.mcn"},
+        {IdcMethod::DedicatedBus, "fabric.aim"},
+        {IdcMethod::ChannelBroadcast, "fabric.abc"},
+        {IdcMethod::DimmLink, "fabric.dl"},
+    };
+    for (const auto &[m, name] : fabrics) {
         SystemConfig cfg = SystemConfig::preset("4D-2C");
         cfg.idcMethod = m;
-        const std::string direct = driveFabric(cfg, false);
-        const std::string registry = driveFabric(cfg, true);
-        EXPECT_EQ(direct, registry) << "fabric " << toString(m);
-        EXPECT_NE(direct.find("\"transactions\": 4"),
-                  std::string::npos)
+        const auto [built, dump] = driveFabric(cfg);
+        EXPECT_EQ(built, name) << "fabric " << toString(m);
+        EXPECT_NE(dump.find("\"transactions\": 4"), std::string::npos)
             << "fabric " << toString(m);
     }
 }
