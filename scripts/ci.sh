@@ -49,6 +49,32 @@ for bad in abc -1; do
 done
 echo "    cli OK: --scale abc and --scale -1 rejected"
 
+echo "==> bad config values fail fast (exit 1, naming the key)"
+# validate() must reject each case before the run starts: a router
+# buffer smaller than one packet (two on a cyclic topology) would
+# otherwise spin until killed, and an unknown name lists the valid
+# ones.
+bad_config() { # <stderr pattern> <example_simulate args...>
+    local want="$1" rc=0 err
+    shift
+    err="$(timeout 20 "$root/build/examples/example_simulate" "$@" \
+        2>&1 > /dev/null)" || rc=$?
+    if [ "$rc" != 1 ] || ! grep -q -- "$want" <<<"$err"; then
+        echo "$* exited $rc, want 1 naming '$want'; stderr: $err"
+        exit 1
+    fi
+}
+bad_pagerank=(--preset 4D-2C --workload pagerank --scale 8 --rounds 1
+    --broadcast)
+bad_config link.bufferFlits "${bad_pagerank[@]}" -p link.bufferFlits=8
+bad_config link.bufferFlits "${bad_pagerank[@]}" \
+    -p link.topology=ring -p link.bufferFlits=33
+bad_config "FCFS, FRFCFS" "${bad_pagerank[@]}" \
+    -p system.dramScheduler=LIFO
+bad_config "direct, switch" --config "$root/configs/rack_2host.json" \
+    -p rack.fabric=infiniband --workload kv
+echo "    config OK: short buffers and unknown names rejected"
+
 echo "==> trace smoke: emitted Chrome-trace JSON is valid and complete"
 # A traced run must produce Perfetto-openable JSON with spans from
 # every acceptance layer (DRAM, NoC, DLL, NMP cores) plus a non-empty

@@ -17,6 +17,7 @@
 #include "noc/link.hh"
 #include "noc/message.hh"
 #include "noc/topology.hh"
+#include "proto/packet.hh"
 #include "sim/event_queue.hh"
 
 namespace dimmlink {
@@ -109,7 +110,8 @@ class Router
     unsigned bufferFlits;
     /** Bubble size for injections on cyclic topologies: one maximal
      * DL packet (17 flits). */
-    unsigned bubbleReserve = 17;
+    static constexpr unsigned bubbleReserve =
+        proto::flitsFor(proto::maxPayloadBytes);
     Tick routerLatency;
 
     std::vector<Port> ports;

@@ -302,6 +302,25 @@ TEST(ConfigValidateDeathTest, CrossFieldConstraints)
         EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
                     "pollThreads");
     }
+    {
+        // Less than one 17-flit packet: the run would never finish.
+        SystemConfig cfg = SystemConfig::preset("4D-2C");
+        cfg.link.bufferFlits = 16;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "link.bufferFlits \\(16\\) must hold one 17-flit");
+    }
+    {
+        // A ring also needs room for the injection bubble; the
+        // acyclic HalfRing runs on one packet.
+        SystemConfig cfg = SystemConfig::preset("4D-2C");
+        cfg.link.bufferFlits = 33;
+        cfg.validate(); // must not exit
+        cfg.link.topology = Topology::Ring;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "link.bufferFlits \\(33\\) must hold two 17-flit");
+        cfg.link.bufferFlits = 34;
+        cfg.validate(); // must not exit
+    }
 }
 
 TEST(ConfigValidate, PresetsAndDefaultConfigFileAreValid)
