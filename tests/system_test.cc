@@ -186,6 +186,25 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+// One-DIMM DL groups: a group broadcast has no peer on its own links,
+// so it completes at once and the copies reach the other groups
+// through the host.
+TEST(SingleDimmGroups, BroadcastPageRankVerifiesOnDimmLink)
+{
+    auto cfg = SystemConfig::preset("4D-2C");
+    cfg.idcMethod = IdcMethod::DimmLink;
+    cfg.dimmsPerGroup = 1;
+    // A hang trips the watchdog instead of the ctest timeout.
+    cfg.watchdog.stallPs = 1000000000;
+    System sys(cfg);
+    auto p = smallParams(cfg);
+    p.rounds = 1;
+    p.broadcastMode = true;
+    auto wl = workloads::makeWorkload("pagerank", p, sys.addressMap());
+    Runner runner(sys, *wl);
+    EXPECT_TRUE(runner.run().verified);
+}
+
 TEST(Determinism, IdenticalRunsProduceIdenticalTiming)
 {
     auto cfg = SystemConfig::preset("4D-2C");
