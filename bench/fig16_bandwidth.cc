@@ -9,14 +9,12 @@
  * 16D-8C the HS/BFS curves are near-linear in the paper.
  *
  * `--standards [out]` runs the cross-standard memory sweep instead:
- * the same DIMM-Link machine under each registered DRAM family, with
+ * the same DIMM-Link machine under each DRAM family, with
  * enough NMP cores that the kernels are memory-bound, written as
  * BENCH_dram.json (docs/dram_timing.md).
  */
 
 #include "bench_util.hh"
-
-#include "dram/timing.hh"
 
 using namespace benchutil;
 
@@ -35,8 +33,13 @@ int
 runStandardsSweep(const std::string &out_path)
 {
     ScopedWallReport wall("fig16_bandwidth --standards");
-    const std::vector<std::string> families = {"ddr4", "ddr5",
-                                               "lpddr5x", "hbm2"};
+    // Each family at its default speed grade.
+    const std::vector<std::pair<std::string, std::string>> families = {
+        {"ddr4", "DDR4_2400"},
+        {"ddr5", "DDR5_4800"},
+        {"lpddr5x", "LPDDR5X_8533"},
+        {"hbm2", "HBM2_2000"},
+    };
     const std::vector<std::string> wls = {"stream", "bfs"};
 
     std::printf("=== DRAM standards sweep (4D-2C DIMM-Link, "
@@ -49,8 +52,7 @@ runStandardsSweep(const std::string &out_path)
 
     std::vector<StdRow> rows;
     std::map<std::string, double> ddr4_time;
-    for (const auto &family : families) {
-        const std::string preset = dram::Timing::resolveName(family);
+    for (const auto &[family, preset] : families) {
         double total = 0, base_total = 0;
         std::printf("%9s %13s", family.c_str(), preset.c_str());
         for (const auto &wl : wls) {
@@ -68,7 +70,7 @@ runStandardsSweep(const std::string &out_path)
             row.workload = wl;
             row.kernelTicks = r.kernelTicks;
             rows.push_back(row);
-            if (family == families[0])
+            if (family == families[0].first)
                 ddr4_time[wl] = static_cast<double>(r.kernelTicks);
             total += static_cast<double>(r.kernelTicks);
             base_total += ddr4_time[wl];

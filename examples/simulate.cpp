@@ -61,6 +61,7 @@
  * stats JSON) is byte-identical whether or not a run was traced.
  */
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cstdint>
@@ -224,9 +225,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (!workloads::WorkloadFactory::instance().contains(workload))
+    const auto known = workloads::knownWorkloads();
+    if (std::find(known.begin(), known.end(), workload) == known.end())
         usage(("unknown workload '" + workload + "' (registered: " +
-               joined(workloads::knownWorkloads()) + ")").c_str());
+               joined(known) + ")").c_str());
 
     cfg.print(std::cout);
 

@@ -127,40 +127,22 @@ fi
 echo "    guard OK: byte-identical stats output"
 
 echo "==> DRAM standards matrix"
-# Every registered memory-standard family must push the whole workload
-# matrix to completion and verification (example_simulate exits
-# nonzero when a kernel fails to verify), exercising each family's own
-# constraint set: DDR5 sub-channels + write CRC, LPDDR5X groupless /
-# windowless decode + REFpb, HBM2 pseudo-channels (docs/dram_timing.md).
-# And the ddr4 family alias must be pure sugar: a run selected via
-# -p dram.standard=ddr4 is byte-identical to one without it.
-"$root/build/examples/example_simulate" \
-    --config "$root/configs/default.json" \
-    -p system.numDimms=4 -p system.numChannels=2 \
-    --workload bfs --scale 5 --rounds 1 --json \
-    > "$trace_dir/std-base.out"
-"$root/build/examples/example_simulate" \
-    --config "$root/configs/default.json" \
-    -p system.numDimms=4 -p system.numChannels=2 \
-    -p dram.standard=ddr4 \
-    --workload bfs --scale 5 --rounds 1 --json \
-    > "$trace_dir/std-alias.out"
-if ! cmp -s "$trace_dir/std-base.out" "$trace_dir/std-alias.out"; then
-    echo "dram.standard=ddr4 perturbed the default run"
-    diff "$trace_dir/std-base.out" "$trace_dir/std-alias.out" | head
-    exit 1
-fi
-echo "    [alias] OK: dram.standard=ddr4 is byte-identical"
-for std in ddr4 ddr5 lpddr5x hbm2; do
+# Every DRAM timing preset must push the whole workload matrix to
+# completion and verification (example_simulate exits nonzero when a
+# kernel fails to verify), exercising each family's own constraint
+# set: DDR5 sub-channels + write CRC, LPDDR5X groupless / windowless
+# decode + REFpb, HBM2 pseudo-channels (docs/dram_timing.md).
+for grade in DDR4_2400 DDR4_3200 DDR5_4800 DDR5_6400 HBM2_2000 \
+    LPDDR5X_8533; do
     for wl in bfs gups hotspot kmeans nw pagerank spmv sssp stream \
         tspow; do
         "$root/build/examples/example_simulate" \
             --config "$root/configs/default.json" \
             -p system.numDimms=4 -p system.numChannels=2 \
-            -p dram.standard="$std" \
+            -p system.dramPreset="$grade" \
             --workload "$wl" --scale 5 --rounds 1 > /dev/null
     done
-    echo "    [$std] OK: 10-workload matrix completed and verified"
+    echo "    [$grade] OK: 10-workload matrix completed and verified"
 done
 
 echo "==> serving smoke under ASan+UBSan"

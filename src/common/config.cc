@@ -7,6 +7,8 @@
 #include <cstdlib>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 
 #include "common/bitfield.hh"
 #include "common/json.hh"
@@ -290,7 +292,7 @@ struct Field
     /** Part of describe()/describeEntries()? Every key that can
      * change a result is, so a stats JSON alone re-runs its
      * experiment. Only execution-only keys (obs.*, watchdog.stallPs)
-     * and the dram.standard alias are not. */
+     * are not. */
     bool describable = true;
 };
 
@@ -319,21 +321,6 @@ fields()
         CFG_FIELD("system.dramPreset", dramPreset),
         CFG_FIELD("system.dramScheduler", dramScheduler),
         CFG_FIELD("system.seed", seed),
-
-        // The `dram` section aliases into the timing-preset registry:
-        // `dram.standard = ddr5` resolves to that family's default
-        // speed grade, an exact grade name passes through. Hidden:
-        // its whole effect is recorded in `system.dramPreset`.
-        Field{"dram.standard",
-              [](const SystemConfig &c) {
-                  return formatValue(
-                      dram::Timing::familyOf(c.dramPreset));
-              },
-              [](SystemConfig &c, const std::string &v) {
-                  c.dramPreset = dram::Timing::resolveName(
-                      parseValue(v, "dram.standard", std::string()));
-              },
-              false},
 
         CFG_FIELD("host.numCores", host.numCores),
         CFG_FIELD("host.coreFreqMHz", host.coreFreqMHz),
@@ -569,10 +556,7 @@ SystemConfig::validate() const
     // Component names, checked here so a bad config fails with the
     // valid alternatives before any component builds.
     dram::schedulerIsFcfs(dramScheduler);
-    const auto &timings = dram::TimingFactory::instance();
-    if (!timings.contains(dramPreset))
-        fatal("unknown DRAM timing preset '%s' (registered: %s)",
-              dramPreset.c_str(), timings.knownList().c_str());
+    dram::Timing::preset(dramPreset);
 
     // DLL retry window: the selective-repeat dedup logic needs the
     // old and new halves of the 16-bit sequence space to stay
@@ -583,10 +567,7 @@ SystemConfig::validate() const
               link.retryWindow, proto::RetrySender::maxWindow);
 
     // Fault injection.
-    const auto &fm = fault::FaultModelFactory::instance();
-    if (!fm.contains(faults.model))
-        fatal("unknown fault model '%s' (registered: %s)",
-              faults.model.c_str(), fm.knownList().c_str());
+    fault::makeModel(faults, 0);
     if (faults.ber < 0.0 || faults.ber >= 1.0)
         fatal("faults.ber (%g) must be within [0, 1)", faults.ber);
     if (faults.degradeFactor <= 0.0 || faults.degradeFactor > 1.0)
@@ -744,21 +725,21 @@ SystemConfig::set(const std::string &key, const std::string &value)
     // Unknown key: point at the section's keys when the section
     // exists, otherwise list the sections.
     const std::string section = key.substr(0, key.find('.'));
-    std::string siblings;
+    std::string siblings, sections, last;
     for (const Field &f : fields()) {
         const std::string fkey = f.key;
-        if (fkey.compare(0, section.size() + 1, section + ".") == 0) {
-            if (!siblings.empty())
-                siblings += ", ";
-            siblings += fkey;
-        }
+        const std::string fsection = fkey.substr(0, fkey.find('.'));
+        if (fsection == section)
+            siblings += (siblings.empty() ? "" : ", ") + fkey;
+        if (fsection != last)
+            sections += (sections.empty() ? "" : ", ") + fsection;
+        last = fsection;
     }
     if (!siblings.empty())
         fatal("unknown config key '%s' (keys in section '%s': %s)",
               key.c_str(), section.c_str(), siblings.c_str());
-    fatal("unknown config key '%s' (sections: system, host, dimm, "
-          "dram, link, bus, faults, serve, energy, obs, watchdog, "
-          "rack)", key.c_str());
+    fatal("unknown config key '%s' (sections: %s)", key.c_str(),
+          sections.c_str());
 }
 
 void
@@ -800,10 +781,12 @@ SystemConfig::fromString(const std::string &text,
 SystemConfig
 SystemConfig::fromFile(const std::string &path)
 {
-    SystemConfig cfg;
-    for (const json::Entry &e : json::parseFlatFile(path))
-        cfg.set(e.key, e.value);
-    return cfg;
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        fatal("cannot open config file '%s'", path.c_str());
+    std::ostringstream text;
+    text << in.rdbuf();
+    return fromString(text.str(), path);
 }
 
 std::vector<std::pair<std::string, std::string>>

@@ -1,8 +1,6 @@
 #include "common/json.hh"
 
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 #include "common/log.hh"
 
@@ -164,10 +162,14 @@ parseObject(Lexer &lx, const std::string &prefix,
             parseObject(lx, path, out, depth + 1);
         } else if (c == '[') {
             lx.error("arrays are not valid config values");
-        } else if (c == '"') {
-            out.push_back(Entry{path, lx.quotedString(), true});
         } else {
-            out.push_back(Entry{path, lx.bareScalar(), false});
+            for (const Entry &e : out)
+                if (e.key == path)
+                    lx.error("duplicate key '" + path + "'");
+            const bool quoted = c == '"';
+            out.push_back(Entry{
+                path, quoted ? lx.quotedString() : lx.bareScalar(),
+                quoted});
         }
         if (lx.consumeIf(','))
             continue;
@@ -187,17 +189,6 @@ parseFlat(const std::string &text, const std::string &origin)
     if (!lx.atEnd())
         lx.error("trailing content after the config object");
     return out;
-}
-
-std::vector<Entry>
-parseFlatFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal("cannot open config file '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return parseFlat(ss.str(), path);
 }
 
 } // namespace json

@@ -29,14 +29,12 @@ struct Entry
 
 /**
  * Parse @p text as a flat config document. @p origin names the source
- * (file name) in error messages. fatal()s on malformed input.
- * Members are returned in document order.
+ * (file name) in error messages. fatal()s on malformed input and on a
+ * key that appears twice once flattened. Members are returned in
+ * document order.
  */
 std::vector<Entry> parseFlat(const std::string &text,
                              const std::string &origin);
-
-/** Read @p path and parseFlat() its contents; fatal()s on I/O error. */
-std::vector<Entry> parseFlatFile(const std::string &path);
 
 } // namespace json
 } // namespace dimmlink

@@ -33,7 +33,7 @@ Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
 }
 
 void
-Dimm::connect(idc::Fabric *fabric, BarrierEndpoint *barrier,
+Dimm::connect(idc::Fabric *fabric, SyncManager *barrier,
               const dram::GlobalAddressMap *gmap)
 {
     mc->setFabric(fabric);

@@ -43,7 +43,7 @@ class Dimm
 
     /** Wire every core + the MC to the IDC fabric and sync/broadcast
      * endpoints; called by the System during assembly. */
-    void connect(idc::Fabric *fabric, BarrierEndpoint *barrier,
+    void connect(idc::Fabric *fabric, SyncManager *barrier,
                  const dram::GlobalAddressMap *gmap);
 
     /** Kernel end (Section III-E): NMP caches flush so the host can

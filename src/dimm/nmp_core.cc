@@ -2,6 +2,7 @@
 
 #include "common/bitfield.hh"
 #include "common/log.hh"
+#include "sync/sync_manager.hh"
 
 namespace dimmlink {
 

@@ -18,9 +18,10 @@
 #include "dimm/core_engine.hh"
 #include "dimm/local_mc.hh"
 #include "dram/address_map.hh"
-#include "sync/barrier.hh"
 
 namespace dimmlink {
+
+class SyncManager;
 
 class NmpCore : public CoreEngine
 {
@@ -32,7 +33,7 @@ class NmpCore : public CoreEngine
             const serve_rel::HostHealthView *host_view,
             stats::Registry &reg);
 
-    void setBarrier(BarrierEndpoint *b) { barrier = b; }
+    void setBarrier(SyncManager *b) { barrier = b; }
 
     /** Explicit broadcast API (wired by the Dimm to the fabric). */
     using BroadcastFn =
@@ -55,7 +56,7 @@ class NmpCore : public CoreEngine
     Cache *l1;
     Cache *l2;
     const dram::GlobalAddressMap &gmap;
-    BarrierEndpoint *barrier = nullptr;
+    SyncManager *barrier = nullptr;
     BroadcastFn broadcaster;
     TrafficProbe probe;
 

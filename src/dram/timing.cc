@@ -1,8 +1,5 @@
 #include "dram/timing.hh"
 
-#include <algorithm>
-#include <cctype>
-
 #include "common/bitfield.hh"
 #include "common/log.hh"
 
@@ -33,54 +30,6 @@ Timing::check() const
     if (perBankRefresh && tRFCpb == 0)
         fatal("DRAM preset '%s': per-bank refresh needs tRFCpb",
               name.c_str());
-}
-
-Timing
-Timing::preset(const std::string &name)
-{
-    // The factory fatal()s with the registered-name list on unknown
-    // keys; presets registered at static-init time in
-    // timing_presets.cc.
-    return *TimingFactory::instance().create(name);
-}
-
-std::vector<std::string>
-Timing::presets()
-{
-    return TimingFactory::instance().known();
-}
-
-std::string
-Timing::resolveName(const std::string &name)
-{
-    const auto &factory = TimingFactory::instance();
-    if (factory.contains(name))
-        return name;
-    std::string lower = name;
-    std::transform(lower.begin(), lower.end(), lower.begin(),
-                   [](unsigned char c) {
-                       return static_cast<char>(std::tolower(c));
-                   });
-    // Family alias -> default speed grade.
-    static const std::pair<const char *, const char *> families[] = {
-        {"ddr4", "DDR4_2400"},
-        {"ddr5", "DDR5_4800"},
-        {"lpddr5x", "LPDDR5X_8533"},
-        {"hbm2", "HBM2_2000"},
-    };
-    for (const auto &[family, grade] : families)
-        if (lower == family)
-            return grade;
-    return name;
-}
-
-std::string
-Timing::familyOf(const std::string &name)
-{
-    const auto &factory = TimingFactory::instance();
-    if (!factory.contains(name))
-        return name;
-    return factory.create(name)->standard;
 }
 
 } // namespace dram

@@ -2,8 +2,8 @@
  * @file
  * Device timing as a standard-agnostic parameter table. A memory
  * standard (DDR4, DDR5, LPDDR5X, HBM2) is *data*, not code: every
- * speed grade registers a fully-populated Timing through the generic
- * Factory machinery (see timing_presets.cc), and the controller
+ * speed grade is one fully-populated Timing in the preset table
+ * (timing_presets.cc), and the controller
  * consults the table for the constraints a standard actually has —
  * tFAW=0 disables the four-activate window, bankGroups=0 collapses
  * the tCCD_L/S split, perBankRefresh swaps all-bank REFab for
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/factory.hh"
 #include "common/types.hh"
 
 namespace dimmlink {
@@ -34,8 +33,6 @@ namespace dram {
 struct Timing
 {
     std::string name = "DDR4_2400";
-    /** Standard family this grade belongs to (ddr4, ddr5, ...). */
-    std::string standard = "ddr4";
     double clkMHz = 1200.0;
 
     unsigned tRCD = 17;   ///< ACT to RD/WR.
@@ -102,39 +99,15 @@ struct Timing
     /** Die on an inconsistent table (bad geometry, zero clocks). */
     void check() const;
 
-    /**
-     * Fetch a registered preset by name; fatal()s with the registered
-     * names when unknown (the same factory error path every other
-     * registry-keyed component uses).
-     */
+    /** Fetch a preset by name; fatal()s with the preset names when
+     * unknown. Defined with the tables in timing_presets.cc. */
     static Timing preset(const std::string &name);
 
-    /** The registered preset names, for validation and messages. */
+    /** The preset names, sorted, for validation and messages. */
     static std::vector<std::string> presets();
-
-    /**
-     * Resolve a `dram.standard` value: an exact preset name passes
-     * through, a family alias (ddr4, ddr5, lpddr5x, hbm2 — case
-     * insensitive) maps to that family's default speed grade, and
-     * anything else is returned unchanged for validate() to report.
-     */
-    static std::string resolveName(const std::string &name);
-
-    /** The family tag of a registered preset ("ddr4", ...); @p name
-     * itself when it is not registered. */
-    static std::string familyOf(const std::string &name);
 };
-
-using TimingFactory = Factory<Timing>;
 
 } // namespace dram
-
-template <>
-struct FactoryTraits<dram::Timing>
-{
-    static constexpr const char *noun = "DRAM timing preset";
-};
-
 } // namespace dimmlink
 
 #endif // DIMMLINK_DRAM_TIMING_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * The registered timing preset tables, one Registrar per speed grade.
+ * The timing preset tables, one function per speed grade.
  * Adding a memory standard is adding a table here (and nothing in the
  * controller): docs/dram_timing.md walks through the fields and which
  * controller constraints each standard exercises.
@@ -14,25 +14,17 @@
 
 #include "dram/timing.hh"
 
+#include "common/log.hh"
+
 namespace dimmlink {
 namespace dram {
 namespace {
 
-std::unique_ptr<Timing>
-reg(Timing t)
+/** Scaled from the 2400 grade (the struct defaults): same wall-clock
+ * latencies at a 1600 MHz command clock. */
+Timing
+ddr4_3200()
 {
-    t.check();
-    return std::make_unique<Timing>(std::move(t));
-}
-
-/** The struct defaults are the DDR4-2400 table. */
-TimingFactory::Registrar regDdr4_2400("DDR4_2400", []() {
-    return reg(Timing{});
-});
-
-TimingFactory::Registrar regDdr4_3200("DDR4_3200", []() {
-    // Scaled from the 2400 grade: same wall-clock latencies at a
-    // 1600 MHz command clock.
     Timing t;
     t.name = "DDR4_3200";
     t.clkMHz = 1600.0;
@@ -51,8 +43,8 @@ TimingFactory::Registrar regDdr4_3200("DDR4_3200", []() {
     t.tRTP = 12;
     t.tREFI = 12480;
     t.tRFC = 560;
-    return reg(std::move(t));
-});
+    return t;
+}
 
 /** DDR5: two independent 32-bit sub-channels per module, each with
  * its own devices (8 bank groups x 4 banks per sub-channel, 16
@@ -63,7 +55,6 @@ ddr5_4800()
 {
     Timing t;
     t.name = "DDR5_4800";
-    t.standard = "ddr5";
     t.clkMHz = 2400.0;
     t.tRCD = 39;
     t.tRP = 39;
@@ -97,12 +88,10 @@ ddr5_4800()
     return t;
 }
 
-TimingFactory::Registrar regDdr5_4800("DDR5_4800", []() {
-    return reg(ddr5_4800());
-});
-
-TimingFactory::Registrar regDdr5_6400("DDR5_6400", []() {
-    // Same wall-clock core timings at a 3200 MHz command clock.
+/** Same wall-clock core timings at a 3200 MHz command clock. */
+Timing
+ddr5_6400()
+{
     Timing t = ddr5_4800();
     t.name = "DDR5_6400";
     t.clkMHz = 3200.0;
@@ -122,17 +111,18 @@ TimingFactory::Registrar regDdr5_6400("DDR5_6400", []() {
     t.tRTW = 20;
     t.tREFI = 12480;
     t.tRFC = 944;
-    return reg(std::move(t));
-});
+    return t;
+}
 
 /** LPDDR5X in 16-bank / BL32 mode: no bank groups (the
  * tCCD/tRRD/tWTR L/S split collapses), no four-activate window, and
  * per-bank REFpb refresh. Two 16-bit channels model one package, 16
  * flat banks each (32 controller-wide). */
-TimingFactory::Registrar regLpddr5x_8533("LPDDR5X_8533", []() {
+Timing
+lpddr5x_8533()
+{
     Timing t;
     t.name = "LPDDR5X_8533";
-    t.standard = "lpddr5x";
     t.clkMHz = 4266.0;
     t.tRCD = 77;  // 18 ns.
     t.tRP = 90;   // 21 ns.
@@ -164,17 +154,18 @@ TimingFactory::Registrar regLpddr5x_8533("LPDDR5X_8533", []() {
     t.tRFCpb = 598; // 140 ns.
     t.energyRdWrScale = 0.35;
     t.energyActScale = 0.6;
-    return reg(std::move(t));
-});
+    return t;
+}
 
 /** HBM2: four pseudo-channels per rank-level controller (eight per
  * two-rank stack), each pseudo-channel with its own 16 banks in 4
  * groups (16 groups controller-wide), per-bank refresh, short BL4
  * bursts on wide buses. */
-TimingFactory::Registrar regHbm2_2000("HBM2_2000", []() {
+Timing
+hbm2_2000()
+{
     Timing t;
     t.name = "HBM2_2000";
-    t.standard = "hbm2";
     t.clkMHz = 1000.0;
     t.tRCD = 14;
     t.tRP = 14;
@@ -206,9 +197,48 @@ TimingFactory::Registrar regHbm2_2000("HBM2_2000", []() {
     t.tRFCpb = 160;
     t.energyRdWrScale = 0.28;
     t.energyActScale = 0.5;
-    return reg(std::move(t));
-});
+    return t;
+}
+
+/** Every preset, sorted by name and check()ed once. */
+const std::vector<Timing> &
+table()
+{
+    static const std::vector<Timing> all = [] {
+        std::vector<Timing> t = {
+            Timing{}, // DDR4_2400: the struct defaults.
+            ddr4_3200(), ddr5_4800(), ddr5_6400(), hbm2_2000(),
+            lpddr5x_8533()};
+        for (const Timing &x : t)
+            x.check();
+        return t;
+    }();
+    return all;
+}
 
 } // namespace
+
+Timing
+Timing::preset(const std::string &name)
+{
+    for (const Timing &t : table())
+        if (t.name == name)
+            return t;
+    std::string known;
+    for (const std::string &n : presets())
+        known += (known.empty() ? "" : ", ") + n;
+    fatal("unknown DRAM timing preset '%s' (registered: %s)",
+          name.c_str(), known.c_str());
+}
+
+std::vector<std::string>
+Timing::presets()
+{
+    std::vector<std::string> names;
+    for (const Timing &t : table())
+        names.push_back(t.name);
+    return names;
+}
+
 } // namespace dram
 } // namespace dimmlink

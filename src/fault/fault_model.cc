@@ -56,8 +56,7 @@ makeFaultModel(const FaultConfig &cfg, const std::string &link_name)
     if (!cfg.linkFilter.empty() &&
         link_name.find(cfg.linkFilter) == std::string::npos)
         return nullptr;
-    return FaultModelFactory::instance().create(
-        cfg.model, cfg, streamSeed(cfg.seed, link_name));
+    return makeModel(cfg, streamSeed(cfg.seed, link_name));
 }
 
 } // namespace fault

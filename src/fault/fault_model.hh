@@ -6,8 +6,8 @@
  * flipping real bits of the wire image, derating the serialization
  * rate, or stalling the link — from a per-link RNG stream derived
  * from the config seed and the link's name, so every run is
- * reproducible and seed-sweepable. Implementations self-register in
- * the FaultModelFactory ("none", "ber", "degrade", "stuck").
+ * reproducible and seed-sweepable. makeModel() builds one by name
+ * ("none", "ber", "degrade", "stuck").
  */
 
 #ifndef DIMMLINK_FAULT_FAULT_MODEL_HH
@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/config.hh"
-#include "common/factory.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "noc/message.hh"
@@ -63,8 +62,13 @@ class FaultModel
     Rng rng;
 };
 
-using FaultModelFactory =
-    Factory<FaultModel, const FaultConfig &, std::uint64_t>;
+/**
+ * Build the model named by @p cfg.model, drawing from stream
+ * @p seed: nullptr for "none"; fatal()s listing the valid names when
+ * the name is unknown.
+ */
+std::unique_ptr<FaultModel> makeModel(const FaultConfig &cfg,
+                                      std::uint64_t seed);
 
 /**
  * The deterministic per-link RNG stream seed: a hash of the link name
@@ -83,13 +87,6 @@ std::unique_ptr<FaultModel> makeFaultModel(const FaultConfig &cfg,
                                            const std::string &link_name);
 
 } // namespace fault
-
-template <>
-struct FactoryTraits<fault::FaultModel>
-{
-    static constexpr const char *noun = "fault model";
-};
-
 } // namespace dimmlink
 
 #endif // DIMMLINK_FAULT_FAULT_MODEL_HH

@@ -1,10 +1,12 @@
 /**
  * @file
- * The built-in fault models. Each is an anonymous-namespace class
- * plus a FaultModelFactory registrar; configs select them by name.
+ * The built-in fault models: anonymous-namespace classes that
+ * makeModel() builds by the name in faults.model.
  */
 
 #include "fault/fault_model.hh"
+
+#include "common/log.hh"
 
 namespace dimmlink {
 namespace fault {
@@ -85,22 +87,21 @@ class StuckModel : public FaultModel
     const Tick period;
 };
 
-template <typename M>
-std::unique_ptr<FaultModel>
-make(const FaultConfig &cfg, std::uint64_t seed)
-{
-    return std::make_unique<M>(cfg, seed);
-}
-
-/** "none" is registered so configs can name it and validate() lists
- * it; it builds no model, leaving every link unfaulted. */
-FaultModelFactory::Registrar regNone(
-    "none", [](const FaultConfig &, std::uint64_t)
-        -> std::unique_ptr<FaultModel> { return nullptr; });
-FaultModelFactory::Registrar regBer("ber", make<BerModel>);
-FaultModelFactory::Registrar regDegrade("degrade", make<DegradeModel>);
-FaultModelFactory::Registrar regStuck("stuck", make<StuckModel>);
-
 } // namespace
+
+std::unique_ptr<FaultModel>
+makeModel(const FaultConfig &cfg, std::uint64_t seed)
+{
+    if (cfg.model == "none")
+        return nullptr;
+    if (cfg.model == "ber")
+        return std::make_unique<BerModel>(cfg, seed);
+    if (cfg.model == "degrade")
+        return std::make_unique<DegradeModel>(cfg, seed);
+    if (cfg.model == "stuck")
+        return std::make_unique<StuckModel>(cfg, seed);
+    fatal("unknown fault model '%s' (registered: ber, degrade, none, "
+          "stuck)", cfg.model.c_str());
+}
 } // namespace fault
 } // namespace dimmlink

@@ -17,6 +17,7 @@
 #ifndef DIMMLINK_SYNC_SYNC_MANAGER_HH
 #define DIMMLINK_SYNC_SYNC_MANAGER_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -24,11 +25,10 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "idc/fabric.hh"
-#include "sync/barrier.hh"
 
 namespace dimmlink {
 
-class SyncManager : public BarrierEndpoint
+class SyncManager
 {
   public:
     SyncManager(EventQueue &eq, const SystemConfig &cfg,
@@ -38,8 +38,13 @@ class SyncManager : public BarrierEndpoint
      * called before the first arrive() and after every migration. */
     void setParticipants(std::vector<DimmId> thread_home);
 
+    /**
+     * Thread @p tid on DIMM @p dimm reached the barrier. @p release
+     * is invoked once every participating thread has arrived and the
+     * release notification has propagated back.
+     */
     void arrive(ThreadId tid, DimmId dimm,
-                std::function<void()> release) override;
+                std::function<void()> release);
 
     /** The sync master DIMM of a group (middle of the group). */
     DimmId masterOf(unsigned group) const { return cfg.middleDimmOf(group); }

@@ -166,13 +166,13 @@ class BfsWorkload : public Workload
     Addr flagAddr[2] = {0, 0};
 };
 
-WorkloadFactory::Registrar reg("bfs",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<BfsWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeBfs(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<BfsWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -217,13 +217,13 @@ class EmbedWorkload : public Workload
     std::vector<Addr> replicaAddr_; ///< Empty unless hedging is on.
 };
 
-WorkloadFactory::Registrar reg("embed",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<EmbedWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeEmbed(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<EmbedWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -127,13 +127,13 @@ class GupsWorkload : public Workload
     std::vector<Addr> blockAddr;
 };
 
-WorkloadFactory::Registrar reg("gups",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<GupsWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeGups(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<GupsWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -254,13 +254,13 @@ class HotspotWorkload : public Workload
     std::vector<Addr> powerAddr;
 };
 
-WorkloadFactory::Registrar reg("hotspot",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<HotspotWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeHotspot(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<HotspotWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -266,13 +266,13 @@ class KmeansWorkload : public Workload
     Addr centroidAddr = 0;
 };
 
-WorkloadFactory::Registrar reg("kmeans",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<KmeansWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeKmeans(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<KmeansWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

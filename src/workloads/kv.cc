@@ -193,13 +193,13 @@ class KvWorkload : public Workload
     std::vector<Addr> replicaAddr_; ///< Empty unless hedging is on.
 };
 
-WorkloadFactory::Registrar reg("kv",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<KvWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeKv(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<KvWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

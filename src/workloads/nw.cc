@@ -228,13 +228,13 @@ class NwWorkload : public Workload
     std::vector<Addr> boundaryAddr;
 };
 
-WorkloadFactory::Registrar reg("nw",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<NwWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeNw(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<NwWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -228,13 +228,13 @@ class PagerankWorkload : public Workload
     std::vector<Addr> localCopy;
 };
 
-WorkloadFactory::Registrar reg("pagerank",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<PagerankWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makePagerank(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<PagerankWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -193,13 +193,13 @@ class SpmvWorkload : public Workload
     std::vector<Addr> localCopy;
 };
 
-WorkloadFactory::Registrar reg("spmv",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<SpmvWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeSpmv(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<SpmvWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -225,13 +225,13 @@ class SsspWorkload : public Workload
     std::vector<Addr> localCopy;
 };
 
-WorkloadFactory::Registrar reg("sssp",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<SsspWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeSssp(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<SsspWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -143,13 +143,13 @@ class StreamWorkload : public Workload
     std::vector<Addr> aAddr, bAddr, cAddr;
 };
 
-WorkloadFactory::Registrar reg("stream",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<StreamWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeStream(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<StreamWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

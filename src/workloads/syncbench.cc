@@ -58,13 +58,13 @@ class SyncBenchWorkload : public Workload
     std::vector<Addr> scratch;
 };
 
-WorkloadFactory::Registrar reg("syncbench",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<SyncBenchWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeSyncbench(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<SyncBenchWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -152,13 +152,13 @@ class TsPowWorkload : public Workload
     double computedMax = -1.0;
 };
 
-WorkloadFactory::Registrar reg("tspow",
-    [](const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
-        -> std::unique_ptr<Workload> {
-        return std::make_unique<TsPowWorkload>(params, gmap);
-    });
-
 } // namespace
+
+std::unique_ptr<Workload>
+makeTspow(const WorkloadParams &params, const dram::GlobalAddressMap &gmap)
+{
+    return std::make_unique<TsPowWorkload>(params, gmap);
+}
 
 } // namespace workloads
 } // namespace dimmlink

@@ -20,17 +20,53 @@ AddressAllocator::alloc(DimmId d, std::uint64_t bytes)
     return gmap_.globalOf(d, base);
 }
 
+/** Each kernel's constructor, defined in the kernel's own file. */
+using Creator = std::unique_ptr<Workload>(const WorkloadParams &,
+                                          const dram::GlobalAddressMap &);
+Creator makeBfs, makeEmbed, makeGups, makeHotspot, makeKmeans, makeKv,
+    makeNw, makePagerank, makeSpmv, makeSssp, makeStream, makeSyncbench,
+    makeTspow;
+
+namespace {
+
+/** Every workload by its CLI name, sorted. */
+constexpr struct
+{
+    const char *name;
+    Creator *create;
+} kernels[] = {
+    {"bfs", makeBfs},           {"embed", makeEmbed},
+    {"gups", makeGups},         {"hotspot", makeHotspot},
+    {"kmeans", makeKmeans},     {"kv", makeKv},
+    {"nw", makeNw},             {"pagerank", makePagerank},
+    {"spmv", makeSpmv},         {"sssp", makeSssp},
+    {"stream", makeStream},     {"syncbench", makeSyncbench},
+    {"tspow", makeTspow},
+};
+
+} // namespace
+
 std::unique_ptr<Workload>
 makeWorkload(const std::string &name, const WorkloadParams &params,
              const dram::GlobalAddressMap &gmap)
 {
-    return WorkloadFactory::instance().create(name, params, gmap);
+    for (const auto &k : kernels)
+        if (name == k.name)
+            return k.create(params, gmap);
+    std::string known;
+    for (const std::string &n : knownWorkloads())
+        known += (known.empty() ? "" : ", ") + n;
+    fatal("unknown workload '%s' (registered: %s)", name.c_str(),
+          known.c_str());
 }
 
 std::vector<std::string>
 knownWorkloads()
 {
-    return WorkloadFactory::instance().known();
+    std::vector<std::string> names;
+    for (const auto &k : kernels)
+        names.push_back(k.name);
+    return names;
 }
 
 std::vector<std::string>

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/factory.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "dimm/op.hh"
@@ -116,21 +115,13 @@ class Workload
     AddressAllocator alloc;
 };
 
-/**
- * The workload registry: each kernel's translation unit registers its
- * implementation under its CLI name ("bfs", "pagerank", ...).
- */
-using WorkloadFactory =
-    Factory<Workload, const WorkloadParams &,
-            const dram::GlobalAddressMap &>;
-
-/** Build the workload registered under @p name; fatal()s with the
- * registered names when it is unknown. */
+/** Build the workload named @p name ("bfs", "pagerank", ...);
+ * fatal()s with the known names when it is unknown. */
 std::unique_ptr<Workload> makeWorkload(
     const std::string &name, const WorkloadParams &params,
     const dram::GlobalAddressMap &gmap);
 
-/** Every registered workload name, sorted. */
+/** Every workload name, sorted. */
 std::vector<std::string> knownWorkloads();
 
 /** The six P2P workloads of Fig. 10, in paper order. */
@@ -140,13 +131,6 @@ std::vector<std::string> p2pWorkloadNames();
 std::vector<std::string> broadcastWorkloadNames();
 
 } // namespace workloads
-
-template <>
-struct FactoryTraits<workloads::Workload>
-{
-    static constexpr const char *noun = "workload";
-};
-
 } // namespace dimmlink
 
 #endif // DIMMLINK_WORKLOADS_WORKLOAD_HH

@@ -45,12 +45,13 @@ TEST(FaultModel, StreamSeedsAreStableAndDecorrelated)
 
 TEST(FaultModel, FactoryKnowsAllModelsAndFilterGates)
 {
-    auto &f = fault::FaultModelFactory::instance();
-    for (const char *m : {"none", "ber", "degrade", "stuck"})
-        EXPECT_TRUE(f.contains(m)) << m;
-
     FaultConfig cfg;
+    for (const char *m : {"ber", "degrade", "stuck"}) {
+        cfg.model = m;
+        EXPECT_NE(fault::makeModel(cfg, 1), nullptr) << m;
+    }
     cfg.model = "none";
+    EXPECT_EQ(fault::makeModel(cfg, 1), nullptr);
     EXPECT_EQ(fault::makeFaultModel(cfg, "any.link"), nullptr);
 
     cfg.model = "ber";
@@ -64,14 +65,27 @@ TEST(FaultModel, FactoryKnowsAllModelsAndFilterGates)
               nullptr);
 }
 
+TEST(FaultModelDeathTest, UnknownModelFatalsListingValidOnes)
+{
+    FaultConfig faults;
+    faults.model = "burst";
+    EXPECT_EXIT(fault::makeModel(faults, 1), ::testing::ExitedWithCode(1),
+                "unknown fault model 'burst' \\(registered: ber, "
+                "degrade, none, stuck\\)");
+    // validate() rejects the name before any link is built.
+    SystemConfig cfg = SystemConfig::preset("4D-2C");
+    cfg.faults.model = "burst";
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "unknown fault model 'burst'");
+}
+
 TEST(FaultModel, BerFlipsRealBitsDeterministically)
 {
     FaultConfig cfg;
     cfg.model = "ber";
     cfg.ber = 0.01;
     const auto run = [&cfg](std::uint64_t seed) {
-        auto model = fault::FaultModelFactory::instance().create(
-            "ber", cfg, seed);
+        auto model = fault::makeModel(cfg, seed);
         noc::Message msg;
         msg.wire = std::make_shared<std::vector<std::uint8_t>>(256, 0);
         const auto eff = model->onTransmit(
@@ -95,8 +109,7 @@ TEST(FaultModel, CorruptedWireImageFailsCrc)
     FaultConfig cfg;
     cfg.model = "ber";
     cfg.ber = 0.02;
-    auto model =
-        fault::FaultModelFactory::instance().create("ber", cfg, 7);
+    auto model = fault::makeModel(cfg, 7);
     Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 3, 64);
     noc::Message msg;
     msg.wire = std::make_shared<std::vector<std::uint8_t>>(
@@ -114,8 +127,7 @@ TEST(FaultModel, DegradeScalesSerializationTime)
     FaultConfig cfg;
     cfg.model = "degrade";
     cfg.degradeFactor = 0.5;
-    auto model = fault::FaultModelFactory::instance().create(
-        "degrade", cfg, 1);
+    auto model = fault::makeModel(cfg, 1);
     noc::Message msg;
     const auto eff = model->onTransmit(0, 128, msg);
     EXPECT_DOUBLE_EQ(eff.serScale, 2.0); // half rate -> double time
@@ -130,8 +142,7 @@ TEST(FaultModel, StuckLinkStallsDuringOutages)
     cfg.stuckAtPs = 1000;
     cfg.stuckForPs = 500;
     cfg.stuckPeriodPs = 2000;
-    auto model =
-        fault::FaultModelFactory::instance().create("stuck", cfg, 1);
+    auto model = fault::makeModel(cfg, 1);
     noc::Message msg;
     EXPECT_EQ(model->onTransmit(0, 128, msg).stallPs, 0u);
     EXPECT_EQ(model->onTransmit(1200, 128, msg).stallPs, 300u);

@@ -74,7 +74,7 @@ TEST(RackConfig, KeysAreDescribed)
 {
     // Every rack.* key changes results, so the config header embedded
     // in stats JSON records each one; only the execution-only obs.*
-    // and watchdog.* keys and the dram.standard alias stay out.
+    // and watchdog.* keys stay out.
     const auto cfg = twoHostConfig();
     EXPECT_NE(cfg.describe().find("\"rack.hosts\": 2"),
               std::string::npos);
@@ -84,7 +84,6 @@ TEST(RackConfig, KeysAreDescribed)
         described.push_back(key);
         EXPECT_NE(key.substr(0, 4), "obs.");
         EXPECT_NE(key.substr(0, 9), "watchdog.");
-        EXPECT_NE(key, "dram.standard");
     }
     unsigned rack_keys = 0;
     for (const std::string &key : SystemConfig::knownKeys()) {
@@ -206,6 +205,24 @@ TEST(RackFailover, HostDeathReroutesOntoPooledBridges)
     EXPECT_GT(run.stat("rack.healthProbesSent"), 0.0);
     EXPECT_GT(run.stat("rack.healthProbesFailed"), 0.0);
     EXPECT_DOUBLE_EQ(run.stat("serve.requests"), 512.0);
+}
+
+TEST(RackFailover, HangDiagnosticsNameTheDownPort)
+{
+    // Host 1's rack port dies for good, so it is still down when the
+    // run ends; the hang report then carries the rack health block.
+    auto cfg = twoHostConfig();
+    cfg.rack.idcMode = "forwarded";
+    cfg.rack.hostDownId = 1;
+    cfg.rack.hostDownAtPs = 20000000;
+    const std::string diag = runKv(cfg).sys->hangDiagnostics();
+    EXPECT_NE(diag.find("rack (switch) health:\n  link 1->"),
+              std::string::npos)
+        << diag;
+    EXPECT_NE(diag.find(": down"), std::string::npos) << diag;
+    // A healthy rack reports no health block.
+    EXPECT_EQ(runKv(twoHostConfig()).sys->hangDiagnostics().find("rack ("),
+              std::string::npos);
 }
 
 TEST(RackFailover, GatewayDeathReroutesOntoHostPath)

@@ -1,6 +1,6 @@
-/** @file Tests for the implementation registries (the generic Factory
- * machinery and the built-in registrations), the DRAM schedulers, and
- * the construction of each closed choice: topologies and fabrics. */
+/** @file Tests for the built-in name tables (workloads, DRAM presets,
+ * fault models), the DRAM schedulers, and the construction of each
+ * closed choice: topologies and fabrics. */
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/config.hh"
-#include "common/factory.hh"
 #include "common/stats.hh"
 #include "common/stats_json.hh"
 #include "dram/address_map.hh"
@@ -23,82 +22,9 @@
 
 namespace dimmlink {
 
-// ---- generic Factory machinery ----------------------------------------
-
 namespace {
 
-struct Widget
-{
-    virtual ~Widget() = default;
-    virtual int value() const = 0;
-};
-
-struct FortyTwo : Widget
-{
-    int value() const override { return 42; }
-};
-
-struct Seven : Widget
-{
-    int value() const override { return 7; }
-};
-
-} // namespace
-
-template <>
-struct FactoryTraits<Widget>
-{
-    static constexpr const char *noun = "widget";
-};
-
-namespace {
-
-using WidgetFactory = Factory<Widget>;
-
-WidgetFactory::Registrar regFortyTwo("forty-two", []()
-    -> std::unique_ptr<Widget> { return std::make_unique<FortyTwo>(); });
-WidgetFactory::Registrar regSeven("seven", []()
-    -> std::unique_ptr<Widget> { return std::make_unique<Seven>(); });
-
-TEST(Factory, CreatesRegisteredImplementations)
-{
-    auto &f = WidgetFactory::instance();
-    EXPECT_TRUE(f.contains("forty-two"));
-    EXPECT_TRUE(f.contains("seven"));
-    EXPECT_FALSE(f.contains("eight"));
-    EXPECT_EQ(f.create("forty-two")->value(), 42);
-    EXPECT_EQ(f.create("seven")->value(), 7);
-}
-
-TEST(Factory, KnownNamesAreSorted)
-{
-    const auto names = WidgetFactory::instance().known();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "forty-two");
-    EXPECT_EQ(names[1], "seven");
-    EXPECT_EQ(WidgetFactory::instance().knownList(),
-              "forty-two, seven");
-}
-
-TEST(FactoryDeathTest, UnknownNameFatalsListingRegistered)
-{
-    EXPECT_EXIT(WidgetFactory::instance().create("gizmo"),
-                ::testing::ExitedWithCode(1),
-                "unknown widget 'gizmo' \\(registered: "
-                "forty-two, seven\\)");
-}
-
-TEST(FactoryDeathTest, DuplicateRegistrationPanics)
-{
-    EXPECT_DEATH(WidgetFactory::instance().add(
-                     "seven",
-                     []() -> std::unique_ptr<Widget> {
-                         return std::make_unique<Seven>();
-                     }),
-                 "duplicate widget registration 'seven'");
-}
-
-// ---- the built-in registries are populated ----------------------------
+// ---- the built-in name tables are populated ----------------------------
 
 TEST(Registries, BuiltInImplementationsAreRegistered)
 {
@@ -113,9 +39,13 @@ TEST(Registries, BuiltInImplementationsAreRegistered)
                   "DDR4_2400", "DDR4_3200", "DDR5_4800", "DDR5_6400",
                   "HBM2_2000", "LPDDR5X_8533"}));
 
-    EXPECT_EQ(fault::FaultModelFactory::instance().known(),
-              (std::vector<std::string>{"ber", "degrade", "none",
-                                        "stuck"}));
+    FaultConfig faults;
+    for (const char *m : {"ber", "degrade", "stuck"}) {
+        faults.model = m;
+        EXPECT_NE(fault::makeModel(faults, 1), nullptr) << m;
+    }
+    faults.model = "none";
+    EXPECT_EQ(fault::makeModel(faults, 1), nullptr);
 }
 
 TEST(RegistriesDeathTest, UnknownTopologyListsAlternatives)

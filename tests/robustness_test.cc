@@ -719,7 +719,6 @@ TEST(Invisibility, RecoveryKeysAreDescribed)
               std::string::npos);
     EXPECT_EQ(d.find("watchdog"), std::string::npos);
     EXPECT_EQ(d.find("\"obs."), std::string::npos);
-    EXPECT_EQ(d.find("dram.standard"), std::string::npos);
 }
 
 TEST(Invisibility, FaultFreeRunEmitsNoRecoveryStats)
