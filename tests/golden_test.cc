@@ -4,7 +4,8 @@
  * cell, the host-CPU baseline on a batch and a serving workload, the
  * ring and torus topologies, interrupt polling, FCFS scheduling, the
  * direct inter-host fabric, the degraded-link fault model, the
- * hierarchical barrier and Alg. 1's mapping), each pinned to its checked-in
+ * hierarchical barrier, Alg. 1's mapping, ALERT_N over every DIMM and
+ * the broadcast kernel), each pinned to its checked-in
  * default stats JSON under tests/golden/. A change that moves any
  * simulated result shows up as a golden diff; scripts/regen_golden.sh
  * rewrites the files.
@@ -48,6 +49,8 @@ struct Scenario
     /** Run on the host-CPU baseline (HostRunner) instead of the NMP
      * system. */
     bool host = false;
+    /** Run the kernel's broadcast formulation (Fig. 12 mode). */
+    bool broadcast = false;
 };
 
 void
@@ -153,6 +156,13 @@ scenarios()
         {"sync_tspow", "8D-4C", {}, "tspow", 6},
         {"dlopt_bfs", "16D-8C", {"system.distanceAwareMapping=true"},
          "bfs", 10},
+        // ALERT_N over every DIMM of a channel (several targets per
+        // interrupt scan), and the broadcast kernel of Fig. 12 (group
+        // broadcast on the bridges plus the inter-group host leg).
+        {"polling_base_itrpt", "8D-4C",
+         {"system.pollingMode=Base+Itrpt"}, "pagerank", 10},
+        {"broadcast_pagerank", "8D-4C", {}, "pagerank", 10, 1, false,
+         true},
     };
     return all;
 }
@@ -183,6 +193,7 @@ runDump(const Scenario &s, const SystemConfig &cfg)
     p.numDimms = cfg.numDimms;
     p.scale = s.scale;
     p.rounds = s.rounds;
+    p.broadcastMode = s.broadcast;
     p.serve = cfg.serve;
     std::ostringstream os;
     if (s.host) {
