@@ -73,6 +73,10 @@ bad_config "FCFS, FRFCFS" "${bad_pagerank[@]}" \
     -p system.dramScheduler=LIFO
 bad_config "direct, switch" --config "$root/configs/rack_2host.json" \
     -p rack.fabric=infiniband --workload kv
+bad_config "ber, degrade, none, stuck" "${bad_pagerank[@]}" \
+    -p faults.model=burst
+bad_config "Base, Base+Itrpt, P-P, P-P+Itrpt" "${bad_pagerank[@]}" \
+    -p system.pollingMode=Itrpt
 echo "    config OK: short buffers and unknown names rejected"
 
 echo "==> trace smoke: emitted Chrome-trace JSON is valid and complete"
@@ -125,6 +129,30 @@ if ! cmp -s "$trace_dir/off.out" "$trace_dir/plain.out"; then
     exit 1
 fi
 echo "    guard OK: byte-identical stats output"
+
+echo "==> polling modes: all four of Table III run to verification"
+# Each mode drives the default machine's PageRank to verification
+# (example_simulate exits nonzero otherwise); only the two ALERT_N
+# modes may raise interrupts, and both of them must.
+for mode in Base Base+Itrpt P-P P-P+Itrpt; do
+    "$root/build/examples/example_simulate" \
+        --config "$root/configs/default.json" \
+        -p system.pollingMode="$mode" \
+        --workload pagerank --scale 8 --rounds 1 --json \
+        > "$trace_dir/poll.out"
+    python3 - "$trace_dir/poll.out" "$mode" <<'EOF'
+import json, sys
+text = open(sys.argv[1]).read()
+mode = sys.argv[2]
+stats = json.loads(text[text.index('{\n  "config"'):])
+interrupts = stats["host.polling"]["scalars"].get("interrupts", 0)
+if mode.endswith("+Itrpt"):
+    assert interrupts > 0, f"{mode}: no interrupts raised"
+else:
+    assert interrupts == 0, f"{mode}: {interrupts} interrupts raised"
+EOF
+    echo "    [$mode] OK: verified, interrupts as the mode says"
+done
 
 echo "==> DRAM standards matrix"
 # Every DRAM timing preset must push the whole workload matrix to
@@ -210,6 +238,21 @@ if grep -q '"dllFailedTransfers": [1-9]' <<<"$soak_out"; then
     echo "soak lost transfers permanently"; exit 1
 fi
 echo "    soak OK: corruption injected, retries recovered, no losses"
+# The degrade model derates every faulted link's serialization and
+# corrupts nothing.
+soak_out="$(ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
+    "$root/build-asan/examples/example_simulate" \
+    --config "$root/configs/default.json" \
+    -p system.numDimms=4 -p system.numChannels=2 \
+    -p faults.model=degrade -p faults.seed=7 \
+    --workload bfs --scale 6 --rounds 2 --json)"
+if ! grep -q '"faultDeratedPs": [1-9]' <<<"$soak_out"; then
+    echo "degrade soak derated no link"; exit 1
+fi
+if grep -q '"dllCorrupt": [1-9]' <<<"$soak_out"; then
+    echo "degrade soak corrupted packets"; exit 1
+fi
+echo "    soak OK: degrade derated links, no corruption"
 
 echo "==> link-failure chaos matrix under ASan+UBSan"
 # Fault model x topology x recovery policy. The stuck cells hold one

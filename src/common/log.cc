@@ -9,8 +9,6 @@ namespace dimmlink {
 
 namespace {
 
-LogLevel globalLevel = LogLevel::Warn;
-
 std::string
 vformat(const char *fmt, std::va_list ap)
 {
@@ -24,18 +22,6 @@ vformat(const char *fmt, std::va_list ap)
 }
 
 } // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
 
 void
 panic(const char *fmt, ...)
@@ -62,8 +48,6 @@ fatal(const char *fmt, ...)
 void
 warn(const char *fmt, ...)
 {
-    if (globalLevel < LogLevel::Warn)
-        return;
     std::va_list ap;
     va_start(ap, fmt);
     const std::string msg = vformat(fmt, ap);
@@ -88,7 +72,7 @@ warnRateLimited(const char *key, unsigned every, const char *fmt, ...)
     const std::uint64_t n = ++warnCounts()[key];
     const bool print =
         n == 1 || (every != 0 && n % every == 0);
-    if (!print || globalLevel < LogLevel::Warn)
+    if (!print)
         return;
     std::va_list ap;
     va_start(ap, fmt);
@@ -115,30 +99,6 @@ void
 resetWarnCounts()
 {
     warnCounts().clear();
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Inform)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-debugLog(const char *fmt, ...)
-{
-    if (globalLevel < LogLevel::Debug)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "debug: %s\n", msg.c_str());
 }
 
 std::string

@@ -1,7 +1,7 @@
 /**
  * @file
  * Status and error reporting in the gem5 idiom: panic() for simulator
- * bugs, fatal() for user errors, warn()/inform() for status messages.
+ * bugs, fatal() for user errors, warn() for survivable conditions.
  */
 
 #ifndef DIMMLINK_COMMON_LOG_HH
@@ -12,15 +12,6 @@
 #include <string>
 
 namespace dimmlink {
-
-/** Verbosity levels for status messages. */
-enum class LogLevel { Silent = 0, Warn = 1, Inform = 2, Debug = 3 };
-
-/** Set the global verbosity; defaults to Warn so benches stay quiet. */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 /**
  * Report an internal invariant violation (a simulator bug) and abort.
@@ -59,12 +50,6 @@ std::uint64_t warnCount(const char *key);
 
 /** Forget all rate-limited warning state (tests). */
 void resetWarnCounts();
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Developer-level tracing, only printed at LogLevel::Debug. */
-void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** printf-style formatting into a std::string. */
 std::string strFormat(const char *fmt, ...)

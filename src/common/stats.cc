@@ -150,13 +150,6 @@ Registry::sumScalar(const std::string &group_prefix,
 }
 
 void
-Registry::resetAll()
-{
-    for (auto &[name, group] : groups)
-        group.reset();
-}
-
-void
 Registry::dump(std::ostream &os) const
 {
     for (const auto &[gname, group] : groups) {
@@ -206,17 +199,6 @@ Group::histogram(const std::string &name, double bucket_size,
         it = hists_.emplace(name, Histogram(bucket_size,
                                             num_buckets)).first;
     return it->second;
-}
-
-void
-Group::reset()
-{
-    for (auto &[n, s] : scalars_)
-        s.reset();
-    for (auto &[n, d] : dists_)
-        d.reset();
-    for (auto &[n, h] : hists_)
-        h.reset();
 }
 
 } // namespace stats

@@ -29,7 +29,6 @@ class Scalar
     }
     Scalar &operator++() { return *this += 1; }
     void set(double v) { value_ = v; }
-    void reset() { value_ = 0; }
     double value() const { return value_; }
 
   private:
@@ -50,13 +49,6 @@ class Distribution
         if (count_ == 0 || v > max_)
             max_ = v;
         ++count_;
-    }
-
-    void
-    reset()
-    {
-        sum_ = sumSq_ = min_ = max_ = 0;
-        count_ = 0;
     }
 
     /** Fold another distribution's samples into this one. */
@@ -161,9 +153,6 @@ class Registry
     double sumScalar(const std::string &group_prefix,
                      const std::string &stat) const;
 
-    /** Reset every statistic in every group. */
-    void resetAll();
-
     /** Pretty-print all non-zero statistics. */
     void dump(std::ostream &os) const;
 
@@ -205,8 +194,6 @@ class Group
     {
         return hists_;
     }
-
-    void reset();
 
   private:
     friend class Registry;

@@ -1,20 +1,18 @@
 #include "dimm/dimm.hh"
 
-#include "common/log.hh"
-
 namespace dimmlink {
 
 Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
            const dram::Timing &timing,
-           const dram::GlobalAddressMap &gmap,
-           const serve_rel::HostHealthView *host_view,
+           const dram::GlobalAddressMap &gmap, idc::Fabric &fabric,
+           SyncManager &sync, const serve_rel::HostHealthView *host_view,
            stats::Registry &reg)
     : id_(id)
 {
     const std::string base = "dimm" + std::to_string(id);
 
     mc = std::make_unique<LocalMc>(eq, base + ".mc", id, cfg, timing,
-                                   gmap, reg);
+                                   gmap, fabric, reg);
 
     l2 = std::make_unique<Cache>(base + ".l2", cfg.dimm.l2Bytes,
                                  cfg.dimm.l2Assoc, cfg.dimm.lineBytes,
@@ -27,30 +25,8 @@ Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
             cname + ".l1", cfg.dimm.l1Bytes, cfg.dimm.l1Assoc,
             cfg.dimm.lineBytes, reg.group(cname + ".l1")));
         cores.push_back(std::make_unique<NmpCore>(
-            eq, cname, id, cfg, *mc, l1s.back().get(), l2.get(), gmap,
-            host_view, reg));
-    }
-}
-
-void
-Dimm::connect(idc::Fabric *fabric, SyncManager *barrier,
-              const dram::GlobalAddressMap *gmap)
-{
-    mc->setFabric(fabric);
-    for (auto &core : cores) {
-        core->setBarrier(barrier);
-        core->setBroadcaster(
-            [this, fabric, gmap](Addr addr, std::uint64_t bytes,
-                                 EventCallback done) {
-                idc::Transaction t;
-                t.type = idc::Transaction::Type::Broadcast;
-                t.src = id_;
-                t.dst = invalidDimm;
-                t.addr = gmap->localOf(addr);
-                t.bytes = static_cast<std::uint32_t>(bytes);
-                t.onComplete = std::move(done);
-                fabric->submit(std::move(t));
-            });
+            eq, cname, id, cfg, *mc, sync, l1s.back().get(), l2.get(),
+            gmap, host_view, reg));
     }
 }
 

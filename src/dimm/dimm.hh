@@ -23,12 +23,14 @@ namespace dimmlink {
 class Dimm
 {
   public:
-    /** @p host_view: the rack host-health view the cores' circuit
-     * breakers consult (see CoreEngine); it outlives the DIMM. */
+    /** @p fabric and @p sync: the IDC fabric and the sync manager the
+     * MC and cores talk to. @p host_view: the rack host-health view
+     * the cores' circuit breakers consult (see CoreEngine). All three
+     * outlive the DIMM. */
     Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
          const dram::Timing &timing,
-         const dram::GlobalAddressMap &gmap,
-         const serve_rel::HostHealthView *host_view,
+         const dram::GlobalAddressMap &gmap, idc::Fabric &fabric,
+         SyncManager &sync, const serve_rel::HostHealthView *host_view,
          stats::Registry &reg);
 
     DimmId id() const { return id_; }
@@ -40,11 +42,6 @@ class Dimm
     }
     LocalMc &localMc() { return *mc; }
     Cache &l2Cache() { return *l2; }
-
-    /** Wire every core + the MC to the IDC fabric and sync/broadcast
-     * endpoints; called by the System during assembly. */
-    void connect(idc::Fabric *fabric, SyncManager *barrier,
-                 const dram::GlobalAddressMap *gmap);
 
     /** Kernel end (Section III-E): NMP caches flush so the host can
      * fetch results from DRAM. */

@@ -8,12 +8,13 @@ namespace dimmlink {
 LocalMc::LocalMc(EventQueue &eq, const std::string &name, DimmId self_,
                  const SystemConfig &cfg_, const dram::Timing &timing,
                  const dram::GlobalAddressMap &gmap_,
-                 stats::Registry &reg)
+                 idc::Fabric &fabric_, stats::Registry &reg)
     : eventq(eq),
       self(self_),
       cfg(cfg_),
       gmap(gmap_),
       lineBytes(cfg_.dimm.lineBytes),
+      fabric(fabric_),
       statLocalReads(reg.group(name).scalar("localReads")),
       statLocalWrites(reg.group(name).scalar("localWrites")),
       statRemoteReads(reg.group(name).scalar("remoteReads")),
@@ -127,8 +128,6 @@ LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
         return;
     }
 
-    if (!fabric)
-        panic("dimm%u: remote access with no IDC fabric wired", self);
     if (is_write) {
         ++statRemoteWrites;
     } else {
@@ -144,7 +143,7 @@ LocalMc::access(Addr global, std::uint32_t bytes, bool is_write,
     t.addr = gmap.localOf(global);
     t.bytes = bytes;
     t.onComplete = std::move(done);
-    fabric->submit(std::move(t));
+    fabric.submit(std::move(t));
 }
 
 void
@@ -164,6 +163,19 @@ void
 LocalMc::postedWrite(Addr global, std::uint32_t bytes)
 {
     access(global, bytes, /*is_write=*/true, nullptr);
+}
+
+void
+LocalMc::broadcast(Addr global, std::uint64_t bytes, EventCallback done)
+{
+    idc::Transaction t;
+    t.type = idc::Transaction::Type::Broadcast;
+    t.src = self;
+    t.dst = invalidDimm;
+    t.addr = gmap.localOf(global);
+    t.bytes = static_cast<std::uint32_t>(bytes);
+    t.onComplete = std::move(done);
+    fabric.submit(std::move(t));
 }
 
 bool

@@ -28,12 +28,11 @@ namespace dimmlink {
 class LocalMc
 {
   public:
+    /** @p fabric: the IDC fabric behind the DL-Interface. */
     LocalMc(EventQueue &eq, const std::string &name, DimmId self,
             const SystemConfig &cfg, const dram::Timing &timing,
-            const dram::GlobalAddressMap &gmap, stats::Registry &reg);
-
-    /** Wire in the IDC fabric (DL-Interface). */
-    void setFabric(idc::Fabric *f) { fabric = f; }
+            const dram::GlobalAddressMap &gmap, idc::Fabric &fabric,
+            stats::Registry &reg);
 
     /**
      * Core-side access path: global address, any length. Splits into
@@ -58,6 +57,10 @@ class LocalMc
 
     /** Posted write (cache victim writeback): no completion needed. */
     void postedWrite(Addr global, std::uint32_t bytes);
+
+    /** Explicit broadcast of @p bytes at @p global to every other
+     * DIMM through the fabric; @p done fires when all have it. */
+    void broadcast(Addr global, std::uint64_t bytes, EventCallback done);
 
     DimmId id() const { return self; }
     bool idle() const;
@@ -92,7 +95,7 @@ class LocalMc
     const SystemConfig &cfg;
     const dram::GlobalAddressMap &gmap;
     unsigned lineBytes;
-    idc::Fabric *fabric = nullptr;
+    idc::Fabric &fabric;
 
     /** One single-rank controller per physical rank: the NMP cores
      * exploit rank-level parallelism (Table V). */

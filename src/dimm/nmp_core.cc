@@ -1,14 +1,14 @@
 #include "dimm/nmp_core.hh"
 
 #include "common/bitfield.hh"
-#include "common/log.hh"
 #include "sync/sync_manager.hh"
 
 namespace dimmlink {
 
 NmpCore::NmpCore(EventQueue &eq, const std::string &name, DimmId dimm_,
-                 const SystemConfig &cfg_, LocalMc &mc_, Cache *l1_,
-                 Cache *l2_, const dram::GlobalAddressMap &gmap_,
+                 const SystemConfig &cfg_, LocalMc &mc_,
+                 SyncManager &barrier_, Cache *l1_, Cache *l2_,
+                 const dram::GlobalAddressMap &gmap_,
                  const serve_rel::HostHealthView *host_view,
                  stats::Registry &reg)
     // In-order cores: one issue cycle per memory reference.
@@ -18,6 +18,7 @@ NmpCore::NmpCore(EventQueue &eq, const std::string &name, DimmId dimm_,
                  cfg_, host_view, cfg_.hostOf(dimm_), reg),
       dimm(dimm_),
       mc(mc_),
+      barrier(barrier_),
       l1(l1_),
       l2(l2_),
       gmap(gmap_),
@@ -87,9 +88,6 @@ NmpCore::issueRef(const MemRef &ref)
 void
 NmpCore::arriveBarrier(std::function<void()> release)
 {
-    if (!barrier)
-        panic("%s: barrier op with no barrier endpoint",
-              name().c_str());
     // Software-assisted coherence: shared read-only lines are
     // invalidated at synchronization points so the next phase
     // re-fetches fresh data (Section III-E).
@@ -97,16 +95,13 @@ NmpCore::arriveBarrier(std::function<void()> release)
         l1->invalidateShared();
     if (l2)
         l2->invalidateShared();
-    barrier->arrive(threadId(), dimm, std::move(release));
+    barrier.arrive(threadId(), dimm, std::move(release));
 }
 
 void
 NmpCore::broadcast(Addr addr, std::uint64_t bytes, EventCallback done)
 {
-    if (!broadcaster)
-        panic("%s: broadcast op with no broadcaster wired",
-              name().c_str());
-    broadcaster(addr, bytes, std::move(done));
+    mc.broadcast(addr, bytes, std::move(done));
 }
 
 } // namespace dimmlink

@@ -26,19 +26,14 @@ class SyncManager;
 class NmpCore : public CoreEngine
 {
   public:
-    /** @p host_view: see CoreEngine; null on systems without one. */
+    /** @p host_view: see CoreEngine; null on systems without one.
+     * Barrier ops arrive at @p barrier; broadcasts leave through
+     * @p mc. */
     NmpCore(EventQueue &eq, const std::string &name, DimmId dimm,
-            const SystemConfig &cfg, LocalMc &mc, Cache *l1, Cache *l2,
-            const dram::GlobalAddressMap &gmap,
+            const SystemConfig &cfg, LocalMc &mc, SyncManager &barrier,
+            Cache *l1, Cache *l2, const dram::GlobalAddressMap &gmap,
             const serve_rel::HostHealthView *host_view,
             stats::Registry &reg);
-
-    void setBarrier(SyncManager *b) { barrier = b; }
-
-    /** Explicit broadcast API (wired by the Dimm to the fabric). */
-    using BroadcastFn =
-        std::function<void(Addr, std::uint64_t, EventCallback)>;
-    void setBroadcaster(BroadcastFn f) { broadcaster = std::move(f); }
 
     /** Per-reference traffic probe for the task-mapping profiler. */
     using TrafficProbe =
@@ -53,11 +48,10 @@ class NmpCore : public CoreEngine
 
     DimmId dimm;
     LocalMc &mc;
+    SyncManager &barrier;
     Cache *l1;
     Cache *l2;
     const dram::GlobalAddressMap &gmap;
-    SyncManager *barrier = nullptr;
-    BroadcastFn broadcaster;
     TrafficProbe probe;
 
     stats::Scalar &statRemoteRefs;

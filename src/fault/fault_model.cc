@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/log.hh"
+
 namespace dimmlink {
 namespace fault {
 
@@ -17,9 +19,44 @@ streamSeed(std::uint64_t base, const std::string &link_name)
     return h ^ ((base + 1) * 0x9e3779b97f4a7c15ull);
 }
 
+FaultModel::FaultModel(Kind kind_, const FaultConfig &cfg,
+                       std::uint64_t stream_seed)
+    : kind(kind_),
+      ber(cfg.ber),
+      scale(kind_ == Kind::Degrade ? 1.0 / cfg.degradeFactor : 1.0),
+      stuckAt(cfg.stuckAtPs),
+      stuckFor(cfg.stuckForPs),
+      stuckPeriod(cfg.stuckPeriodPs),
+      rng(stream_seed)
+{
+}
+
+FaultModel::Effect
+FaultModel::onTransmit(Tick start, unsigned bits, noc::Message &msg)
+{
+    Effect e;
+    switch (kind) {
+      case Kind::Ber:
+        e.corrupted = applyBitErrors(bits, msg) > 0;
+        break;
+      case Kind::Degrade:
+        e.serScale = scale;
+        break;
+      case Kind::Stuck:
+        if (start >= stuckAt && stuckFor > 0) {
+            const Tick since = start - stuckAt;
+            const Tick phase =
+                stuckPeriod > 0 ? since % stuckPeriod : since;
+            if (phase < stuckFor)
+                e.stallPs = stuckFor - phase;
+        }
+        break;
+    }
+    return e;
+}
+
 unsigned
-FaultModel::applyBitErrors(double ber, unsigned bits,
-                           noc::Message &msg)
+FaultModel::applyBitErrors(unsigned bits, noc::Message &msg)
 {
     if (ber <= 0.0 || bits == 0)
         return 0;
@@ -48,6 +85,24 @@ FaultModel::applyBitErrors(double ber, unsigned bits,
     if (flips > 0)
         msg.corrupted = true;
     return flips;
+}
+
+std::unique_ptr<FaultModel>
+makeModel(const FaultConfig &cfg, std::uint64_t seed)
+{
+    if (cfg.model == "none")
+        return nullptr;
+    FaultModel::Kind kind;
+    if (cfg.model == "ber")
+        kind = FaultModel::Kind::Ber;
+    else if (cfg.model == "degrade")
+        kind = FaultModel::Kind::Degrade;
+    else if (cfg.model == "stuck")
+        kind = FaultModel::Kind::Stuck;
+    else
+        fatal("unknown fault model '%s' (registered: ber, degrade, "
+              "none, stuck)", cfg.model.c_str());
+    return std::make_unique<FaultModel>(kind, cfg, seed);
 }
 
 std::unique_ptr<FaultModel>

@@ -6,8 +6,9 @@
  * flipping real bits of the wire image, derating the serialization
  * rate, or stalling the link — from a per-link RNG stream derived
  * from the config seed and the link's name, so every run is
- * reproducible and seed-sweepable. makeModel() builds one by name
- * ("none", "ber", "degrade", "stuck").
+ * reproducible and seed-sweepable. The three models are one class
+ * with a Kind; makeModel() maps faults.model ("none", "ber",
+ * "degrade", "stuck") onto it.
  */
 
 #ifndef DIMMLINK_FAULT_FAULT_MODEL_HH
@@ -27,6 +28,21 @@ namespace fault {
 class FaultModel
 {
   public:
+    /** The three closed link-fault models (faults.model). */
+    enum class Kind
+    {
+        /** Independent random bit errors at a fixed BER. */
+        Ber,
+        /** Every transmission serializes at degradeFactor of the
+         * nominal rate (link retraining dropped lanes, or thermal
+         * throttling). No corruption: purely a bandwidth fault. */
+        Degrade,
+        /** From stuckAtPs the link is down for stuckForPs, repeating
+         * every stuckPeriodPs (0 = one outage). Transmissions that
+         * start inside an outage stall until it ends. */
+        Stuck,
+    };
+
     /** What one fault does to one transmission. */
     struct Effect
     {
@@ -38,27 +54,34 @@ class FaultModel
         Tick stallPs = 0;
     };
 
-    explicit FaultModel(std::uint64_t stream_seed) : rng(stream_seed) {}
-    virtual ~FaultModel() = default;
+    /** A @p kind model with @p cfg's parameters, drawing from stream
+     * @p stream_seed. */
+    FaultModel(Kind kind, const FaultConfig &cfg,
+               std::uint64_t stream_seed);
 
     /**
      * Apply the model to @p msg, about to start serializing at tick
      * @p start over @p bits wire bits. May flip bits of msg.wire in
      * place (and always sets msg.corrupted when it tampered).
      */
-    virtual Effect onTransmit(Tick start, unsigned bits,
-                              noc::Message &msg) = 0;
+    Effect onTransmit(Tick start, unsigned bits, noc::Message &msg);
 
-  protected:
+  private:
     /**
-     * Flip each of @p bits independently with probability @p ber
+     * Flip each of @p bits independently with probability ber
      * (geometric skip sampling, so tiny BERs cost ~0 draws). Flips
      * land in *msg.wire when an image travels with the message.
      * @return the number of bits flipped.
      */
-    unsigned applyBitErrors(double ber, unsigned bits,
-                            noc::Message &msg);
+    unsigned applyBitErrors(unsigned bits, noc::Message &msg);
 
+    const Kind kind;
+    const double ber;
+    /** Degrade's serialization multiplier, 1 / degradeFactor. */
+    const double scale;
+    const Tick stuckAt;
+    const Tick stuckFor;
+    const Tick stuckPeriod;
     Rng rng;
 };
 

@@ -13,8 +13,11 @@ PollingEngine::PollingEngine(EventQueue &eq, const SystemConfig &cfg_,
                              stats::Registry &reg)
     : eventq(eq),
       cfg(cfg_),
+      interrupt(cfg_.pollingMode == PollingMode::BaselineInterrupt ||
+                cfg_.pollingMode == PollingMode::ProxyInterrupt),
       channels(std::move(channels_)),
       targets(std::move(targets_)),
+      serviceOutstanding(channels.size(), false),
       statInterrupts(reg.group("host.polling").scalar("interrupts")),
       statPolls(reg.group("host.polling").scalar("polls")),
       statIdlePolls(reg.group("host.polling").scalar("idlePolls")),
@@ -32,7 +35,13 @@ PollingEngine::start()
     if (running)
         return;
     running = true;
-    onStart();
+    if (interrupt)
+        return;
+    // One polling loop per channel that has polled targets.
+    for (ChannelId ch = 0; ch < channels.size(); ++ch)
+        if (std::any_of(targets.begin(), targets.end(),
+                        [&](DimmId t) { return cfg.channelOf(t) == ch; }))
+            scheduleService(ch, eventq.now());
 }
 
 void
@@ -40,7 +49,11 @@ PollingEngine::stop()
 {
     running = false;
     pendingTargets.clear();
-    onStop();
+    // A handler already in flight still fires (and finds the engine
+    // stopped); only ALERT_N forgets it, so a request raised after a
+    // restart interrupts again at once.
+    if (interrupt)
+        serviceOutstanding.assign(channels.size(), false);
 }
 
 void
@@ -54,7 +67,47 @@ PollingEngine::requestRaised(DimmId target)
         return;
     pendingTargets.insert(target);
     raisedAt[target] = eventq.now();
-    onRequestRaised(target);
+    // ALERT_N is shared per channel: one handler invocation scans the
+    // whole channel (Base+Itrpt) or its proxy (P-P+Itrpt). Periodic
+    // sweeps find the request on their own.
+    if (interrupt)
+        scheduleService(cfg.channelOf(target),
+                        eventq.now() + cfg.host.interruptLatencyPs);
+}
+
+void
+PollingEngine::scheduleService(ChannelId ch, Tick when)
+{
+    if (serviceOutstanding[ch])
+        return;
+    serviceOutstanding[ch] = true;
+    if (interrupt)
+        ++statInterrupts;
+    eventq.schedule(std::max(when, eventq.now()),
+                    [this, ch] {
+                        serviceOutstanding[ch] = false;
+                        service(ch);
+                    },
+                    EventPriority::Control);
+}
+
+void
+PollingEngine::service(ChannelId ch)
+{
+    if (!running)
+        return;
+    // Poll this channel's targets back-to-back. Distinct channels
+    // poll concurrently.
+    const Tick begin = eventq.now();
+    Tick cursor = begin;
+    for (DimmId target : targets)
+        if (cfg.channelOf(target) == ch)
+            cursor = pollOne(target, cursor);
+    if (!interrupt)
+        scheduleService(ch,
+                        std::max(begin + cfg.host.pollIntervalPs, cursor));
+    else if (anyPendingOn(ch))
+        scheduleService(ch, eventq.now() + cfg.host.interruptLatencyPs);
 }
 
 Tick
@@ -77,6 +130,15 @@ PollingEngine::pollOne(DimmId target, Tick earliest)
                     },
                     EventPriority::Control);
     return end;
+}
+
+bool
+PollingEngine::anyPendingOn(ChannelId ch) const
+{
+    for (DimmId t : pendingTargets)
+        if (cfg.channelOf(t) == ch)
+            return true;
+    return false;
 }
 
 } // namespace host

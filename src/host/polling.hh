@@ -6,20 +6,19 @@
  * including the idle polling that never finds a request (the cost the
  * polling proxy exists to remove).
  *
- * PollingEngine is the shared machinery (the polling reads, discovery
- * accounting, pending-target bookkeeping); how the host *learns* that
- * a target needs attention is the pluggable part. The periodic modes
- * ("Base", "P-P") sweep each channel's targets every poll interval;
- * the ALERT_N modes ("Base+Itrpt", "P-P+Itrpt") sleep until a target
- * raises the shared interrupt line. makePollingEngine() builds the
- * one cfg.pollingMode names.
+ * The four mechanisms are two discovery policies applied to two
+ * target sets; the caller picks the targets (every DIMM under "Base",
+ * one proxy per group under "P-P"), and cfg.pollingMode picks the
+ * policy. The periodic modes ("Base", "P-P") sweep each channel's
+ * targets every poll interval; the ALERT_N modes ("Base+Itrpt",
+ * "P-P+Itrpt") sleep until a target raises the shared per-channel
+ * interrupt line, then scan that channel's targets.
  */
 
 #ifndef DIMMLINK_HOST_POLLING_HH
 #define DIMMLINK_HOST_POLLING_HH
 
 #include <functional>
-#include <memory>
 #include <set>
 #include <vector>
 
@@ -42,7 +41,9 @@ class PollingEngine
                   std::vector<Channel *> channels,
                   std::vector<DimmId> targets, stats::Registry &reg);
 
-    virtual ~PollingEngine() = default;
+    // Scheduled events hold `this`.
+    PollingEngine(const PollingEngine &) = delete;
+    PollingEngine &operator=(const PollingEngine &) = delete;
 
     /** Called with a polled DIMM id once the host notices it has
      * pending requests. */
@@ -64,58 +65,51 @@ class PollingEngine
      */
     void requestRaised(DimmId target);
 
-  protected:
-    /** Begin the mode's discovery machinery (engine just started). */
-    virtual void onStart() = 0;
+  private:
+    /** Schedule a service of channel @p ch at @p when (no earlier
+     * than now) unless one is already outstanding; under interrupt
+     * modes this raises ALERT_N. */
+    void scheduleService(ChannelId ch, Tick when);
 
-    /** React to a newly pending target (engine is running). */
-    virtual void onRequestRaised(DimmId target) = 0;
-
-    /** Drop any in-flight discovery state (engine just stopped). */
-    virtual void onStop() = 0;
+    /** Poll every target on @p ch back to back, then schedule the
+     * next sweep (periodic) or re-raise ALERT_N when a request
+     * slipped in meanwhile (interrupt). */
+    void service(ChannelId ch);
 
     /** One polling read of @p target, starting no earlier than
      * @p earliest. @return the read's completion tick. */
     Tick pollOne(DimmId target, Tick earliest);
 
     /** True when any pending target sits on channel @p ch. */
-    bool anyPendingOn(ChannelId ch) const
-    {
-        for (DimmId t : pendingTargets)
-            if (cfg.channelOf(t) == ch)
-                return true;
-        return false;
-    }
+    bool anyPendingOn(ChannelId ch) const;
 
     EventQueue &eventq;
     const SystemConfig &cfg;
+    /** ALERT_N discovery (the +Itrpt modes) instead of sweeps. */
+    const bool interrupt;
     std::vector<Channel *> channels;
     std::vector<DimmId> targets;
 
     bool running = false;
 
-    stats::Scalar &statInterrupts;
+    /** Per channel: a sweep or an interrupt handler is scheduled.
+     * The host polls channels in parallel through independent MC
+     * queues; Section IV-A notes the single-thread variant costs
+     * less CPU, but the paper's Fig. 15 baseline occupancy
+     * corresponds to parallel polling. */
+    std::vector<bool> serviceOutstanding;
 
-  private:
     std::set<DimmId> pendingTargets;
 
     std::function<void(DimmId)> discoverHandler;
 
+    stats::Scalar &statInterrupts;
     stats::Scalar &statPolls;
     stats::Scalar &statIdlePolls;
     stats::Distribution &statDiscoveryPs;
     /** Tick at which each pending target raised its request. */
     std::vector<Tick> raisedAt;
 };
-
-/**
- * Build cfg.pollingMode's engine (polling_modes.cc) for the given
- * polled @p targets.
- */
-std::unique_ptr<PollingEngine>
-makePollingEngine(EventQueue &eq, const SystemConfig &cfg,
-                  std::vector<Channel *> channels,
-                  std::vector<DimmId> targets, stats::Registry &reg);
 
 } // namespace host
 } // namespace dimmlink

@@ -37,18 +37,17 @@ CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
                                stats::Registry &reg)
     : eventq(eq),
       fwd(eq, cfg, channels, reg),
-      poll(host::makePollingEngine(eq, cfg, channels,
-                                   std::move(poll_targets), reg)),
+      poll(eq, cfg, channels, std::move(poll_targets), reg),
       queued(cfg.numDimms)
 {
-    poll->setDiscoverHandler([this](DimmId d) { onDiscover(d); });
+    poll.setDiscoverHandler([this](DimmId d) { onDiscover(d); });
 }
 
 void
 CpuForwardPath::request(DimmId target, EventCallback job)
 {
     queued[target].push_back(std::move(job));
-    poll->requestRaised(target);
+    poll.requestRaised(target);
 }
 
 void
@@ -67,7 +66,7 @@ CpuForwardPath::onDiscover(DimmId target)
 void
 CpuForwardPath::stop()
 {
-    poll->stop();
+    poll.stop();
     for (auto &q : queued)
         q.clear();
 }

@@ -145,9 +145,9 @@ class CpuForwardPath
     void request(DimmId target, EventCallback job);
 
     host::Forwarder &forwarder() { return fwd; }
-    host::PollingEngine &polling() { return *poll; }
+    host::PollingEngine &polling() { return poll; }
 
-    void start() { poll->start(); }
+    void start() { poll.start(); }
     void stop();
 
   private:
@@ -155,7 +155,7 @@ class CpuForwardPath
 
     EventQueue &eventq;
     host::Forwarder fwd;
-    std::unique_ptr<host::PollingEngine> poll;
+    host::PollingEngine poll;
     std::vector<std::vector<EventCallback>> queued;
     /** Emptied job list kept for its capacity (onDiscover swaps it
      * with the target's queue instead of reallocating). */

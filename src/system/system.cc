@@ -35,6 +35,8 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     for (auto &ch : channels)
         chan_ptrs.push_back(ch.get());
     fabric_ = idc::makeFabric(eventq, cfg, chan_ptrs, registry);
+    sync_ = std::make_unique<SyncManager>(eventq, cfg, fabric_.get(),
+                                          registry);
 
     relView_ = serve_rel::HostHealthView(
         cfg.rackEnabled() ? cfg.rack.hosts : 0);
@@ -42,10 +44,7 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     for (unsigned d = 0; d < cfg.numDimms; ++d)
         dimms.push_back(std::make_unique<Dimm>(
             eventq, static_cast<DimmId>(d), cfg, timing, *gmap,
-            &relView_, registry));
-
-    sync_ = std::make_unique<SyncManager>(eventq, cfg, fabric_.get(),
-                                          registry);
+            *fabric_, *sync_, &relView_, registry));
 
     // Wire remote memory accesses into the destination DIMM's MC.
     fabric_->setMemAccess([this](DimmId d, Addr addr,
@@ -54,9 +53,6 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
         dimms[d]->localMc().remoteAccess(addr, bytes, is_write,
                                          std::move(done));
     });
-
-    for (auto &dimm : dimms)
-        dimm->connect(fabric_.get(), sync_.get(), gmap.get());
 
     // The cores' circuit breakers read the rack's host health.
     if (cfg.rackEnabled())

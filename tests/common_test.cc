@@ -170,16 +170,6 @@ TEST(Stats, SumScalarOverPrefix)
     EXPECT_DOUBLE_EQ(reg.sumScalar("nope", "reads"), 0.0);
 }
 
-TEST(Stats, ResetClearsEverything)
-{
-    stats::Registry reg;
-    reg.group("a").scalar("x") += 7;
-    reg.group("a").distribution("d").sample(1);
-    reg.resetAll();
-    EXPECT_DOUBLE_EQ(reg.scalar("a.x"), 0.0);
-    EXPECT_EQ(reg.group("a").distribution("d").count(), 0u);
-}
-
 TEST(Stats, HistogramBuckets)
 {
     stats::Histogram h(10.0, 4);

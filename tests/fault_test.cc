@@ -9,6 +9,7 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -149,6 +150,35 @@ TEST(FaultModel, StuckLinkStallsDuringOutages)
     EXPECT_EQ(model->onTransmit(1600, 128, msg).stallPs, 0u);
     // The outage repeats every period.
     EXPECT_EQ(model->onTransmit(3200, 128, msg).stallPs, 300u);
+}
+
+TEST(FaultModel, OnlyTheNamedModelActs)
+{
+    // Every model's keys hold active values; only the one faults.model
+    // names may touch the transmission.
+    FaultConfig cfg;
+    cfg.ber = 0.05;
+    cfg.degradeFactor = 0.5;
+    cfg.stuckAtPs = 0;
+    cfg.stuckForPs = 1000;
+    cfg.stuckPeriodPs = 0;
+    const std::vector<std::uint8_t> clean(256, 0);
+    for (const char *m : {"ber", "degrade", "stuck"}) {
+        cfg.model = m;
+        auto model = fault::makeModel(cfg, 1);
+        noc::Message msg;
+        msg.wire = std::make_shared<std::vector<std::uint8_t>>(clean);
+        const auto eff = model->onTransmit(
+            100, static_cast<unsigned>(clean.size() * 8), msg);
+        const std::string name = m;
+        EXPECT_EQ(eff.corrupted, name == "ber") << m;
+        EXPECT_EQ(msg.corrupted, name == "ber") << m;
+        EXPECT_EQ(*msg.wire != clean, name == "ber") << m;
+        EXPECT_DOUBLE_EQ(eff.serScale, name == "degrade" ? 2.0 : 1.0)
+            << m;
+        EXPECT_EQ(eff.stallPs, name == "stuck" ? Tick{900} : Tick{0})
+            << m;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -115,8 +115,7 @@ TEST_F(HostFixture, BaselinePollingDiscoversRequests)
 {
     build(PollingMode::Baseline);
     std::vector<DimmId> targets{0, 1, 2, 3};
-    const auto poll_p = makePollingEngine(eq, cfg, ptrs, targets, reg);
-    PollingEngine &poll = *poll_p;
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
     DimmId discovered = invalidDimm;
     Tick at = 0;
     poll.setDiscoverHandler([&](DimmId d) {
@@ -136,8 +135,7 @@ TEST_F(HostFixture, IdlePollingStillCostsBusTime)
 {
     build(PollingMode::Baseline);
     std::vector<DimmId> targets{0, 1, 2, 3};
-    const auto poll_p = makePollingEngine(eq, cfg, ptrs, targets, reg);
-    PollingEngine &poll = *poll_p;
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
     poll.start();
     eq.runUntil(10 * cfg.host.pollIntervalPs);
     poll.stop();
@@ -150,8 +148,7 @@ TEST_F(HostFixture, ProxyPollingTouchesOnlyProxyChannels)
     build(PollingMode::Proxy);
     // One proxy per group; 4D-2C has a single group, proxy DIMM 2.
     std::vector<DimmId> targets{2};
-    const auto poll_p = makePollingEngine(eq, cfg, ptrs, targets, reg);
-    PollingEngine &poll = *poll_p;
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
     poll.start();
     eq.runUntil(10 * cfg.host.pollIntervalPs);
     poll.stop();
@@ -164,8 +161,7 @@ TEST_F(HostFixture, InterruptModeHasNoIdlePolling)
 {
     build(PollingMode::BaselineInterrupt);
     std::vector<DimmId> targets{0, 1, 2, 3};
-    const auto poll_p = makePollingEngine(eq, cfg, ptrs, targets, reg);
-    PollingEngine &poll = *poll_p;
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
     DimmId discovered = invalidDimm;
     poll.setDiscoverHandler([&](DimmId d) { discovered = d; });
     poll.start();
@@ -185,8 +181,7 @@ TEST_F(HostFixture, InterruptLatencyDelaysDiscovery)
 {
     build(PollingMode::ProxyInterrupt);
     std::vector<DimmId> targets{2};
-    const auto poll_p = makePollingEngine(eq, cfg, ptrs, targets, reg);
-    PollingEngine &poll = *poll_p;
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
     Tick at = 0;
     poll.setDiscoverHandler([&](DimmId) { at = eq.now(); });
     poll.start();
@@ -214,9 +209,7 @@ TEST_F(HostFixture, PollingOccupancyOrdering)
                 reg.group("ch" + std::to_string(c))));
             ps.push_back(chs.back().get());
         }
-        const auto poll_p =
-            makePollingEngine(eq, cfg, ps, targets, reg);
-        PollingEngine &poll = *poll_p;
+        PollingEngine poll(eq, cfg, ps, targets, reg);
         poll.start();
         eq.runUntil(50 * cfg.host.pollIntervalPs);
         poll.stop();
