@@ -103,8 +103,10 @@ class System
     std::unique_ptr<dram::GlobalAddressMap> gmap;
     std::vector<std::unique_ptr<host::Channel>> channels;
     std::unique_ptr<idc::Fabric> fabric_;
-    std::vector<std::unique_ptr<Dimm>> dimms;
+    // The DIMMs hold references to the fabric and the sync manager, so
+    // both outlive them.
     std::unique_ptr<SyncManager> sync_;
+    std::vector<std::unique_ptr<Dimm>> dimms;
     std::unique_ptr<obs::Sampler> sampler_;
     std::unique_ptr<Watchdog> watchdog_;
     /** The rack host-health view; the cores hold a pointer to it, so
