@@ -27,8 +27,22 @@ ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     ctest --test-dir "$root/build-asan" --output-on-failure -j "$jobs"
 
 echo "==> event-kernel microbench (smoke)"
-"$root/build/bench/micro_eventqueue" \
-    --benchmark_min_time=0.05 --benchmark_format=json
+# The kernel's schedule() must not allocate in steady state
+# (docs/sim_kernel.md): every schedule-heavy row of the kernel under
+# test has to report zero allocations per schedule.
+micro_json="$("$root/build/bench/micro_eventqueue" \
+    --benchmark_min_time=0.05 --benchmark_format=json)"
+echo "$micro_json"
+python3 - "$micro_json" <<'EOF'
+import json, sys
+rows = [b for b in json.loads(sys.argv[1])["benchmarks"]
+        if b["name"].startswith("BM_ScheduleHeavy<dimmlink::EventQueue>")]
+assert rows, "no BM_ScheduleHeavy<dimmlink::EventQueue> rows"
+for b in rows:
+    allocs = b.get("steady_allocs_per_sched")
+    assert allocs == 0, (b["name"], "steady_allocs_per_sched", allocs)
+print(f"    alloc-free OK: {len(rows)} schedule-heavy row(s) at 0")
+EOF
 
 echo "==> end-to-end run from the checked-in config"
 "$root/build/examples/example_simulate" \

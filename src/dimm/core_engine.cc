@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "idc/fabric.hh"
 #include "obs/tracer.hh"
 
 namespace dimmlink {
@@ -10,13 +11,13 @@ namespace dimmlink {
 CoreEngine::CoreEngine(EventQueue &eq, const std::string &name,
                        double freq_mhz, const Pace &pace_,
                        const SystemConfig &cfg_,
-                       const serve_rel::HostHealthView *host_view,
-                       unsigned my_host, stats::Registry &reg)
+                       const idc::Fabric *fabric_, unsigned my_host,
+                       stats::Registry &reg)
     : Clocked(eq, name, freq_mhz),
       cfg(cfg_),
       pace(pace_),
       rel(serve_rel::Params::from(cfg_.serve)),
-      hostView(host_view),
+      fabric(fabric_),
       myHost(my_host),
       statInstructions(reg.group(name).scalar("instructions")),
       statMemRefs(reg.group(name).scalar("memRefs")),
@@ -298,12 +299,12 @@ CoreEngine::reqStartOp()
     }
     // Circuit breaker: fail fast on cross-host requests whose rack
     // routes are all down, with bounded backed-off retries.
-    if (op.homeDimm >= 0 && hostView) {
+    if (op.homeDimm >= 0 && fabric) {
         const unsigned target =
             cfg.hostOf(static_cast<DimmId>(op.homeDimm));
         if (target != myHost) {
             using Decision = serve_rel::CircuitBreaker::Decision;
-            const bool up = hostView->routeUp(myHost, target);
+            const bool up = fabric->routeUp(myHost, target);
             const Decision d = breaker.admit(target, up, now(),
                                              rel.breakerReopenPs);
             if (d == Decision::FastFail) {

@@ -29,6 +29,9 @@
 
 namespace dimmlink {
 
+namespace idc {
+class Fabric;
+} // namespace idc
 namespace obs {
 class Tracer;
 } // namespace obs
@@ -48,15 +51,15 @@ class CoreEngine : public Clocked
 
     /**
      * The reliability knobs come from @p cfg.serve (all zero leaves
-     * the layer inert). @p host_view is the rack's host health view
-     * the circuit breaker consults for cores on host @p my_host; with
-     * a null view the breaker never trips. @p cfg and @p host_view
+     * the layer inert). The circuit breaker asks @p fabric whether
+     * requests from host @p my_host reach their target host; with no
+     * fabric (the host baseline) it never trips. @p cfg and @p fabric
      * outlive the core.
      */
     CoreEngine(EventQueue &eq, const std::string &name, double freq_mhz,
                const Pace &pace, const SystemConfig &cfg,
-               const serve_rel::HostHealthView *host_view,
-               unsigned my_host, stats::Registry &reg);
+               const idc::Fabric *fabric, unsigned my_host,
+               stats::Registry &reg);
 
     /** Launch a thread; @p on_done fires after its Done op retires. */
     void run(ThreadId tid, std::unique_ptr<ThreadProgram> prog,
@@ -154,7 +157,7 @@ class CoreEngine : public Clocked
 
     const Pace pace;
     const serve_rel::Params rel;
-    const serve_rel::HostHealthView *hostView;
+    const idc::Fabric *fabric;
     const unsigned myHost;
 
     State state = State::Idle;

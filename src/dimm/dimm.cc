@@ -5,8 +5,7 @@ namespace dimmlink {
 Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
            const dram::Timing &timing,
            const dram::GlobalAddressMap &gmap, idc::Fabric &fabric,
-           SyncManager &sync, const serve_rel::HostHealthView *host_view,
-           stats::Registry &reg)
+           SyncManager &sync, stats::Registry &reg)
     : id_(id)
 {
     const std::string base = "dimm" + std::to_string(id);
@@ -25,8 +24,8 @@ Dimm::Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
             cname + ".l1", cfg.dimm.l1Bytes, cfg.dimm.l1Assoc,
             cfg.dimm.lineBytes, reg.group(cname + ".l1")));
         cores.push_back(std::make_unique<NmpCore>(
-            eq, cname, id, cfg, *mc, sync, l1s.back().get(), l2.get(),
-            gmap, host_view, reg));
+            eq, cname, id, cfg, *mc, sync, *l1s.back(), *l2, gmap, fabric,
+            reg));
     }
 }
 

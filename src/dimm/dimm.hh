@@ -24,14 +24,11 @@ class Dimm
 {
   public:
     /** @p fabric and @p sync: the IDC fabric and the sync manager the
-     * MC and cores talk to. @p host_view: the rack host-health view
-     * the cores' circuit breakers consult (see CoreEngine). All three
-     * outlive the DIMM. */
+     * MC and cores talk to. Both outlive the DIMM. */
     Dimm(EventQueue &eq, DimmId id, const SystemConfig &cfg,
          const dram::Timing &timing,
          const dram::GlobalAddressMap &gmap, idc::Fabric &fabric,
-         SyncManager &sync, const serve_rel::HostHealthView *host_view,
-         stats::Registry &reg);
+         SyncManager &sync, stats::Registry &reg);
 
     DimmId id() const { return id_; }
 

@@ -26,14 +26,13 @@ class SyncManager;
 class NmpCore : public CoreEngine
 {
   public:
-    /** @p host_view: see CoreEngine; null on systems without one.
-     * Barrier ops arrive at @p barrier; broadcasts leave through
-     * @p mc. */
+    /** @p fabric: the DIMM's IDC fabric, which the circuit breaker
+     * asks about rack routes. Barrier ops arrive at @p barrier;
+     * broadcasts leave through @p mc. */
     NmpCore(EventQueue &eq, const std::string &name, DimmId dimm,
             const SystemConfig &cfg, LocalMc &mc, SyncManager &barrier,
-            Cache *l1, Cache *l2, const dram::GlobalAddressMap &gmap,
-            const serve_rel::HostHealthView *host_view,
-            stats::Registry &reg);
+            Cache &l1, Cache &l2, const dram::GlobalAddressMap &gmap,
+            const idc::Fabric &fabric, stats::Registry &reg);
 
     /** Per-reference traffic probe for the task-mapping profiler. */
     using TrafficProbe =
@@ -49,8 +48,8 @@ class NmpCore : public CoreEngine
     DimmId dimm;
     LocalMc &mc;
     SyncManager &barrier;
-    Cache *l1;
-    Cache *l2;
+    Cache &l1;
+    Cache &l2;
     const dram::GlobalAddressMap &gmap;
     TrafficProbe probe;
 

@@ -2,12 +2,11 @@
  * @file
  * Request-level reliability primitives for the serving frontend
  * (docs/serving.md): resolved knob set, deterministic retry backoff,
- * a per-core circuit breaker over rack-route health, and the
- * host-health view the breaker consults.
+ * and a per-core circuit breaker over rack-route health.
  *
  * Each core (dimm/core_engine.hh) owns its Backoff and
- * CircuitBreaker; the System owns the one HostHealthView every NMP
- * core reads.
+ * CircuitBreaker; NMP cores ask their DIMM's fabric, which asks
+ * the rack's InterHostFabric::routeUp().
  */
 
 #ifndef DIMMLINK_DIMM_RELIABILITY_HH
@@ -101,31 +100,6 @@ class CircuitBreaker
     Entry &entry(unsigned host);
 
     std::vector<Entry> hosts;
-};
-
-/**
- * The system's view of rack host availability, fed from the rack
- * fabric's LinkHealth transitions. routeUp() mirrors
- * DlFabric::hostPathSend's failover: a cross-host request has a live
- * route while EITHER both rack ports (forwarded path) or both gateway
- * bridges (pooled path) are up.
- */
-struct HostHealthView
-{
-    std::vector<std::uint8_t> portUp; ///< Per host, rack port alive.
-    std::vector<std::uint8_t> gwUp;   ///< Per host, pooled lanes alive.
-
-    explicit HostHealthView(unsigned num_hosts = 0)
-        : portUp(num_hosts, 1), gwUp(num_hosts, 1)
-    {}
-
-    bool
-    routeUp(unsigned a, unsigned b) const
-    {
-        if (a == b || a >= portUp.size() || b >= portUp.size())
-            return true;
-        return (portUp[a] && portUp[b]) || (gwUp[a] && gwUp[b]);
-    }
 };
 
 } // namespace serve_rel

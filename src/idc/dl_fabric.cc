@@ -155,11 +155,10 @@ DlFabric::DllCtl::DllCtl(EventQueue &eq, const LinkConfig &link,
 {
 }
 
-void
-DlFabric::setHostAvailabilitySink(HostAvailabilitySink s)
+bool
+DlFabric::routeUp(unsigned a, unsigned b) const
 {
-    if (rackFabric)
-        rackFabric->setAvailabilitySink(std::move(s));
+    return !rackFabric || rackFabric->routeUp(a, b);
 }
 
 void

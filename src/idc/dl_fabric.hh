@@ -69,9 +69,9 @@ class DlFabric : public Fabric
     /** In-flight DLL keys, retry windows, health and backlog state. */
     std::string debugDump() override;
 
-    /** Forward the availability feed to the rack fabric (no-op
-     * without one: single-host runs have no host-level outages). */
-    void setHostAvailabilitySink(HostAvailabilitySink s) override;
+    /** Asks the rack fabric; single-host runs have no host-level
+     * outages. */
+    bool routeUp(unsigned a, unsigned b) const override;
 
     /** Link health tracker of @p group (null with faults off). */
     const fault::LinkHealth *linkHealth(unsigned group) const

@@ -95,15 +95,13 @@ class Fabric
      * the hang watchdog and the drained-queue panic path. */
     virtual std::string debugDump() { return ""; }
 
-    /**
-     * Subscribe to rack host availability transitions (the serving
-     * circuit breaker's health feed). No-op on fabrics without a
-     * rack layer; the DlFabric forwards to its InterHostFabric. The
-     * callback is (host, is_gateway, up).
-     */
-    using HostAvailabilitySink =
-        std::function<void(unsigned host, bool is_gateway, bool up)>;
-    virtual void setHostAvailabilitySink(HostAvailabilitySink) {}
+    /** Does a cross-host request from host a reach host b? The
+     * serving circuit breaker asks; true on fabrics without a rack
+     * layer. */
+    virtual bool routeUp(unsigned /*a*/, unsigned /*b*/) const
+    {
+        return true;
+    }
 
     const std::string &name() const { return name_; }
 

@@ -74,20 +74,13 @@ InterHostFabric::InterHostFabric(EventQueue &eq,
             health.probeResult(a, b, id, !dead(e));
         });
     };
-    cbs.onTransition = [this](int a, int b, fault::LinkState from,
+    cbs.onTransition = [this](int, int, fault::LinkState from,
                               fault::LinkState to) {
-        if (to == fault::LinkState::Down) {
+        if (to == fault::LinkState::Down)
             ++statPortDown;
-            if (availSink)
-                availSink(static_cast<unsigned>(a), b == kGateway,
-                          false);
-        } else if (from == fault::LinkState::Down &&
-                   to == fault::LinkState::Up) {
+        else if (from == fault::LinkState::Down &&
+                 to == fault::LinkState::Up)
             ++statPortRecovered;
-            if (availSink)
-                availSink(static_cast<unsigned>(a), b == kGateway,
-                          true);
-        }
     };
     cbs.onProbeFailed = [this](int, int) { ++statProbesFailed; };
     health.setCallbacks(std::move(cbs));

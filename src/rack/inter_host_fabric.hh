@@ -21,7 +21,6 @@
 #define DIMMLINK_RACK_INTER_HOST_FABRIC_HH
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -58,6 +57,17 @@ class InterHostFabric
     /** Are both gateway bridge attaches of the @p a <-> @p b pooled
      * lane routable? */
     bool bridgeUp(unsigned a, unsigned b) const;
+    /**
+     * Does a cross-host request from @p a reach @p b? Mirrors
+     * DlFabric::hostPathSend's failover: true while EITHER both rack
+     * ports (forwarded path) or both gateway bridges (pooled path)
+     * are up, and always for a == b. The serving circuit breaker
+     * asks.
+     */
+    bool routeUp(unsigned a, unsigned b) const
+    {
+        return a == b || (hostUp(a) && hostUp(b)) || bridgeUp(a, b);
+    }
 
     /**
      * Host-forwarded crossing: serialize @p bytes through host @p a's
@@ -80,20 +90,6 @@ class InterHostFabric
 
     /** The DlFabric flipped a transfer onto its failover route. */
     void noteReroute() { ++statReroutes; }
-
-    /**
-     * Availability feed for the serving circuit breaker: fired
-     * whenever a host's rack port (@p is_gateway false) or bridge
-     * attach (@p is_gateway true) crosses the Down boundary of its
-     * health state machine. System writes the update into its
-     * HostHealthView.
-     */
-    using AvailabilitySink =
-        std::function<void(unsigned host, bool is_gateway, bool up)>;
-    void setAvailabilitySink(AvailabilitySink s)
-    {
-        availSink = std::move(s);
-    }
 
     /** One line per non-up rack edge, for hang diagnostics. */
     std::string debugDump() const;
@@ -144,7 +140,6 @@ class InterHostFabric
     stats::Scalar &statProbesFailed;
     stats::Distribution &statCrossLatencyPs;
     stats::Scalar &statParked;
-    AvailabilitySink availSink;
 };
 
 } // namespace rack

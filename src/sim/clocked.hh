@@ -27,13 +27,6 @@ class ClockDomain
     /** Ticks for @p n cycles of this clock. */
     Tick cyclesToTicks(Cycles n) const { return n * periodPs; }
 
-    /** Cycles (rounded up) covering @p t ticks. */
-    Cycles
-    ticksToCycles(Tick t) const
-    {
-        return (t + periodPs - 1) / periodPs;
-    }
-
   private:
     Tick periodPs;
 };
@@ -55,9 +48,6 @@ class Clocked
     const ClockDomain &clock() const { return clock_; }
     EventQueue &queue() { return eventq; }
     Tick now() const { return eventq.now(); }
-
-    /** Current time in local cycles (floor). */
-    Cycles curCycle() const { return now() / clock_.period(); }
 
     /**
      * The next tick aligned to this clock's edge, at least one cycle

@@ -8,76 +8,18 @@ namespace dimmlink {
 
 namespace {
 
-/** Min-heap order for the ready heap: least (prio, seq) on top. */
-struct ReadyAfter
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
-        if (a.prio != b.prio)
-            return a.prio > b.prio;
-        return a.seq > b.seq;
-    }
-};
-
-/** Min-heap order for the spill heap: least tick on top. */
-struct SpillAfter
-{
-    template <typename E>
-    bool
-    operator()(const E &a, const E &b) const
-    {
+/** Min-heap order on (tick, prio, seq): the least entry on top. */
+constexpr auto after = [](const auto &a, const auto &b) {
+    if (a.when != b.when)
         return a.when > b.when;
-    }
+    return a.prio != b.prio ? a.prio > b.prio : a.seq > b.seq;
 };
-
-/**
- * Offset (in circular order from @p base) of the first set bit in an
- * N-bit occupancy bitmap, or N when the bitmap is empty. N and the
- * word count must be powers of two.
- */
-template <std::uint32_t N>
-std::uint32_t
-firstOccupiedFrom(const std::array<std::uint64_t, N / 64> &bits,
-                  std::uint32_t base)
-{
-    constexpr std::uint32_t words = N / 64;
-    const std::uint32_t baseWord = base >> 6;
-    const auto offsetOf = [base](std::uint32_t slot) {
-        return (slot - base) & (N - 1);
-    };
-    // Bits at or after base inside the base word...
-    std::uint64_t w = bits[baseWord] & (~0ull << (base & 63));
-    if (w)
-        return offsetOf((baseWord << 6) +
-                        static_cast<std::uint32_t>(
-                            __builtin_ctzll(w)));
-    // ...then whole words in circular order...
-    for (std::uint32_t i = 1; i < words; ++i) {
-        const std::uint32_t wi = (baseWord + i) & (words - 1);
-        if (bits[wi])
-            return offsetOf((wi << 6) +
-                            static_cast<std::uint32_t>(
-                                __builtin_ctzll(bits[wi])));
-    }
-    // ...and finally the bits before base in the base word.
-    w = bits[baseWord] & ~(~0ull << (base & 63));
-    if (w)
-        return offsetOf((baseWord << 6) +
-                        static_cast<std::uint32_t>(
-                            __builtin_ctzll(w)));
-    return N;
-}
 
 } // namespace
 
 EventQueue::EventQueue()
+    : wheel(wheelBuckets, nullIdx), occupied(wheelBuckets / 64, 0)
 {
-    l0.head.fill(nullIdx);
-    l0.occupied.fill(0);
-    l1.head.fill(nullIdx);
-    l1.occupied.fill(0);
     slots.reserve(256);
 }
 
@@ -109,50 +51,20 @@ EventQueue::freeSlot(std::uint32_t idx)
 }
 
 void
-EventQueue::place(std::uint32_t idx)
-{
-    Slot &s = slots[idx];
-    const Tick when = s.when;
-    if (when >= wheelTime && when - wheelTime < l0Span) {
-        const auto slot = static_cast<std::uint32_t>(when) & l0Mask;
-        s.next = l0.head[slot];
-        l0.head[slot] = idx;
-        l0.occupied[slot >> 6] |= 1ull << (slot & 63);
-    } else if (when >= wheelTime &&
-               (when >> l0Bits) - (wheelTime >> l0Bits) < l1Slots) {
-        // The span-index test (not a raw tick delta) keeps every L1
-        // event in one of the l1Slots spans following wheelTime's,
-        // so no slot ever aliases two spans.
-        const auto slot =
-            static_cast<std::uint32_t>(when >> l0Bits) & l1Mask;
-        s.next = l1.head[slot];
-        l1.head[slot] = idx;
-        l1.occupied[slot >> 6] |= 1ull << (slot & 63);
-    } else {
-        // Beyond the wheel horizon -- or (rarely) behind the wheel
-        // window, when tombstoned ticks advanced wheelTime past
-        // now(). The spill heap accepts any tick.
-        s.next = nullIdx;
-        spill.push_back(SpillEntry{when, idx});
-        std::push_heap(spill.begin(), spill.end(), SpillAfter{});
-    }
-}
-
-void
-EventQueue::pushReady(std::uint32_t idx)
+EventQueue::push(std::vector<HeapEntry> &heap, std::uint32_t idx)
 {
     const Slot &s = slots[idx];
-    ready.push_back(ReadyEntry{s.seq, idx, s.prio});
-    std::push_heap(ready.begin(), ready.end(), ReadyAfter{});
+    heap.push_back(HeapEntry{s.when, s.seq, idx, s.prio});
+    std::push_heap(heap.begin(), heap.end(), after);
 }
 
-EventQueue::ReadyEntry
-EventQueue::popReady()
+std::uint32_t
+EventQueue::pop(std::vector<HeapEntry> &heap)
 {
-    std::pop_heap(ready.begin(), ready.end(), ReadyAfter{});
-    const ReadyEntry e = ready.back();
-    ready.pop_back();
-    return e;
+    std::pop_heap(heap.begin(), heap.end(), after);
+    const std::uint32_t idx = heap.back().idx;
+    heap.pop_back();
+    return idx;
 }
 
 EventQueue::EventId
@@ -170,10 +82,18 @@ EventQueue::schedule(Tick when, Callback cb, EventPriority prio)
     s.prio = static_cast<std::int32_t>(prio);
     s.live = true;
     ++liveCount;
-    if (when == currentTick)
-        pushReady(idx);
-    else
-        place(idx);
+    const Tick bucket = when >> bucketBits;
+    if (bucket <= curBucket) {
+        push(ready, idx);
+    } else if (bucket - curBucket < wheelBuckets) {
+        const auto b = static_cast<std::uint32_t>(bucket) &
+                       (wheelBuckets - 1);
+        s.next = wheel[b];
+        wheel[b] = idx;
+        occupied[b >> 6] |= 1ull << (b & 63);
+    } else {
+        push(spill, idx);
+    }
     return (static_cast<EventId>(s.gen) << 32) |
            static_cast<EventId>(idx + 1);
 }
@@ -197,166 +117,88 @@ EventQueue::deschedule(EventId id)
 }
 
 bool
-EventQueue::loadL0(std::uint32_t slot, Tick tick)
+EventQueue::loadNextBucket(Tick limit)
 {
-    std::uint32_t idx = l0.head[slot];
-    l0.head[slot] = nullIdx;
-    l0.occupied[slot >> 6] &= ~(1ull << (slot & 63));
-    bool any_live = false;
-    while (idx != nullIdx) {
-        const std::uint32_t next = slots[idx].next;
-        if (!slots[idx].live) {
-            freeSlot(idx);
-        } else {
-            // Window invariant: every event in an L0 slot shares one
-            // tick; anything else is kernel corruption.
-            if (slots[idx].when != tick)
-                panic("L0 wheel slot holds tick %llu, expected %llu",
-                      static_cast<unsigned long long>(
-                          slots[idx].when),
-                      static_cast<unsigned long long>(tick));
-            pushReady(idx);
-            any_live = true;
-        }
-        idx = next;
-    }
-    return any_live;
-}
+    // The wheel holds buckets curBucket + 1 .. curBucket +
+    // wheelBuckets - 1, one per bit, so the first set bit in circular
+    // order from curBucket + 1's is the earliest. curBucket's own bit
+    // is never set; the scan ends by rereading the first word whole.
+    constexpr Tick words = wheelBuckets / 64;
+    Tick word = (curBucket + 1) >> 6;
+    std::uint64_t w =
+        occupied[word % words] & (~0ull << ((curBucket + 1) & 63));
+    for (const Tick end = word + words; !w && word < end;)
+        w = occupied[++word % words];
+    Tick next = w ? (word << 6) + static_cast<Tick>(__builtin_ctzll(w))
+                  : maxTick;
+    // Spill entries lie past curBucket but may have come within the
+    // wheel's reach since they were spilled.
+    if (!spill.empty())
+        next = std::min(next, spill.front().when >> bucketBits);
+    if (next == maxTick || (next << bucketBits) > limit)
+        return false;
 
-void
-EventQueue::cascadeL1(std::uint32_t slot)
-{
-    std::uint32_t idx = l1.head[slot];
-    l1.head[slot] = nullIdx;
-    l1.occupied[slot >> 6] &= ~(1ull << (slot & 63));
-    while (idx != nullIdx) {
-        const std::uint32_t next = slots[idx].next;
-        if (!slots[idx].live)
-            freeSlot(idx);
+    const auto take = [this](std::uint32_t i) {
+        if (slots[i].live)
+            push(ready, i);
         else
-            place(idx);
-        idx = next;
+            freeSlot(i);
+    };
+    curBucket = next;
+    const auto b = static_cast<std::uint32_t>(next) & (wheelBuckets - 1);
+    std::uint32_t idx = wheel[b];
+    wheel[b] = nullIdx;
+    occupied[b >> 6] &= ~(1ull << (b & 63));
+    while (idx != nullIdx) {
+        const std::uint32_t link = slots[idx].next;
+        take(idx);
+        idx = link;
     }
-}
-
-Tick
-EventQueue::scanL0() const
-{
-    // The first occupied slot in circular order from the window base
-    // holds the least pending L0 tick: each occupied slot maps to a
-    // unique tick inside [wheelTime, wheelTime + l0Span).
-    const auto base = static_cast<std::uint32_t>(wheelTime) & l0Mask;
-    const std::uint32_t off =
-        firstOccupiedFrom<l0Slots>(l0.occupied, base);
-    return off == l0Slots ? maxTick : wheelTime + off;
-}
-
-Tick
-EventQueue::scanL1() const
-{
-    const auto base =
-        static_cast<std::uint32_t>(wheelTime >> l0Bits) & l1Mask;
-    const std::uint32_t off =
-        firstOccupiedFrom<l1Slots>(l1.occupied, base);
-    if (off == l1Slots)
-        return maxTick;
-    // Span-start tick; the slot's events all lie inside
-    // [start, start + l0Span).
-    return ((wheelTime >> l0Bits) + off) << l0Bits;
+    while (!spill.empty() && (spill.front().when >> bucketBits) == next)
+        take(pop(spill));
+    return true;
 }
 
 bool
-EventQueue::advanceUpTo(Tick limit)
+EventQueue::fireNext(Tick limit)
 {
     for (;;) {
-        const Tick l0cand = scanL0();
-        const Tick spillTop =
-            spill.empty() ? maxTick : spill.front().when;
-        const Tick l1span = scanL1();
-        const Tick bound = std::min(l0cand, spillTop);
-
-        // An L1 slot whose span starts at or before the best L0 /
-        // spill candidate may hold events at an earlier (or equal)
-        // tick; cascade it into L0 before trusting the candidates so
-        // that every event at the eventual tick is visible at once.
-        if (l1span != maxTick && l1span <= bound) {
-            if (l1span > limit)
-                return false; // Everything pending lies past limit.
-            // Raising the window base is safe: l1span trails every
-            // pending wheel tick here.
-            wheelTime = std::max(wheelTime, l1span);
-            cascadeL1(static_cast<std::uint32_t>(l1span >> l0Bits) &
-                      l1Mask);
+        if (ready.empty()) {
+            if (!loadNextBucket(limit))
+                return false;
             continue;
         }
-
-        if (bound == maxTick || bound > limit)
-            return false;
-        const Tick next = bound;
-        bool any_live = false;
-        if (l0cand == next)
-            any_live = loadL0(static_cast<std::uint32_t>(next) &
-                                  l0Mask,
-                              next);
-        while (!spill.empty() && spill.front().when == next) {
-            std::pop_heap(spill.begin(), spill.end(), SpillAfter{});
-            const std::uint32_t idx = spill.back().idx;
-            spill.pop_back();
-            if (!slots[idx].live) {
-                freeSlot(idx);
-            } else {
-                pushReady(idx);
-                any_live = true;
-            }
-        }
-        wheelTime = std::max(wheelTime, next);
-        if (any_live) {
-            currentTick = next;
-            return true;
-        }
-        // Every event at this tick was tombstoned; keep looking
-        // without letting now() observe the dead tick.
-    }
-}
-
-bool
-EventQueue::fireOneReady()
-{
-    while (!ready.empty()) {
-        const ReadyEntry e = popReady();
-        Slot &s = slots[e.idx];
-        if (!s.live) {
-            freeSlot(e.idx);
+        const HeapEntry &top = ready.front();
+        if (!slots[top.idx].live) {
+            freeSlot(pop(ready));
             continue;
         }
+        if (top.when > limit)
+            return false; // Even a loaded bucket's later events wait.
+        const std::uint32_t idx = pop(ready);
         // Move the callback out and recycle the slot first so the
         // callback can freely schedule (possibly reusing this slot).
+        Slot &s = slots[idx];
         Callback cb = std::move(s.cb);
         currentTick = s.when;
         --liveCount;
         ++executedCount;
-        freeSlot(e.idx);
+        freeSlot(idx);
         cb();
         return true;
     }
-    return false;
 }
 
 bool
 EventQueue::step()
 {
-    for (;;) {
-        if (fireOneReady())
-            return true;
-        if (!advanceUpTo(maxTick))
-            return false;
-    }
+    return fireNext(maxTick);
 }
 
 Tick
 EventQueue::run()
 {
-    while (step()) {
+    while (fireNext(maxTick)) {
     }
     return currentTick;
 }
@@ -364,17 +206,7 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    for (;;) {
-        if (!ready.empty()) {
-            // Ready events always sit at currentTick; past the limit
-            // they must stay pending.
-            if (currentTick > limit)
-                break;
-            if (fireOneReady())
-                continue;
-        }
-        if (!advanceUpTo(limit))
-            break;
+    while (fireNext(limit)) {
     }
     // The interval [now, limit] has been fully simulated: advance the
     // clock even when the last event fired earlier, so callers

@@ -4,19 +4,17 @@
  * System orders callbacks by (tick, priority, insertion sequence), which
  * makes every simulation bit-for-bit deterministic.
  *
- * Internally the queue is an allocation-free hierarchical timing wheel
- * (see docs/sim_kernel.md): near-future events hash into fixed-size
- * wheel slots, far-future events spill into a sorted heap that refills
- * the wheel as simulated time advances, and cancelled events are
- * generation-tagged tombstones reclaimed lazily. Same-tick bursts --
- * the dominant pattern from routers and the DRAM controller -- insert
- * in O(1) and drain in deterministic (priority, sequence) order.
+ * Internally the queue is an allocation-free bucketed timing wheel
+ * (see docs/sim_kernel.md): events in the next wheelBuckets buckets of
+ * 2^bucketBits ticks hang off intrusive per-bucket lists, later ones
+ * wait in a spill heap, and the earliest bucket sits in a ready heap
+ * ordered by (tick, priority, sequence). Cancelled events are
+ * generation-tagged tombstones reclaimed lazily.
  */
 
 #ifndef DIMMLINK_SIM_EVENT_QUEUE_HH
 #define DIMMLINK_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -113,17 +111,10 @@ class EventQueue
     void setTracer(obs::Tracer *t) { tracerPtr = t; }
 
   private:
-    /** Level-0 wheel: 1-tick buckets covering wheelSpan ticks. */
-    static constexpr unsigned l0Bits = 12;
-    static constexpr std::uint32_t l0Slots = 1u << l0Bits;
-    static constexpr std::uint32_t l0Mask = l0Slots - 1;
-    static constexpr Tick l0Span = l0Slots;
-    /** Level-1 wheel: l0Span-tick buckets covering l1Span ticks. */
-    static constexpr unsigned l1Bits = 12;
-    static constexpr std::uint32_t l1Slots = 1u << l1Bits;
-    static constexpr std::uint32_t l1Mask = l1Slots - 1;
-    static constexpr Tick l1Span = static_cast<Tick>(l0Span) << l1Bits;
-
+    /** Wheel geometry, chosen by measurement (docs/sim_kernel.md):
+     * 2^16 buckets of 64 ticks reach 2^22 ps (4.2 us) ahead. */
+    static constexpr unsigned bucketBits = 6;
+    static constexpr std::uint32_t wheelBuckets = 1u << 16;
     static constexpr std::uint32_t nullIdx = 0xffffffffu;
 
     /** One pooled event record; recycled through a free list. */
@@ -132,71 +123,49 @@ class EventQueue
         Tick when = 0;
         std::uint64_t seq = 0;
         Callback cb;
-        std::uint32_t next = nullIdx; ///< Intrusive wheel/free link.
+        std::uint32_t next = nullIdx; ///< Intrusive bucket/free link.
         std::uint32_t gen = 0;        ///< Bumped on every recycle.
         std::int32_t prio = 0;
         bool live = false;
     };
 
-    /** Entry in the current-tick ready heap, ordered (prio, seq). */
-    struct ReadyEntry
+    /** Ready or spill heap entry, ordered (tick, prio, seq). */
+    struct HeapEntry
     {
+        Tick when;
         std::uint64_t seq;
         std::uint32_t idx;
         std::int32_t prio;
     };
 
-    /** Entry in the far-future spill heap, ordered by tick. */
-    struct SpillEntry
-    {
-        Tick when;
-        std::uint32_t idx;
-    };
-
-    template <std::uint32_t N>
-    struct Wheel
-    {
-        std::array<std::uint32_t, N> head;
-        std::array<std::uint64_t, N / 64> occupied;
-    };
-
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
-    /** Route a pending (non-current-tick) event into wheel/spill. */
-    void place(std::uint32_t idx);
-    void pushReady(std::uint32_t idx);
-    /** Pop the (prio, seq)-least ready entry. @pre !ready.empty() */
-    ReadyEntry popReady();
-    /** Take slot list @p s of the L0 wheel into the ready heap. */
-    bool loadL0(std::uint32_t s, Tick tick);
-    /** Redistribute L1 slot @p s into the L0 wheel. */
-    void cascadeL1(std::uint32_t s);
-    Tick scanL0() const;
-    /** @return the span-start tick of the first occupied L1 slot. */
-    Tick scanL1() const;
+    void push(std::vector<HeapEntry> &heap, std::uint32_t idx);
+    /** Pop @p heap's least entry. @return its slot. */
+    std::uint32_t pop(std::vector<HeapEntry> &heap);
     /**
-     * Load the next tick <= @p limit with at least one live event
-     * into the ready heap and advance currentTick to it. Frees
-     * tombstones encountered on the way. @return false when no such
-     * tick exists (currentTick is then left untouched).
+     * Move the next occupied bucket -- its wheel list and its spill
+     * entries -- into the ready heap, if that bucket starts at or
+     * before @p limit. now() is left untouched. @return true if so.
      */
-    bool advanceUpTo(Tick limit);
-    /** Pop ready entries until a live one fires. @return true if so. */
-    bool fireOneReady();
+    bool loadNextBucket(Tick limit);
+    /** Execute the next event if its tick is <= @p limit.
+     * @return true if one fired. */
+    bool fireNext(Tick limit);
 
     std::vector<Slot> slots;
     std::uint32_t freeHead = nullIdx;
-    Wheel<l0Slots> l0;
-    Wheel<l1Slots> l1;
-    std::vector<ReadyEntry> ready;
-    std::vector<SpillEntry> spill;
+    std::vector<std::uint32_t> wheel;    ///< Bucket list heads.
+    std::vector<std::uint64_t> occupied; ///< One bit per bucket.
+    std::vector<HeapEntry> ready;
+    std::vector<HeapEntry> spill;
     Tick currentTick = 0;
     /**
-     * Wheel time: the window base for both wheel levels. Trails every
-     * pending event and never decreases; may run ahead of currentTick
-     * across stretches of tombstoned ticks.
+     * The ready heap holds every pending event in buckets up to
+     * curBucket, the wheel those of the next wheelBuckets - 1 buckets,
+     * and the spill heap the rest. Never decreases.
      */
-    Tick wheelTime = 0;
+    Tick curBucket = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t executedCount = 0;
     std::size_t liveCount = 0;

@@ -12,8 +12,8 @@ namespace dimmlink {
 /**
  * One OoO-approximated host core: the shared op-stream engine at host
  * frequency and IPC, over the host cache hierarchy and channel-based
- * DRAM access. The host has no rack health view, so its circuit
- * breaker never trips.
+ * DRAM access. The host has no fabric to ask about rack routes, so
+ * its circuit breaker never trips.
  */
 class HostRunner::HostCore : public CoreEngine
 {
@@ -23,7 +23,7 @@ class HostRunner::HostCore : public CoreEngine
                      owner.cfg.host.coreFreqMHz,
                      Pace{owner.cfg.host.computeIpc,
                           owner.cfg.host.computeIpc, mshrs},
-                     owner.cfg, /*host_view=*/nullptr, /*my_host=*/0,
+                     owner.cfg, /*fabric=*/nullptr, /*my_host=*/0,
                      owner.registry),
           owner(owner),
           idx(idx)
@@ -158,13 +158,10 @@ HostRunner::memAccess(Addr addr, std::uint32_t bytes, bool is_write,
     const Addr first = roundDown(addr, line);
     const Addr last = roundDown(addr + bytes - 1, line);
 
-    auto lines = static_cast<std::size_t>((last - first) / line) + 1;
-    auto remaining = std::make_shared<std::size_t>(lines);
-    auto done_sh = std::make_shared<EventCallback>(std::move(done));
-    auto finish_line = [remaining, done_sh] {
-        if (--*remaining == 0 && *done_sh)
-            (*done_sh)();
-    };
+    auto *cd = countdowns.start(
+        static_cast<std::size_t>((last - first) / line) + 1,
+        std::move(done));
+    const auto finish_line = [this, cd] { countdowns.land(cd); };
 
     for (Addr a = first; a <= last; a += line) {
         // Private data sits in the core's L1 (hardware coherence

@@ -23,6 +23,7 @@
 #include "dram/dram_controller.hh"
 #include "host/channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/record_pool.hh"
 #include "system/metrics.hh"
 #include "workloads/workload.hh"
 
@@ -55,6 +56,8 @@ class HostRunner
      * DRAM timing (bank conflicts, refresh) plus bus occupancy. */
     std::vector<std::unique_ptr<dram::DramController>> dramCtrl;
     std::vector<std::deque<EventCallback>> dramPending;
+    /** Multi-line accesses waiting for their last line. */
+    CountdownPool countdowns;
     std::unique_ptr<Cache> llc;
     std::vector<std::unique_ptr<Cache>> l1s;
     std::vector<std::unique_ptr<HostCore>> cores;

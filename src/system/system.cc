@@ -38,13 +38,11 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
     sync_ = std::make_unique<SyncManager>(eventq, cfg, fabric_.get(),
                                           registry);
 
-    relView_ = serve_rel::HostHealthView(
-        cfg.rackEnabled() ? cfg.rack.hosts : 0);
     const dram::Timing timing = cfg.dramTiming();
     for (unsigned d = 0; d < cfg.numDimms; ++d)
         dimms.push_back(std::make_unique<Dimm>(
             eventq, static_cast<DimmId>(d), cfg, timing, *gmap,
-            *fabric_, *sync_, &relView_, registry));
+            *fabric_, *sync_, registry));
 
     // Wire remote memory accesses into the destination DIMM's MC.
     fabric_->setMemAccess([this](DimmId d, Addr addr,
@@ -53,16 +51,6 @@ System::System(SystemConfig cfg_) : cfg(std::move(cfg_))
         dimms[d]->localMc().remoteAccess(addr, bytes, is_write,
                                          std::move(done));
     });
-
-    // The cores' circuit breakers read the rack's host health.
-    if (cfg.rackEnabled())
-        fabric_->setHostAvailabilitySink(
-            [this](unsigned host, bool is_gw, bool up) {
-                if (host >= relView_.portUp.size())
-                    return;
-                (is_gw ? relView_.gwUp : relView_.portUp)[host] =
-                    up ? 1 : 0;
-            });
 
     if (cfg.obs.sampleIntervalPs > 0)
         buildSampler();

@@ -109,9 +109,6 @@ class System
     std::vector<std::unique_ptr<Dimm>> dimms;
     std::unique_ptr<obs::Sampler> sampler_;
     std::unique_ptr<Watchdog> watchdog_;
-    /** The rack host-health view; the cores hold a pointer to it, so
-     * it lives for the System's lifetime. */
-    serve_rel::HostHealthView relView_;
     bool nmpMode = false;
 };
 

@@ -27,7 +27,7 @@ class ScriptedCore : public CoreEngine
     ScriptedCore(EventQueue &eq, const SystemConfig &cfg,
                  stats::Registry &reg, std::vector<Tick> delays)
         : CoreEngine(eq, "core", 1000.0, Pace{1.0, 1.0, 4}, cfg,
-                     /*host_view=*/nullptr, /*my_host=*/0, reg),
+                     /*fabric=*/nullptr, /*my_host=*/0, reg),
           delays(std::move(delays))
     {}
 

@@ -131,11 +131,12 @@ TEST(EventQueue, RunUntilDoesNotRewindNow)
 
 TEST(EventQueue, DescheduleAcrossWheelLevelsAndSpill)
 {
-    // Exercise cancellation of events parked in the L0 wheel, the L1
-    // wheel, and the far-future spill heap.
+    // Cancel one event in each container: tick 10 shares the current
+    // (first) bucket and goes straight to the ready heap, 2^16 lies
+    // inside the wheel's reach and 2^30 beyond it, in the spill heap.
     EventQueue eq;
     std::vector<int> order;
-    const auto near = eq.schedule(100, [&] { order.push_back(0); });
+    const auto near = eq.schedule(10, [&] { order.push_back(0); });
     const auto mid = eq.schedule(1u << 16, [&] { order.push_back(1); });
     const auto far =
         eq.schedule(Tick(1) << 30, [&] { order.push_back(2); });
@@ -151,6 +152,28 @@ TEST(EventQueue, DescheduleAcrossWheelLevelsAndSpill)
     EXPECT_EQ(order, (std::vector<int>{3, 4, 5}));
     EXPECT_EQ(eq.executed(), 3u);
     EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueue, RunUntilLeavesTheLaterPartOfABucketPending)
+{
+    // Ticks 1024..1087 share one bucket, which straddles the limit:
+    // runUntil moves the whole bucket into the ready heap but fires
+    // only what lies at or before the limit.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    const auto record = [&] { fired.push_back(eq.now()); };
+    eq.schedule(1080, record);
+    eq.schedule(1040, record);
+    eq.schedule(1070, record);
+    EXPECT_EQ(eq.runUntil(1050), 1050u);
+    EXPECT_EQ(fired, (std::vector<Tick>{1040}));
+    EXPECT_EQ(eq.size(), 2u);
+    // Events scheduled now, between now() and the pending ones, fire
+    // first.
+    eq.schedule(1060, record);
+    eq.schedule(1050, record);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{1040, 1050, 1060, 1070, 1080}));
 }
 
 TEST(EventQueue, StaleIdForRecycledSlotIsNoOp)
@@ -317,10 +340,17 @@ class ScenarioDriver
         EventPriority::Core, EventPriority::Stat,
         EventPriority::Default};
 
+    /** The kernel's wheel geometry (EventQueue::bucketBits and
+     * wheelBuckets): 64-tick buckets, 2^16 of them. */
+    static constexpr Tick bucketTicks = 64;
+    static constexpr Tick horizon = bucketTicks << 16;
+
     Tick
     randomDelta(Rng &rng)
     {
-        switch (rng.below(8)) {
+        // Ticks to the first tick of the next bucket.
+        const Tick toNext = bucketTicks - q.now() % bucketTicks;
+        switch (rng.below(10)) {
           case 0:
             return 0; // Same-tick burst.
           case 1:
@@ -328,14 +358,21 @@ class ScenarioDriver
           case 2:
             return rng.range(500, 3000); // Router/DRAM latencies.
           case 3:
-            return rng.range(4090, 4102); // L0/L1 wheel boundary.
+            return rng.range(4090, 4102); // Around 2^12 ticks.
           case 4:
-            return rng.range(1u << 15, 1u << 20); // Deep L1.
+            return rng.range(1u << 15, 1u << 20); // Deep in the wheel.
           case 5:
-            // L1/spill boundary.
+            // Around 2^24 ticks, past the wheel's reach.
             return rng.range((1u << 24) - 8, (1u << 24) + 8);
           case 6:
             return rng.range(Tick(1) << 25, Tick(1) << 28); // Spill.
+          case 7:
+            // The last tick of a bucket or the first of the next,
+            // this bucket or up to three further on.
+            return toNext + rng.below(4) * bucketTicks - rng.below(2);
+          case 8:
+            // One tick either side of the wheel's horizon.
+            return horizon - bucketTicks + toNext - rng.below(2);
           default:
             return rng.range(1, 4096);
         }
@@ -397,7 +434,6 @@ TEST(Clocked, CycleTickConversions)
     ClockDomain clk(2000.0); // 2 GHz -> 500 ps
     EXPECT_EQ(clk.period(), 500u);
     EXPECT_EQ(clk.cyclesToTicks(4), 2000u);
-    EXPECT_EQ(clk.ticksToCycles(1400), 3u); // rounds up
 }
 
 TEST(Clocked, ClockEdgeAlignsUp)

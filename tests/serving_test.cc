@@ -14,6 +14,7 @@
 
 #include "common/stats_json.hh"
 #include "dimm/reliability.hh"
+#include "rack/inter_host_fabric.hh"
 #include "system/host_runner.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
@@ -511,20 +512,48 @@ TEST(Reliability, CircuitBreakerLifecycle)
     EXPECT_EQ(cb.admit(1, true, 2600, penalty), Decision::Admit);
 }
 
-TEST(Reliability, HostHealthViewMirrorsRouteFailover)
+TEST(Reliability, RouteUpFollowsRackOutages)
 {
-    serve_rel::HostHealthView v(2);
-    EXPECT_TRUE(v.routeUp(0, 1));
-    // One dead rack port: the pooled gateways still connect them.
-    v.portUp[1] = 0;
-    EXPECT_TRUE(v.routeUp(0, 1));
-    // Both cross-host paths dead: the route is gone...
-    v.gwUp[1] = 0;
-    EXPECT_FALSE(v.routeUp(0, 1));
+    // Two hosts. Host 1's rack port is out over [20, 220) us and its
+    // gateway's bridge attach over [100, 500) us; routeUp() holds
+    // while either cross-host path does, as hostPathSend's failover.
+    auto cfg = SystemConfig::preset("8D-4C");
+    cfg.rack.hosts = 2;
+    cfg.rack.hostDownId = 1;
+    cfg.rack.hostDownAtPs = 20000000;
+    cfg.rack.hostDownForPs = 200000000;
+    cfg.rack.nodeDownId = 1;
+    cfg.rack.nodeDownAtPs = 100000000;
+    cfg.rack.nodeDownForPs = 400000000;
+    ASSERT_EQ(cfg.hostOfGroup(cfg.rack.nodeDownId), 1u);
+    EventQueue eq;
+    stats::Registry reg;
+    rack::InterHostFabric fabric(eq, cfg, reg);
+    const Tick us = 1000000;
+
+    eq.runUntil(10 * us);
+    EXPECT_TRUE(fabric.routeUp(0, 1));
+    // Port down: the pooled gateways still connect the hosts.
+    eq.runUntil(80 * us);
+    EXPECT_FALSE(fabric.hostUp(1));
+    EXPECT_TRUE(fabric.routeUp(0, 1));
+    EXPECT_TRUE(fabric.routeUp(1, 0));
+    // Both cross-host paths down: the route is gone...
+    eq.runUntil(180 * us);
+    EXPECT_FALSE(fabric.bridgeUp(0, 1));
+    EXPECT_FALSE(fabric.routeUp(0, 1));
+    EXPECT_FALSE(fabric.routeUp(1, 0));
     // ...but a host always reaches itself.
-    EXPECT_TRUE(v.routeUp(1, 1));
-    v.portUp[1] = 1;
-    EXPECT_TRUE(v.routeUp(0, 1));
+    EXPECT_TRUE(fabric.routeUp(1, 1));
+    EXPECT_TRUE(fabric.routeUp(0, 0));
+    // The port heals through the reprobe cadence before the gateway.
+    eq.runUntil(350 * us);
+    EXPECT_TRUE(fabric.hostUp(1));
+    EXPECT_FALSE(fabric.bridgeUp(0, 1));
+    EXPECT_TRUE(fabric.routeUp(0, 1));
+    eq.runUntil(600 * us);
+    EXPECT_TRUE(fabric.bridgeUp(0, 1));
+    EXPECT_TRUE(fabric.routeUp(0, 1));
 }
 
 /** Reliability counters of one serving run (0 when a scalar was
