@@ -535,4 +535,21 @@ regen BENCH_chaos.json chaos_serving
 regen BENCH_serving.json serving
 regen BENCH_rack.json rack_scale
 
+echo "==> benchmark driver builds and runs against src/"
+# perfbench/driver.cc drives src/ through its public API (System, the
+# NoC probe's Network/Message, the DRAM probe), so an API change that
+# breaks it must fail here, not only when the benchmark runs. One
+# short traced run builds the Release driver (build-perfbench/) and
+# exercises both probes; its verification must pass.
+bench_out="$(CARGO_TARGET_DIR=build-perfbench python3 \
+    "$root/perfbench/run.py" --workload kv-dl8-ber --seed 1 \
+    --seconds 1 --trace 1)"
+python3 - "$bench_out" <<'EOF'
+import json, sys
+result = json.loads(sys.argv[1].splitlines()[-1])
+assert result["correct"], "perfbench run not correct"
+assert result["failed"] == 0, f'{result["failed"]} failed operations'
+EOF
+echo "    perfbench OK: driver built, kv-dl8-ber --trace 1 correct"
+
 echo "==> CI green"

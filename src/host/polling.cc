@@ -18,6 +18,7 @@ PollingEngine::PollingEngine(EventQueue &eq, const SystemConfig &cfg_,
       channels(std::move(channels_)),
       targets(std::move(targets_)),
       serviceOutstanding(channels.size(), false),
+      queued(cfg_.numDimms),
       statInterrupts(reg.group("host.polling").scalar("interrupts")),
       statPolls(reg.group("host.polling").scalar("polls")),
       statIdlePolls(reg.group("host.polling").scalar("idlePolls")),
@@ -49,6 +50,8 @@ PollingEngine::stop()
 {
     running = false;
     pendingTargets.clear();
+    for (auto &q : queued)
+        q.clear();
     // A handler already in flight still fires (and finds the engine
     // stopped); only ALERT_N forgets it, so a request raised after a
     // restart interrupts again at once.
@@ -57,12 +60,13 @@ PollingEngine::stop()
 }
 
 void
-PollingEngine::requestRaised(DimmId target)
+PollingEngine::request(DimmId target, EventCallback job)
 {
     if (std::find(targets.begin(), targets.end(), target) ==
         targets.end())
         panic("request raised at DIMM %u which is not a polled target",
               target);
+    queued[target].push_back(std::move(job));
     if (pendingTargets.count(target))
         return;
     pendingTargets.insert(target);
@@ -125,11 +129,24 @@ PollingEngine::pollOne(DimmId target, Tick earliest)
     statDiscoveryPs.sample(static_cast<double>(end - raisedAt[target]));
     eventq.schedule(end,
                     [this, target] {
-                        if (running && discoverHandler)
-                            discoverHandler(target);
+                        if (running)
+                            discover(target);
                     },
                     EventPriority::Control);
     return end;
+}
+
+void
+PollingEngine::discover(DimmId target)
+{
+    // Jobs may queue new requests (at this or any target) while they
+    // run, so detach the list first; the spare's capacity replaces it.
+    std::vector<EventCallback> jobs = std::move(spare);
+    jobs.swap(queued[target]);
+    for (auto &job : jobs)
+        job();
+    jobs.clear();
+    spare = std::move(jobs);
 }
 
 bool

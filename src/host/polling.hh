@@ -18,13 +18,13 @@
 #ifndef DIMMLINK_HOST_POLLING_HH
 #define DIMMLINK_HOST_POLLING_HH
 
-#include <functional>
 #include <set>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "host/channel.hh"
+#include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
 
 namespace dimmlink {
@@ -45,25 +45,21 @@ class PollingEngine
     PollingEngine(const PollingEngine &) = delete;
     PollingEngine &operator=(const PollingEngine &) = delete;
 
-    /** Called with a polled DIMM id once the host notices it has
-     * pending requests. */
-    void setDiscoverHandler(std::function<void(DimmId)> h)
-    {
-        discoverHandler = std::move(h);
-    }
-
     /** Enter NMP-Access mode: background polling begins. */
     void start();
 
-    /** Leave NMP-Access mode: polling stops. */
+    /** Leave NMP-Access mode: polling stops, and the pending targets
+     * and their queued jobs are dropped. */
     void stop();
 
     /**
-     * A forwarding request is now pending at polled target @p target.
-     * Under interrupt modes this raises ALERT_N on the target's
-     * channel; otherwise the next sweep discovers it.
+     * Queue @p job at polled target @p target and raise a forwarding
+     * request there. Under interrupt modes this raises ALERT_N on the
+     * target's channel; otherwise the next sweep discovers it. The
+     * discovery runs every job queued at the target by then,
+     * including one queued while the poll read was in flight.
      */
-    void requestRaised(DimmId target);
+    void request(DimmId target, EventCallback job);
 
   private:
     /** Schedule a service of channel @p ch at @p when (no earlier
@@ -83,6 +79,9 @@ class PollingEngine
     /** True when any pending target sits on channel @p ch. */
     bool anyPendingOn(ChannelId ch) const;
 
+    /** The host discovered @p target: run its queued jobs. */
+    void discover(DimmId target);
+
     EventQueue &eventq;
     const SystemConfig &cfg;
     /** ALERT_N discovery (the +Itrpt modes) instead of sweeps. */
@@ -101,7 +100,11 @@ class PollingEngine
 
     std::set<DimmId> pendingTargets;
 
-    std::function<void(DimmId)> discoverHandler;
+    /** Forward jobs queued at each DIMM, indexed by global id. */
+    std::vector<std::vector<EventCallback>> queued;
+    /** Emptied job list kept for its capacity (discover swaps it
+     * with the target's queue instead of reallocating). */
+    std::vector<EventCallback> spare;
 
     stats::Scalar &statInterrupts;
     stats::Scalar &statPolls;

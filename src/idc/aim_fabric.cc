@@ -32,22 +32,12 @@ AimFabric::busTransfer(std::uint32_t bytes)
 }
 
 void
-AimFabric::submit(Transaction t)
+AimFabric::execute(Transaction t, EventCallback finish)
 {
-    ++statTransactions;
-    const Tick started = eventq.now();
     const DimmId src = t.src;
     const DimmId dst = t.dst;
     const Addr addr = t.addr;
     const std::uint32_t bytes = t.bytes;
-    EventCallback finish = [this, cb = std::move(t.onComplete),
-                            started]() mutable {
-        statLatencyPs.sample(
-            static_cast<double>(eventq.now() - started));
-        if (cb)
-            cb();
-    };
-
     switch (t.type) {
       case Transaction::Type::RemoteRead: {
         // Broadcast the command; the owner snoops it, fetches from

@@ -24,9 +24,9 @@ class AimFabric : public Fabric
               std::vector<host::Channel *> channels,
               stats::Registry &reg);
 
-    void submit(Transaction t) override;
-
   private:
+    void execute(Transaction t, EventCallback finish) override;
+
     /** Bus occupancy for @p bytes, starting after arbitration. */
     Tick busTransfer(std::uint32_t bytes);
 

@@ -34,7 +34,8 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
                    stats::Registry &reg)
     : Fabric(eq, cfg_, reg, "fabric.dl"),
       channels(channels_),
-      path(eq, cfg_, channels_, pollTargets(cfg_), reg),
+      fwd(eq, cfg_, channels_, reg),
+      poll(eq, cfg_, channels_, pollTargets(cfg_), reg),
       statPacketsLink(reg.group("fabric.dl").scalar("packetsViaLink")),
       statPacketsHost(reg.group("fabric.dl").scalar("packetsViaHost")),
       statProxyNotifies(reg.group("fabric.dl").scalar("proxyNotifies")),
@@ -81,19 +82,10 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
     }
     const unsigned gs = cfg.groupSize();
     const unsigned groups = cfg.numGroups();
-    injectQ.assign(groups, {});
-    for (unsigned g = 0; g < groups; ++g) {
+    for (unsigned g = 0; g < groups; ++g)
         nets.push_back(std::make_unique<noc::Network>(
             eventq, "fabric.dl.group" + std::to_string(g), cfg.link, gs,
             reg, &cfg.faults));
-        injectQ[g].assign(gs, {});
-        for (unsigned node = 0; node < gs; ++node) {
-            nets[g]->setRetryHandler(
-                static_cast<int>(node), [this, g, node] {
-                    drainInjectQueue(g, static_cast<int>(node));
-                });
-        }
-    }
     // A configured fault model switches intra-group data onto the
     // reliable DLL transport, with one retry engine per DIMM.
     dllPath = cfg.faults.model != "none";
@@ -176,12 +168,12 @@ DlFabric::sendHealthProbe(unsigned group, int a, int b,
     pm.src = a;
     pm.dst = b;
     pm.flits = 1;
-    pm.id = nextMsgId++;
-    l->transmit(std::move(pm),
-                [this, group, a, b, probe_id](noc::Message m) {
-                    health[group]->probeResult(a, b, probe_id,
-                                               !m.corrupted);
-                });
+    const Tick arrival = l->transmit(pm);
+    eventq.schedule(arrival,
+                    [this, group, a, b, probe_id, ok = !pm.corrupted] {
+                        health[group]->probeResult(a, b, probe_id, ok);
+                    },
+                    EventPriority::Delivery);
 }
 
 void
@@ -278,28 +270,9 @@ DlFabric::launch(unsigned group, noc::Message msg)
     const Tick delay = packetizeDelay(msg.flits);
     eventq.scheduleIn(delay,
                       [this, group, msg = std::move(msg)]() mutable {
-                          inject(group, std::move(msg));
+                          nets[group]->inject(std::move(msg));
                       },
                       EventPriority::Control);
-}
-
-void
-DlFabric::inject(unsigned group, noc::Message msg)
-{
-    auto &q = injectQ[group][static_cast<std::size_t>(msg.src)];
-    if (!q.empty() || !nets[group]->tryInject(msg))
-        q.push_back(std::move(msg));
-}
-
-void
-DlFabric::drainInjectQueue(unsigned group, int node)
-{
-    auto &q = injectQ[group][static_cast<std::size_t>(node)];
-    while (!q.empty()) {
-        if (!nets[group]->tryInject(q.front()))
-            return;
-        q.pop_front();
-    }
 }
 
 void
@@ -352,7 +325,6 @@ DlFabric::bridgeSend(DimmId s, int dst, unsigned copies,
         msg.broadcast = dst == toAll;
         msg.dst = msg.broadcast ? 0 : dst;
         msg.flits = proto::flitsFor(chunk);
-        msg.id = nextMsgId++;
         PacketRec *rec = packetRecs.acquire();
         rec->xfer = xfer;
         if (!xfer)
@@ -477,13 +449,11 @@ DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
     msg.src = nodeIdx(s);
     msg.dst = nodeIdx(d);
     msg.flits = flits;
-    msg.id = nextMsgId++;
-    // The encoded image travels with the message; fault models flip
-    // its real bits in flight.
-    msg.wire = std::make_shared<std::vector<std::uint8_t>>(
-        std::move(wire));
+    // The record holds the encoded image and the message points at
+    // it; fault models flip its real bits in flight.
     WireRec *rec = wireRecs.acquire();
-    rec->wire = msg.wire;
+    rec->wire = std::move(wire);
+    msg.wire = &rec->wire;
     rec->d = d;
     rec->flits = flits;
     rec->control = control;
@@ -497,20 +467,19 @@ DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
 void
 DlFabric::wireEjected(WireRec *rec)
 {
-    std::shared_ptr<std::vector<std::uint8_t>> w = std::move(rec->wire);
-    const DimmId d = rec->d;
-    const unsigned flits = rec->flits;
-    const bool control = rec->control;
-    wireRecs.release(rec);
     eventq.scheduleIn(
-        packetizeDelay(flits),
-        [this, d, control, w = std::move(w)] {
-            if (!control) {
-                dllReceive(d, *w);
+        packetizeDelay(rec->flits),
+        [this, rec] {
+            const DimmId d = rec->d;
+            if (!rec->control) {
+                dllReceive(d, rec->wire);
+                wireRecs.release(rec);
                 return;
             }
             proto::Packet c;
-            if (!proto::decode(*w, c)) {
+            const bool ok = proto::decode(rec->wire, c);
+            wireRecs.release(rec);
+            if (!ok) {
                 ++statDllCtrlDropped;
                 return;
             }
@@ -691,7 +660,7 @@ DlFabric::requestForward(DimmId src, EventCallback job)
         cfg.proxyPolling() ? cfg.middleDimmOf(groupIdx(src)) : src;
     if (proxy == src) {
         // The job runs once host polling discovers the target.
-        path.request(proxy, std::move(job));
+        poll.request(proxy, std::move(job));
         return;
     }
     // Register the request with the group's proxy over the link
@@ -719,12 +688,11 @@ DlFabric::requestForward(DimmId src, EventCallback job)
     note.src = nodeIdx(src);
     note.dst = nodeIdx(proxy);
     note.flits = proto::flitsFor(0);
-    note.id = nextMsgId++;
     statBytesViaLink += static_cast<double>(proto::wireBytesFor(0));
     note.deliver = [this, rec](int) {
         const DimmId p = rec->proxy;
         if (EventCallback claimed = claimProxyJob(rec))
-            path.request(p, std::move(claimed));
+            poll.request(p, std::move(claimed));
     };
     note.onDropped = [this, rec] { proxyNoteLost(rec); };
     if (dllPath) {
@@ -771,7 +739,7 @@ DlFabric::proxyFallback(DimmId proxy, EventCallback job)
     ++statProxyNotifyFallbacks;
     eventq.scheduleIn(cfg.host.pollIntervalPs,
                       [this, proxy, job = std::move(job)]() mutable {
-                          path.request(proxy, std::move(job));
+                          poll.request(proxy, std::move(job));
                       },
                       EventPriority::Control);
 }
@@ -825,8 +793,7 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
         statBytesViaHost += wire;
         requestForward(s,
                        [this, s, d, wire, done = std::move(done)]() mutable {
-                           path.forwarder().forward(s, d, wire,
-                                                    std::move(done));
+                           fwd.forward(s, d, wire, std::move(done));
                        });
         return;
     }
@@ -863,8 +830,7 @@ DlFabric::hostPathSend(DimmId s, DimmId d,
         rackFabric->crossing(
             hs, hd, wire,
             [this, s, d, wire, done = std::move(done)]() mutable {
-                path.forwarder().forward(s, d, wire,
-                                         std::move(done));
+                fwd.forward(s, d, wire, std::move(done));
             });
     });
 }
@@ -972,7 +938,7 @@ DlFabric::debugDump()
     std::ostringstream os;
     const std::size_t waiting = dllWaiting.size();
     os << "fabric.dl: dllWaiting=" << waiting
-       << " forwardBacklog=" << path.forwarder().backlog() << "\n";
+       << " forwardBacklog=" << fwd.backlog() << "\n";
     std::size_t shown = 0;
     for (const auto &kv : dllWaiting) {
         if (shown++ == 16) {
@@ -1006,24 +972,17 @@ DlFabric::debugDump()
 }
 
 void
-DlFabric::submit(Transaction t)
+DlFabric::execute(Transaction t, EventCallback finish)
 {
-    ++statTransactions;
-    const Tick started = eventq.now();
-    const std::uint16_t nm = nmXact[static_cast<int>(t.type)];
-    std::uint64_t aid = 0;
     if (tr) {
-        aid = tr->nextAsyncId();
-        tr->asyncBegin(trk, nm, started, aid);
-    }
-    EventCallback finish = [this, cb = std::move(t.onComplete), started,
-                            nm, aid]() mutable {
-        statLatencyPs.sample(static_cast<double>(eventq.now() - started));
-        if (tr)
+        const std::uint16_t nm = nmXact[static_cast<int>(t.type)];
+        const std::uint64_t aid = tr->nextAsyncId();
+        tr->asyncBegin(trk, nm, eventq.now(), aid);
+        finish = [this, nm, aid, done = std::move(finish)]() mutable {
             tr->asyncEnd(trk, nm, eventq.now(), aid);
-        if (cb)
-            cb();
-    };
+            done();
+        };
+    }
 
     switch (t.type) {
       case Transaction::Type::RemoteRead:

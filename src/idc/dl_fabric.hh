@@ -14,8 +14,9 @@
 #include <tuple>
 #include <vector>
 
-#include "common/ring.hh"
 #include "fault/link_health.hh"
+#include "host/forwarder.hh"
+#include "host/polling.hh"
 #include "idc/fabric.hh"
 #include "noc/network.hh"
 #include "proto/codec.hh"
@@ -38,17 +39,13 @@ class DlFabric : public Fabric
              stats::Registry &reg);
     ~DlFabric() override;
 
-    void submit(Transaction t) override;
-    void enterNmpMode() override { path.start(); }
-    void exitNmpMode() override { path.stop(); }
+    void enterNmpMode() override { poll.start(); }
+    void exitNmpMode() override { poll.stop(); }
 
     /** Hop/forwarding-aware distance for the task mapper (§IV-B). */
     double distance(DimmId j, DimmId k) const override;
 
-    std::size_t forwardBacklog() override
-    {
-        return path.forwarder().backlog();
-    }
+    std::size_t forwardBacklog() override { return fwd.backlog(); }
 
     std::size_t
     dllInFlight() override
@@ -83,6 +80,9 @@ class DlFabric : public Fabric
     enum class ExhaustPolicy { Failover, Drop, Panic };
 
   private:
+    /** Run @p t under the fabric's trace span. */
+    void execute(Transaction t, EventCallback finish) override;
+
     unsigned groupIdx(DimmId d) const { return cfg.groupOf(d); }
     int nodeIdx(DimmId d) const
     {
@@ -149,9 +149,6 @@ class DlFabric : public Fabric
 
     /** Packetize @p msg, then inject it into @p group's network. */
     void launch(unsigned group, noc::Message msg);
-    /** Inject one message, queueing on backpressure. */
-    void inject(unsigned group, noc::Message msg);
-    void drainInjectQueue(unsigned group, int node);
 
     /**
      * Register a CPU-forwarding job for @p src. Under the proxy
@@ -249,10 +246,10 @@ class DlFabric : public Fabric
     std::unique_ptr<rack::InterHostFabric> rackFabric;
     /** cfg.rack.idcMode == "pooled" (the primary cross-host route). */
     bool rackPooledPrimary = false;
-    /** Per (group, node) queue of messages awaiting injection space. */
-    std::vector<std::vector<Ring<noc::Message>>> injectQ;
-    CpuForwardPath path;
-    std::uint64_t nextMsgId = 1;
+    /** The host CPU-forwarding path: polling discovery, then the
+     * Forwarder's copy between channels. */
+    host::Forwarder fwd;
+    host::PollingEngine poll;
 
     /** True when intra-group data rides the reliable DLL transport
      * (enabled whenever a fault model is configured). */
@@ -314,12 +311,13 @@ class DlFabric : public Fabric
 
     /**
      * A DLL wire image (data, or an ACK/NACK when @ref control) in
-     * flight on the bridge. Its message's deliver and onDropped
-     * closures are [this, rec]; whichever fires recycles it.
+     * flight on the bridge. Its message points at @ref wire, and its
+     * deliver and onDropped closures are [this, rec]; the decode
+     * event after delivery, or the drop, recycles it.
      */
     struct WireRec
     {
-        std::shared_ptr<std::vector<std::uint8_t>> wire;
+        std::vector<std::uint8_t> wire;
         DimmId d = 0;
         unsigned flits = 0;
         bool control = false;
@@ -327,7 +325,8 @@ class DlFabric : public Fabric
     /** Packetize and inject a wire image from @p s to @p d. */
     void sendWire(DimmId s, DimmId d, unsigned flits,
                   std::vector<std::uint8_t> wire, bool control);
-    /** @p rec's image reached its destination: decode it there. */
+    /** @p rec's image reached its destination: decode it there,
+     * then recycle @p rec. */
     void wireEjected(WireRec *rec);
 
     RecordPool<PacketRec> packetRecs;

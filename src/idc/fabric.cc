@@ -24,51 +24,25 @@ Fabric::Fabric(EventQueue &eq, const SystemConfig &cfg_,
 {
 }
 
+void
+Fabric::submit(Transaction t)
+{
+    ++statTransactions;
+    const Tick started = eventq.now();
+    EventCallback finish = [this, cb = std::move(t.onComplete),
+                            started]() mutable {
+        statLatencyPs.sample(static_cast<double>(eventq.now() - started));
+        if (cb)
+            cb();
+    };
+    execute(std::move(t), std::move(finish));
+}
+
 double
 Fabric::distance(DimmId j, DimmId k) const
 {
     // Baseline fabrics: every remote DIMM costs the same.
     return j == k ? 0.0 : 1.0;
-}
-
-CpuForwardPath::CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
-                               std::vector<host::Channel *> channels,
-                               std::vector<DimmId> poll_targets,
-                               stats::Registry &reg)
-    : eventq(eq),
-      fwd(eq, cfg, channels, reg),
-      poll(eq, cfg, channels, std::move(poll_targets), reg),
-      queued(cfg.numDimms)
-{
-    poll.setDiscoverHandler([this](DimmId d) { onDiscover(d); });
-}
-
-void
-CpuForwardPath::request(DimmId target, EventCallback job)
-{
-    queued[target].push_back(std::move(job));
-    poll.requestRaised(target);
-}
-
-void
-CpuForwardPath::onDiscover(DimmId target)
-{
-    // Jobs may queue new requests (at this or any target) while they
-    // run, so detach the list first; the spare's capacity replaces it.
-    std::vector<EventCallback> jobs = std::move(spare);
-    jobs.swap(queued[target]);
-    for (auto &job : jobs)
-        job();
-    jobs.clear();
-    spare = std::move(jobs);
-}
-
-void
-CpuForwardPath::stop()
-{
-    poll.stop();
-    for (auto &q : queued)
-        q.clear();
 }
 
 std::unique_ptr<Fabric>

@@ -1,7 +1,7 @@
 /**
  * @file
- * The inter-DIMM communication (IDC) fabric interface plus the shared
- * CPU-forwarding path. Four implementations mirror Table I:
+ * The inter-DIMM communication (IDC) fabric interface. Four
+ * implementations mirror Table I:
  *
  *   McnFabric  - CPU-forwarding (MCN / UPMEM baseline)
  *   AimFabric  - dedicated multi-drop bus (AIM baseline)
@@ -20,8 +20,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "host/channel.hh"
-#include "host/forwarder.hh"
-#include "host/polling.hh"
 #include "sim/event_callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/record_pool.hh"
@@ -71,7 +69,11 @@ class Fabric
            stats::Registry &reg, std::string name);
     virtual ~Fabric() = default;
 
-    virtual void submit(Transaction t) = 0;
+    /**
+     * Count @p t, time it from now until its completion (sampled into
+     * latencyPs), and hand it to the implementation's execute().
+     */
+    void submit(Transaction t);
 
     /** Kernel start/end hooks (polling engines run only in NA mode). */
     virtual void enterNmpMode() {}
@@ -105,6 +107,11 @@ class Fabric
 
     const std::string &name() const { return name_; }
 
+  private:
+    /** Carry out @p t, then @p finish (its completion already wraps
+     * the latency sample and t.onComplete, which is empty here). */
+    virtual void execute(Transaction t, EventCallback finish) = 0;
+
   protected:
     EventQueue &eventq;
     const SystemConfig &cfg;
@@ -120,44 +127,6 @@ class Fabric
     stats::Scalar &statBytesViaBus;
     stats::Scalar &statBroadcasts;
     stats::Distribution &statLatencyPs;
-};
-
-/**
- * The CPU-forwarding transport shared by MCN, ABC-DIMM (for P2P and
- * inter-channel traffic), and DIMM-Link (for inter-group traffic):
- * polling discovery followed by a host copy between channels and a
- * remote DRAM access.
- */
-class CpuForwardPath
-{
-  public:
-    CpuForwardPath(EventQueue &eq, const SystemConfig &cfg,
-                   std::vector<host::Channel *> channels,
-                   std::vector<DimmId> poll_targets,
-                   stats::Registry &reg);
-
-    /**
-     * Queue @p job at polled target @p target; when polling discovers
-     * the target, @p job runs with the host Forwarder available.
-     */
-    void request(DimmId target, EventCallback job);
-
-    host::Forwarder &forwarder() { return fwd; }
-    host::PollingEngine &polling() { return poll; }
-
-    void start() { poll.start(); }
-    void stop();
-
-  private:
-    void onDiscover(DimmId target);
-
-    EventQueue &eventq;
-    host::Forwarder fwd;
-    host::PollingEngine poll;
-    std::vector<std::vector<EventCallback>> queued;
-    /** Emptied job list kept for its capacity (onDiscover swaps it
-     * with the target's queue instead of reallocating). */
-    std::vector<EventCallback> spare;
 };
 
 /** Build the fabric cfg.idcMethod names. */

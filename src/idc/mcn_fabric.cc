@@ -24,35 +24,30 @@ McnFabric::McnFabric(EventQueue &eq, const SystemConfig &cfg_,
                      stats::Registry &reg, std::string name)
     : Fabric(eq, cfg_, reg, std::move(name)),
       channels(channels_),
-      path(eq, cfg_, channels_, allDimms(cfg_), reg)
+      fwd(eq, cfg_, channels_, reg),
+      poll(eq, cfg_, channels_, allDimms(cfg_), reg)
 {
 }
 
 void
-McnFabric::submit(Transaction t)
+McnFabric::execute(Transaction t, EventCallback finish)
 {
-    ++statTransactions;
-    const Tick started = eventq.now();
+    // The latency clock started at submit, so polling discovery
+    // counts toward it.
     const DimmId reg_at = t.src;
-    path.request(reg_at, [this, t = std::move(t), started]() mutable {
-        execute(std::move(t), started);
+    poll.request(reg_at, [this, t = std::move(t),
+                          finish = std::move(finish)]() mutable {
+        run(t, std::move(finish));
     });
 }
 
 void
-McnFabric::execute(Transaction t, Tick started)
+McnFabric::run(const Transaction &t, EventCallback finish)
 {
     const DimmId src = t.src;
     const DimmId dst = t.dst;
     const Addr addr = t.addr;
     const std::uint32_t bytes = t.bytes;
-    EventCallback finish = [this, cb = std::move(t.onComplete),
-                            started]() mutable {
-        statLatencyPs.sample(
-            static_cast<double>(eventq.now() - started));
-        if (cb)
-            cb();
-    };
 
     switch (t.type) {
       case Transaction::Type::RemoteRead: {
@@ -62,20 +57,18 @@ McnFabric::execute(Transaction t, Tick started)
         memAccess(dst, addr, bytes, /*is_write=*/false,
                   [this, src, dst, bytes,
                    finish = std::move(finish)]() mutable {
-                      path.forwarder().forward(dst, src, bytes,
-                                               std::move(finish));
+                      fwd.forward(dst, src, bytes, std::move(finish));
                   });
         break;
       }
       case Transaction::Type::RemoteWrite: {
         statBytesViaHost += bytes;
-        path.forwarder().forward(
-            src, dst, bytes,
-            [this, dst, addr, bytes,
-             finish = std::move(finish)]() mutable {
-                memAccess(dst, addr, bytes, /*is_write=*/true,
-                          std::move(finish));
-            });
+        fwd.forward(src, dst, bytes,
+                    [this, dst, addr, bytes,
+                     finish = std::move(finish)]() mutable {
+                        memAccess(dst, addr, bytes, /*is_write=*/true,
+                                  std::move(finish));
+                    });
         break;
       }
       case Transaction::Type::Broadcast:
@@ -84,7 +77,7 @@ McnFabric::execute(Transaction t, Tick started)
         break;
       case Transaction::Type::SyncMessage: {
         statBytesViaHost += bytes;
-        path.forwarder().forward(src, dst, bytes, std::move(finish));
+        fwd.forward(src, dst, bytes, std::move(finish));
         break;
       }
     }
@@ -107,8 +100,8 @@ McnFabric::broadcast(DimmId src, Addr addr, std::uint32_t bytes,
                 if (d == src)
                     continue;
                 statBytesViaHost += bytes;
-                path.forwarder().forward(
-                    src, d, bytes, [this, cd] { countdowns.land(cd); });
+                fwd.forward(src, d, bytes,
+                            [this, cd] { countdowns.land(cd); });
             }
         });
 }

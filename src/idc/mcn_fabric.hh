@@ -14,6 +14,8 @@
 
 #include <vector>
 
+#include "host/forwarder.hh"
+#include "host/polling.hh"
 #include "idc/fabric.hh"
 
 namespace dimmlink {
@@ -27,9 +29,8 @@ class McnFabric : public Fabric
               std::vector<host::Channel *> channels,
               stats::Registry &reg, std::string name = "fabric.mcn");
 
-    void submit(Transaction t) override;
-    void enterNmpMode() override { path.start(); }
-    void exitNmpMode() override { path.stop(); }
+    void enterNmpMode() override { poll.start(); }
+    void exitNmpMode() override { poll.stop(); }
 
   protected:
     /**
@@ -41,10 +42,14 @@ class McnFabric : public Fabric
                            EventCallback finish);
 
     std::vector<host::Channel *> channels;
-    CpuForwardPath path;
+    host::Forwarder fwd;
+    host::PollingEngine poll;
 
   private:
-    void execute(Transaction t, Tick started);
+    /** Register @p t at its source's polling registers; once the
+     * host discovers it, @ref run moves the data. */
+    void execute(Transaction t, EventCallback finish) override;
+    void run(const Transaction &t, EventCallback finish);
 };
 
 } // namespace idc

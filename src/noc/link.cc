@@ -51,7 +51,7 @@ Link::serializationTime(unsigned flits) const
 }
 
 Tick
-Link::transmit(Message msg, std::function<void(Message)> arrive)
+Link::transmit(Message &msg)
 {
     Tick start = std::max(eventq.now(), busyUntil);
     Tick ser = serializationTime(msg.flits);
@@ -92,14 +92,7 @@ Link::transmit(Message msg, std::function<void(Message)> arrive)
     statFlits += msg.flits;
     ++statMessages;
     statBusyPs += static_cast<double>(ser);
-    const Tick arrival = busyUntil + wireLatency;
-    ++msg.hops;
-    eventq.schedule(arrival,
-                    [cb = std::move(arrive), m = std::move(msg)]() mutable {
-                        cb(std::move(m));
-                    },
-                    EventPriority::Delivery);
-    return arrival;
+    return busyUntil + wireLatency;
 }
 
 } // namespace noc

@@ -1,14 +1,13 @@
 /**
  * @file
  * A unidirectional SerDes link of the DL-Bridge. Serializes one
- * message at a time at the configured bandwidth, then presents it to
- * the downstream router after the wire latency.
+ * message at a time at the configured bandwidth; the message reaches
+ * the downstream end after the wire latency.
  */
 
 #ifndef DIMMLINK_NOC_LINK_HH
 #define DIMMLINK_NOC_LINK_HH
 
-#include <functional>
 #include <memory>
 
 #include "common/stats.hh"
@@ -51,11 +50,14 @@ class Link
     Tick serializationTime(unsigned flits) const;
 
     /**
-     * Begin transmitting at max(now, freeAt()). @p arrive fires at the
-     * downstream end after serialization + wire latency.
-     * @return the tick at which the tail flit arrives downstream.
+     * Begin transmitting @p msg at max(now, freeAt()): occupy the
+     * serializer, apply the fault model (which may flip bits of the
+     * wire image and set msg.corrupted), and record stats and trace.
+     * The caller delivers the message downstream.
+     * @return the tick at which the tail flit arrives downstream
+     * (serialization + wire latency).
      */
-    Tick transmit(Message msg, std::function<void(Message)> arrive);
+    Tick transmit(Message &msg);
 
     const std::string &name() const { return name_; }
     double bandwidthGBps() const { return gbps_; }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -32,19 +31,16 @@ struct Message
     /** Broadcast messages are forwarded along the source's BFS tree
      * until every node has accepted a copy (Fig. 5-c). */
     bool broadcast = false;
-    /** Unique id for tracing/debug. */
-    std::uint64_t id = 0;
     /** Tick at which the message entered the network (set by inject). */
     Tick injectedAt = 0;
-    /** Number of link traversals so far (hop count statistic). */
-    unsigned hops = 0;
     /**
      * The encoded DL wire image, when the sender models it (reliable
-     * DLL transport). Shared so copies made for broadcast fan-out or
-     * deferred delivery alias one buffer; fault models flip bits in
-     * it, and the far end decodes it through the CRC.
+     * DLL transport); null otherwise. Not owned: it points into the
+     * sender's record, which keeps the image until the far end has
+     * decoded it through the CRC or @ref onDropped fired. Fault
+     * models flip bits in it in flight.
      */
-    std::shared_ptr<std::vector<std::uint8_t>> wire;
+    std::vector<std::uint8_t> *wire = nullptr;
     /**
      * A fault model damaged this message in flight. For messages with
      * a @ref wire image the damage is also physically present in the

@@ -14,8 +14,7 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
       topo(cfg_.topology, nodes),
       statInjected(reg.group(name_).scalar("injected")),
       statInjectBlocked(reg.group(name_).scalar("injectBlocked")),
-      statLatencyPs(reg.group(name_).distribution("latencyPs")),
-      eventq(eq)
+      statLatencyPs(reg.group(name_).distribution("latencyPs"))
 {
     routers.reserve(nodes);
     for (unsigned i = 0; i < nodes; ++i) {
@@ -23,7 +22,8 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
         routers.push_back(std::make_unique<Router>(
             eq, name_ + ".router" + std::to_string(i),
             static_cast<int>(i), topo, cfg.bufferFlits,
-            cfg.routerLatencyPs, sg, statLatencyPs));
+            cfg.routerLatencyPs, sg, statLatencyPs, statInjected,
+            statInjectBlocked));
     }
     // One unidirectional link per (node, neighbor) ordered pair.
     for (unsigned i = 0; i < nodes; ++i) {
@@ -44,28 +44,25 @@ Network::Network(EventQueue &eq, std::string name, const LinkConfig &cfg_,
     }
 }
 
-bool
-Network::tryInject(Message &msg)
+Router &
+Network::sourceRouter(const Message &msg)
 {
     if (msg.src < 0 ||
         static_cast<unsigned>(msg.src) >= topo.numNodes())
         panic("%s: inject from bad node %d", name_.c_str(), msg.src);
-    Router &r = *routers[static_cast<std::size_t>(msg.src)];
-    if (!r.canAccept(msg.flits, Router::injectPort)) {
-        ++statInjectBlocked;
-        return false;
-    }
-    msg.injectedAt = eventq.now();
-    ++statInjected;
-    r.accept(std::move(msg), Router::injectPort);
-    return true;
+    return *routers[static_cast<std::size_t>(msg.src)];
+}
+
+bool
+Network::tryInject(Message &msg)
+{
+    return sourceRouter(msg).tryInject(msg);
 }
 
 void
-Network::setRetryHandler(int node, std::function<void()> h)
+Network::inject(Message msg)
 {
-    routers[static_cast<std::size_t>(node)]->setSpaceFreedHandler(
-        std::move(h));
+    sourceRouter(msg).inject(std::move(msg));
 }
 
 } // namespace noc

@@ -40,13 +40,19 @@ class Network
     /**
      * Try to inject @p msg at node msg.src. On success the message is
      * moved into the network; @return false when the injection port
-     * is out of buffer space, leaving @p msg untouched for the
-     * caller's retry handler.
+     * is out of buffer space (counted in injectBlocked), leaving
+     * @p msg untouched for the caller to offer again.
      */
     bool tryInject(Message &msg);
 
-    /** Called whenever node @p node frees injection space. */
-    void setRetryHandler(int node, std::function<void()> h);
+    /**
+     * Inject @p msg at node msg.src; never refuses. When the
+     * injection port is full, or messages already wait at that node,
+     * @p msg joins the node's FIFO, which drains whenever the node's
+     * router pops a port. injectBlocked counts each refused attempt,
+     * none for a message queued behind others.
+     */
+    void inject(Message msg);
 
     const TopologyGraph &graph() const { return topo; }
     unsigned numNodes() const { return topo.numNodes(); }
@@ -70,6 +76,9 @@ class Network
     }
 
   private:
+    /** The router of msg.src (panics on a bad node). */
+    Router &sourceRouter(const Message &msg);
+
     std::string name_;
     LinkConfig cfg;
     TopologyGraph topo;
@@ -79,7 +88,6 @@ class Network
     stats::Scalar &statInjected;
     stats::Scalar &statInjectBlocked;
     stats::Distribution &statLatencyPs;
-    EventQueue &eventq;
 };
 
 } // namespace noc

@@ -11,7 +11,8 @@ namespace noc {
 Router::Router(EventQueue &eq, std::string name, int node,
                const TopologyGraph &graph_, unsigned buffer_flits,
                Tick router_latency_ps, stats::Group &sg,
-               stats::Distribution &latency)
+               stats::Distribution &latency, stats::Scalar &injected,
+               stats::Scalar &inject_blocked)
     : eventq(eq),
       name_(std::move(name)),
       node_(node),
@@ -19,6 +20,8 @@ Router::Router(EventQueue &eq, std::string name, int node,
       bufferFlits(buffer_flits),
       routerLatency(router_latency_ps),
       latencyPs(latency),
+      statInjected(injected),
+      statInjectBlocked(inject_blocked),
       statForwarded(sg.scalar("forwarded")),
       statEjected(sg.scalar("ejected")),
       statBlockedCredits(sg.scalar("blockedOnCredits")),
@@ -68,16 +71,27 @@ Router::canAccept(unsigned flits, int from_node) const
     return p.usedFlits + flits <= bufferFlits;
 }
 
-void
-Router::accept(Message msg, int from_node)
+bool
+Router::tryInject(Message &msg)
 {
-    Port &p = ports[portIndex(from_node)];
-    if (p.usedFlits + msg.flits > bufferFlits)
-        panic("router %s: port overflow from node %d (credits were "
-              "not reserved)", name_.c_str(), from_node);
+    if (!canAccept(msg.flits, injectPort)) {
+        ++statInjectBlocked;
+        return false;
+    }
+    msg.injectedAt = eventq.now();
+    ++statInjected;
+    Port &p = ports[portIndex(injectPort)];
     p.usedFlits += msg.flits;
     p.q.push_back(std::move(msg));
     scheduleKick(eventq.now() + routerLatency);
+    return true;
+}
+
+void
+Router::inject(Message msg)
+{
+    if (!injectBacklog.empty() || !tryInject(msg))
+        injectBacklog.push_back(std::move(msg));
 }
 
 void
@@ -135,14 +149,17 @@ Router::sendCopy(Message &msg, int next_hop, bool from_injection,
     Router *down = out.downstream;
     const std::size_t dport = down->portIndex(node_);
     down->ports[dport].usedFlits += msg.flits;
-    out.link->transmit(copy ? Message(msg) : std::move(msg),
-                       [down, dport](Message m) {
-                           // Space was pre-reserved; enqueue without
-                           // re-reserving.
-                           down->ports[dport].q.push_back(std::move(m));
-                           down->scheduleKick(down->eventq.now() +
-                                              down->routerLatency);
-                       });
+    Message sent = copy ? Message(msg) : std::move(msg);
+    const Tick arrival = out.link->transmit(sent);
+    eventq.schedule(arrival,
+                    [down, dport, m = std::move(sent)]() mutable {
+                        // Space was pre-reserved; enqueue without
+                        // re-reserving.
+                        down->ports[dport].q.push_back(std::move(m));
+                        down->scheduleKick(down->eventq.now() +
+                                           down->routerLatency);
+                    },
+                    EventPriority::Delivery);
     ++statForwarded;
     return true;
 }
@@ -170,8 +187,8 @@ Router::notifyUpstream()
         if (Router *up = outputs[static_cast<std::size_t>(nb)].downstream)
             up->kick();
     }
-    if (spaceFreedHandler)
-        spaceFreedHandler();
+    while (!injectBacklog.empty() && tryInject(injectBacklog.front()))
+        injectBacklog.pop_front();
 }
 
 bool

@@ -9,7 +9,6 @@
 #define DIMMLINK_NOC_ROUTER_HH
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/ring.hh"
@@ -33,27 +32,25 @@ class Router
      * Every ejection's network latency (eject tick minus
      * Message::injectedAt) is sampled into @p latency: once per
      * unicast, once per ejecting node of a broadcast, never for a
-     * dropped message.
+     * dropped message. Accepted and refused injection attempts count
+     * into @p injected and @p inject_blocked.
      */
     Router(EventQueue &eq, std::string name, int node,
            const TopologyGraph &graph, unsigned buffer_flits,
            Tick router_latency_ps, stats::Group &sg,
-           stats::Distribution &latency);
+           stats::Distribution &latency, stats::Scalar &injected,
+           stats::Scalar &inject_blocked);
 
     /** Wire an output toward neighbor @p node. */
     void connectOutput(int neighbor, Link *link, Router *downstream);
 
-    /** Called when buffer space frees; used for injection backpressure. */
-    void setSpaceFreedHandler(std::function<void()> h)
-    {
-        spaceFreedHandler = std::move(h);
-    }
+    /** Move @p msg into the injection port if it has room; otherwise
+     * count a refusal and leave @p msg untouched. */
+    bool tryInject(Message &msg);
 
-    /** Space (in flits) available on the port fed by @p from_node. */
-    bool canAccept(unsigned flits, int from_node) const;
-
-    /** Enqueue a message arriving from @p from_node (or injectPort). */
-    void accept(Message msg, int from_node);
+    /** Inject @p msg, or queue it behind the messages already waiting
+     * here; the queue drains whenever this router pops a port. */
+    void inject(Message msg);
 
     /** Attempt to make forwarding progress (idempotent, reentrant-safe
      * via event scheduling). */
@@ -78,6 +75,9 @@ class Router
         Router *downstream = nullptr;
     };
 
+    /** Space (in flits) available on the port fed by @p from_node. */
+    bool canAccept(unsigned flits, int from_node) const;
+
     void scheduleKick(Tick when);
     void forward();
     /** True if the head of @p port made progress. */
@@ -101,6 +101,8 @@ class Router
     void popHead(Port &port);
     /** Index into ports of the input fed by @p from_node. */
     std::size_t portIndex(int from_node) const;
+    /** A port freed space: wake the neighbors, then move waiting
+     * injections in. */
     void notifyUpstream();
 
     EventQueue &eventq;
@@ -127,9 +129,12 @@ class Router
     Tick kickAt = 0;
     std::uint64_t kickEventId = 0;
 
-    std::function<void()> spaceFreedHandler;
+    /** Messages waiting for injection-port space, oldest first. */
+    Ring<Message> injectBacklog;
 
     stats::Distribution &latencyPs;
+    stats::Scalar &statInjected;
+    stats::Scalar &statInjectBlocked;
     stats::Scalar &statForwarded;
     stats::Scalar &statEjected;
     stats::Scalar &statBlockedCredits;

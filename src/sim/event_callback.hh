@@ -15,7 +15,7 @@
  *  - A seam takes its completion as an EventCallback by value and
  *    moves it on; nothing on the transaction path copies one.
  *  - std::function is kept only for hooks set once at build time
- *    (memory-access wiring, retry and unblock handlers, probes).
+ *    (memory-access wiring, the DRAM unblock handler, probes).
  *  - A closure that must stay copyable -- a noc::Message's deliver
  *    and onDropped travel with broadcast fan-out copies -- captures
  *    only `this` and a pointer to a pooled record (RecordPool) that

@@ -87,11 +87,12 @@ TEST(FaultModel, BerFlipsRealBitsDeterministically)
     cfg.ber = 0.01;
     const auto run = [&cfg](std::uint64_t seed) {
         auto model = fault::makeModel(cfg, seed);
+        std::vector<std::uint8_t> image(256, 0);
         noc::Message msg;
-        msg.wire = std::make_shared<std::vector<std::uint8_t>>(256, 0);
+        msg.wire = &image;
         const auto eff = model->onTransmit(
-            0, static_cast<unsigned>(msg.wire->size() * 8), msg);
-        return std::make_pair(*msg.wire, eff.corrupted);
+            0, static_cast<unsigned>(image.size() * 8), msg);
+        return std::make_pair(image, eff.corrupted);
     };
     const auto [w1, c1] = run(42);
     const auto [w2, c2] = run(42);
@@ -112,15 +113,15 @@ TEST(FaultModel, CorruptedWireImageFailsCrc)
     cfg.ber = 0.02;
     auto model = fault::makeModel(cfg, 7);
     Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 3, 64);
+    std::vector<std::uint8_t> image = proto::encode(p);
     noc::Message msg;
-    msg.wire = std::make_shared<std::vector<std::uint8_t>>(
-        proto::encode(p));
+    msg.wire = &image;
     // Find a transmission the model damages (deterministic stream).
     while (!msg.corrupted)
-        model->onTransmit(
-            0, static_cast<unsigned>(msg.wire->size() * 8), msg);
+        model->onTransmit(0, static_cast<unsigned>(image.size() * 8),
+                          msg);
     Packet q;
-    EXPECT_FALSE(proto::decode(*msg.wire, q));
+    EXPECT_FALSE(proto::decode(image, q));
 }
 
 TEST(FaultModel, DegradeScalesSerializationTime)
@@ -166,14 +167,15 @@ TEST(FaultModel, OnlyTheNamedModelActs)
     for (const char *m : {"ber", "degrade", "stuck"}) {
         cfg.model = m;
         auto model = fault::makeModel(cfg, 1);
+        std::vector<std::uint8_t> image = clean;
         noc::Message msg;
-        msg.wire = std::make_shared<std::vector<std::uint8_t>>(clean);
+        msg.wire = &image;
         const auto eff = model->onTransmit(
             100, static_cast<unsigned>(clean.size() * 8), msg);
         const std::string name = m;
         EXPECT_EQ(eff.corrupted, name == "ber") << m;
         EXPECT_EQ(msg.corrupted, name == "ber") << m;
-        EXPECT_EQ(*msg.wire != clean, name == "ber") << m;
+        EXPECT_EQ(image != clean, name == "ber") << m;
         EXPECT_DOUBLE_EQ(eff.serScale, name == "degrade" ? 2.0 : 1.0)
             << m;
         EXPECT_EQ(eff.stallPs, name == "stuck" ? Tick{900} : Tick{0})

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -116,19 +118,48 @@ TEST_F(HostFixture, BaselinePollingDiscoversRequests)
     build(PollingMode::Baseline);
     std::vector<DimmId> targets{0, 1, 2, 3};
     PollingEngine poll(eq, cfg, ptrs, targets, reg);
-    DimmId discovered = invalidDimm;
+    bool discovered = false;
     Tick at = 0;
-    poll.setDiscoverHandler([&](DimmId d) {
-        discovered = d;
-        at = eq.now();
-    });
     poll.start();
-    eq.scheduleIn(100, [&] { poll.requestRaised(2); });
+    eq.scheduleIn(100, [&] {
+        poll.request(2, [&] {
+            discovered = true;
+            at = eq.now();
+        });
+    });
     eq.runUntil(20 * cfg.host.pollIntervalPs);
     poll.stop();
-    EXPECT_EQ(discovered, 2);
+    EXPECT_TRUE(discovered);
     // Discovered within two sweep periods.
     EXPECT_LE(at, 3 * cfg.host.pollIntervalPs);
+}
+
+TEST_F(HostFixture, JobRaisedDuringPollReadRunsAtThatDiscovery)
+{
+    build(PollingMode::Proxy);
+    std::vector<DimmId> targets{2};
+    PollingEngine poll(eq, cfg, ptrs, targets, reg);
+    std::vector<std::pair<int, Tick>> ran;
+    poll.request(2, [&] { ran.emplace_back(1, eq.now()); });
+    poll.start();
+    // The first sweep's read of DIMM 2 spans [0, pollChannelPs); a
+    // second job arrives halfway through it.
+    eq.scheduleIn(cfg.host.pollChannelPs / 2, [&] {
+        poll.request(2, [&] { ran.emplace_back(2, eq.now()); });
+    });
+    eq.runUntil(3 * cfg.host.pollIntervalPs);
+    poll.stop();
+    // Both jobs run at the read's discovery.
+    const std::vector<std::pair<int, Tick>> want{
+        {1, cfg.host.pollChannelPs}, {2, cfg.host.pollChannelPs}};
+    EXPECT_EQ(ran, want);
+    // The second request left DIMM 2 pending, so the next sweep finds
+    // it again: two non-idle polls out of four.
+    EXPECT_DOUBLE_EQ(reg.scalar("host.polling.polls"), 4.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("host.polling.idlePolls"), 2.0);
+    EXPECT_EQ(
+        reg.group("host.polling").distribution("discoveryPs").count(),
+        2u);
 }
 
 TEST_F(HostFixture, IdlePollingStillCostsBusTime)
@@ -162,16 +193,15 @@ TEST_F(HostFixture, InterruptModeHasNoIdlePolling)
     build(PollingMode::BaselineInterrupt);
     std::vector<DimmId> targets{0, 1, 2, 3};
     PollingEngine poll(eq, cfg, ptrs, targets, reg);
-    DimmId discovered = invalidDimm;
-    poll.setDiscoverHandler([&](DimmId d) { discovered = d; });
+    bool discovered = false;
     poll.start();
     eq.runUntil(5 * cfg.host.pollIntervalPs);
     EXPECT_DOUBLE_EQ(reg.scalar("host.polling.polls"), 0.0);
 
-    poll.requestRaised(3);
+    poll.request(3, [&] { discovered = true; });
     eq.runUntil(eq.now() + 10 * cfg.host.interruptLatencyPs);
     poll.stop();
-    EXPECT_EQ(discovered, 3);
+    EXPECT_TRUE(discovered);
     EXPECT_GE(reg.scalar("host.polling.interrupts"), 1.0);
     // The handler scanned only DIMM 3's channel: 2 polls.
     EXPECT_DOUBLE_EQ(reg.scalar("host.polling.polls"), 2.0);
@@ -183,9 +213,8 @@ TEST_F(HostFixture, InterruptLatencyDelaysDiscovery)
     std::vector<DimmId> targets{2};
     PollingEngine poll(eq, cfg, ptrs, targets, reg);
     Tick at = 0;
-    poll.setDiscoverHandler([&](DimmId) { at = eq.now(); });
     poll.start();
-    eq.scheduleIn(50, [&] { poll.requestRaised(2); });
+    eq.scheduleIn(50, [&] { poll.request(2, [&] { at = eq.now(); }); });
     eq.run();
     poll.stop();
     EXPECT_GE(at, 50 + cfg.host.interruptLatencyPs);

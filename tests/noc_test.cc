@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -130,15 +129,10 @@ TEST(Link, SerializationMatchesBandwidth)
     // 10 flits = 160 bytes at 25 GB/s = 6.4 ns.
     EXPECT_EQ(link.serializationTime(10), 6400u);
 
-    Tick arrived = 0;
     Message m;
     m.flits = 10;
-    link.transmit(std::move(m), [&](Message msg) {
-        arrived = eq.now();
-        EXPECT_EQ(msg.hops, 1u);
-    });
-    eq.run();
-    EXPECT_EQ(arrived, 6400u + 8000u);
+    EXPECT_EQ(link.transmit(m), 6400u + 8000u);
+    EXPECT_EQ(link.freeAt(), 6400u);
 }
 
 TEST(Link, BackToBackTransfersQueue)
@@ -146,14 +140,10 @@ TEST(Link, BackToBackTransfersQueue)
     EventQueue eq;
     stats::Registry reg;
     Link link(eq, "l", 25.0, 0, reg.group("l"));
-    Tick first = 0, second = 0;
     Message a, b;
     a.flits = b.flits = 10;
-    link.transmit(std::move(a), [&](Message) { first = eq.now(); });
-    link.transmit(std::move(b), [&](Message) { second = eq.now(); });
-    eq.run();
-    EXPECT_EQ(first, 6400u);
-    EXPECT_EQ(second, 12800u);
+    EXPECT_EQ(link.transmit(a), 6400u);
+    EXPECT_EQ(link.transmit(b), 12800u);
 }
 
 /** Build a Network with config overrides for the tests below. */
@@ -242,26 +232,68 @@ TEST(Network, InjectionBackpressureAndRetry)
                 reg);
 
     unsigned delivered = 0;
-    unsigned injected = 0;
     constexpr unsigned total = 20;
-    std::function<void()> pump = [&] {
-        while (injected < total) {
-            Message m;
-            m.src = 0;
-            m.dst = 1;
-            m.flits = 4;
-            m.deliver = [&](int) { ++delivered; };
-            if (!net.tryInject(m))
-                return;
-            ++injected;
-        }
-    };
-    net.setRetryHandler(0, pump);
-    pump();
-    EXPECT_LT(injected, total); // backpressure engaged
+    for (unsigned i = 0; i < total; ++i) {
+        Message m;
+        m.src = 0;
+        m.dst = 1;
+        m.flits = 4;
+        m.deliver = [&](int) { ++delivered; };
+        net.inject(std::move(m));
+    }
+    // Backpressure engaged: one message fits the injection port.
+    EXPECT_DOUBLE_EQ(reg.scalar("net.injected"), 1.0);
     eq.run();
     EXPECT_EQ(delivered, total);
+    EXPECT_DOUBLE_EQ(reg.scalar("net.injected"), total);
     EXPECT_GT(reg.scalar("net.injectBlocked"), 0.0);
+}
+
+TEST(Network, InjectionBurstDrainsInOrder)
+{
+    EventQueue eq;
+    stats::Registry reg;
+    // 8-flit ports: node 0's injection port holds two of its 4-flit
+    // messages, so most of its burst waits in the node's FIFO. Node
+    // 1's replies eject at node 0, popping one of router 0's network
+    // ports as well.
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing, 8), 4, reg);
+
+    std::vector<unsigned> order;
+    Tick last = 0;
+    unsigned back = 0;
+    for (unsigned i = 0; i < 10; ++i) {
+        Message m;
+        m.src = 0;
+        m.dst = 3;
+        m.flits = 4;
+        m.deliver = [&, i](int) {
+            order.push_back(i);
+            last = eq.now();
+        };
+        net.inject(std::move(m));
+        if (i % 3 == 0) {
+            Message r;
+            r.src = 1;
+            r.dst = 0;
+            r.flits = 2;
+            r.deliver = [&](int) { ++back; };
+            net.inject(std::move(r));
+        }
+    }
+    eq.run();
+    // Every message once, in offer order.
+    ASSERT_EQ(order.size(), 10u);
+    for (unsigned i = 0; i < 10; ++i)
+        EXPECT_EQ(order[i], i);
+    EXPECT_EQ(back, 4u);
+    // The counts and timing of offering the same burst through
+    // tryInject, queueing refused messages per node and retrying the
+    // queue whenever the node's router pops a port: one injectBlocked
+    // per refused attempt, none for a message queued behind others.
+    EXPECT_DOUBLE_EQ(reg.scalar("net.injected"), 14.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("net.injectBlocked"), 12.0);
+    EXPECT_EQ(last, 105920u);
 }
 
 TEST(Network, RefusedInjectionLeavesTheMessageIntact)
@@ -280,30 +312,26 @@ TEST(Network, RefusedInjectionLeavesTheMessageIntact)
     first.deliver = [&](int) { ++delivered; };
     ASSERT_TRUE(net.tryInject(first));
 
+    std::vector<std::uint8_t> image(3, 0xab);
     Message m;
     m.src = 0;
     m.dst = 1;
     m.flits = 4;
-    m.id = 7;
-    m.wire = std::make_shared<std::vector<std::uint8_t>>(3, 0xab);
+    m.wire = &image;
     m.deliver = [&](int) { ++delivered; };
     EXPECT_FALSE(net.tryInject(m));
-    // A refused message is untouched: the caller retries the same
-    // object once space frees.
+    // A refused message is untouched: the caller can offer the same
+    // object again.
     EXPECT_TRUE(static_cast<bool>(m.deliver));
-    EXPECT_EQ(m.id, 7u);
     EXPECT_EQ(m.flits, 4u);
-    ASSERT_TRUE(m.wire);
-    EXPECT_EQ(m.wire->size(), 3u);
+    EXPECT_EQ(m.wire, &image);
+    EXPECT_EQ(image.size(), 3u);
 
-    bool injected = false;
-    net.setRetryHandler(0, [&] {
-        if (!injected)
-            injected = net.tryInject(m);
-    });
+    // inject() queues it until the port frees.
+    net.inject(std::move(m));
     eq.run();
-    EXPECT_TRUE(injected);
     EXPECT_EQ(delivered, 2u);
+    EXPECT_DOUBLE_EQ(reg.scalar("net.injected"), 2.0);
 }
 
 TEST(Network, LatencyIsSampledOncePerEjection)
@@ -382,9 +410,8 @@ TEST_P(NetworkRandomTraffic, EveryMessageDeliveredExactlyOnce)
     Rng rng(seed);
 
     constexpr unsigned total = 300;
-    std::map<std::uint64_t, unsigned> delivery_count;
-    std::vector<std::deque<Message>> pending(nodes);
-
+    std::map<unsigned, unsigned> delivery_count;
+    unsigned expected = 0;
     unsigned delivered = 0;
     for (unsigned i = 0; i < total; ++i) {
         Message m;
@@ -392,34 +419,15 @@ TEST_P(NetworkRandomTraffic, EveryMessageDeliveredExactlyOnce)
         m.broadcast = rng.chance(0.1);
         m.dst = static_cast<int>(rng.below(nodes));
         m.flits = 1 + static_cast<unsigned>(rng.below(17));
-        m.id = i;
         const unsigned copies =
             m.broadcast ? nodes : 1;
-        m.deliver = [&, copies, id = m.id](int) {
+        m.deliver = [&, copies, id = i](int) {
             ++delivery_count[id];
             ASSERT_LE(delivery_count[id], copies);
             ++delivered;
         };
-        pending[static_cast<std::size_t>(m.src)].push_back(
-            std::move(m));
-    }
-
-    unsigned expected = 0;
-    for (auto &q : pending)
-        for (auto &m : q)
-            expected += m.broadcast ? nodes : 1;
-
-    for (unsigned nidx = 0; nidx < nodes; ++nidx) {
-        auto drain = [&net, &pending, nidx] {
-            auto &q = pending[nidx];
-            while (!q.empty()) {
-                if (!net.tryInject(q.front()))
-                    return;
-                q.pop_front();
-            }
-        };
-        net.setRetryHandler(static_cast<int>(nidx), drain);
-        drain();
+        expected += copies;
+        net.inject(std::move(m));
     }
     eq.run();
     EXPECT_EQ(delivered, expected);

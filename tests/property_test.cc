@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <list>
 #include <map>
@@ -155,39 +154,26 @@ TEST(NocProperty, SameFlowMessagesArriveInOrder)
     noc::Network net(eq, "n", lc, 8, reg);
     Rng rng(9);
 
-    std::map<std::pair<int, int>, std::uint64_t> last_seen;
+    std::map<std::pair<int, int>, unsigned> last_seen;
     unsigned delivered = 0;
     constexpr unsigned total = 400;
-    std::deque<noc::Message> backlog;
     for (unsigned i = 0; i < total; ++i) {
         noc::Message m;
         m.src = static_cast<int>(rng.below(8));
         m.dst = static_cast<int>(rng.below(8));
         m.flits = 1 + static_cast<unsigned>(rng.below(16));
-        m.id = i + 1;
-        m.deliver = [&, src = m.src, dst = m.dst,
-                     id = m.id](int) {
+        m.deliver = [&, src = m.src, dst = m.dst, id = i + 1](int) {
             auto &last = last_seen[{src, dst}];
             // FIFO per (src, dst) flow: ids rise monotonically.
             ASSERT_GT(id, last);
             last = id;
             ++delivered;
         };
-        backlog.push_back(std::move(m));
+        // Messages that find the injection port full wait in their
+        // node's FIFO.
+        net.inject(std::move(m));
     }
-    // Inject with per-node retry handlers.
-    auto drain = [&] {
-        while (!backlog.empty()) {
-            if (!net.tryInject(backlog.front()))
-                return;
-            backlog.pop_front();
-        }
-    };
-    for (int node = 0; node < 8; ++node)
-        net.setRetryHandler(node, drain);
-    drain();
     while (delivered < total && eq.step()) {
-        drain();
     }
     EXPECT_EQ(delivered, total);
 }
