@@ -103,12 +103,14 @@ dllErrorSweep()
                 static_cast<std::uint8_t>(i & 0x3f), 64);
             tx.send(p,
                     [&](const proto::Packet &wp) {
-                        auto wire = proto::encode(wp);
+                        // A damaged copy loses bit 4 of its
+                        // image's middle byte.
+                        std::vector<std::uint32_t> flips;
                         if (rng.chance(rate))
-                            wire[wire.size() / 2] ^= 0x10;
+                            flips.push_back(wp.wireBytes() / 2 * 8 + 4);
                         std::vector<proto::Packet> out;
                         std::optional<proto::Packet> ctrl;
-                        rx.onArrive(wire, out, ctrl);
+                        rx.onArrive(wp, flips, out, ctrl);
                         delivered += static_cast<unsigned>(out.size());
                         if (ctrl)
                             tx.onControl(*ctrl);

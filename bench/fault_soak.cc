@@ -5,7 +5,7 @@
  * runs on the single-group 4D-2C DIMM-Link system (all IDC traffic
  * stays on the bridge, so every injected corruption exercises the
  * NACK/timeout retransmission path) and the table shows the recovery
- * cost: corrupted wire images, retransmissions, duplicate
+ * cost: corrupted packets, retransmissions, duplicate
  * suppressions, and the kernel-time slowdown relative to the
  * fault-free run.
  *
@@ -75,8 +75,7 @@ main()
     std::printf("\nThe BER=0 row uses the fast flit-count path (no "
                 "DLL packets); every other\nrow carries the same "
                 "payload bytes through the reliable transport with "
-                "real\nwire images and CRC validation at the far "
-                "end.\n");
+                "CRC\nvalidation at the far end.\n");
 
     std::printf("\n=== Degraded mode: link 1->2 permanently stuck "
                 "(BFS, faults.onExhausted=failover) ===\n\n");

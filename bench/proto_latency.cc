@@ -58,7 +58,7 @@ main()
         Packet out;
         if (!decode(wire, out))
             return 1;
-        sink += out.payload.size();
+        sink += out.payloadBytes;
     }
     const double ns = timer.elapsedNs() / iters;
     std::printf("\nsoftware encode+decode of a max packet: %.0f ns "

@@ -540,7 +540,10 @@ echo "==> benchmark driver builds and runs against src/"
 # NoC probe's Network/Message, the DRAM probe), so an API change that
 # breaks it must fail here, not only when the benchmark runs. One
 # short traced run builds the Release driver (build-perfbench/) and
-# exercises both probes; its verification must pass.
+# exercises both probes; its verification must pass. The run must also
+# damage packets (dll.corrupt > 0): a DLL packet's byte image is built
+# only when a fault flipped its bits, and this keeps the benchmark
+# exercising that path.
 bench_out="$(CARGO_TARGET_DIR=build-perfbench python3 \
     "$root/perfbench/run.py" --workload kv-dl8-ber --seed 1 \
     --seconds 1 --trace 1)"
@@ -549,7 +552,13 @@ import json, sys
 result = json.loads(sys.argv[1].splitlines()[-1])
 assert result["correct"], "perfbench run not correct"
 assert result["failed"] == 0, f'{result["failed"]} failed operations'
+metrics = result["metrics"]
+for key in ("sim.events", "sim.allocs_per_event", "dll.sent",
+            "dll.corrupt"):
+    print(f"    {key} = {metrics[key]['value']}")
+assert metrics["dll.corrupt"]["value"] > 0, \
+    "kv-dl8-ber damaged no DLL packet (dll.corrupt = 0)"
 EOF
-echo "    perfbench OK: driver built, kv-dl8-ber --trace 1 correct"
+echo "    perfbench OK: driver built, kv-dl8-ber --trace 1 correct, packets damaged"
 
 echo "==> CI green"

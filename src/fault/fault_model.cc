@@ -64,7 +64,7 @@ FaultModel::applyBitErrors(unsigned bits, noc::Message &msg)
     // Geometric skip sampling: draw the gap to the next error bit
     // instead of a Bernoulli trial per bit.
     const double log1mp = std::log1p(-ber);
-    unsigned flips = 0;
+    unsigned flipped = 0;
     std::uint64_t idx = 0;
     while (true) {
         const double u = rng.real();
@@ -74,17 +74,14 @@ FaultModel::applyBitErrors(unsigned bits, noc::Message &msg)
         idx += static_cast<std::uint64_t>(skip);
         if (idx >= bits)
             break;
-        if (msg.wire && !msg.wire->empty() &&
-            idx < msg.wire->size() * 8ull) {
-            (*msg.wire)[idx / 8] ^=
-                static_cast<std::uint8_t>(1u << (idx % 8));
-        }
-        ++flips;
+        if (msg.flips)
+            msg.flips->push_back(static_cast<std::uint32_t>(idx));
+        ++flipped;
         ++idx;
     }
-    if (flips > 0)
+    if (flipped > 0)
         msg.corrupted = true;
-    return flips;
+    return flipped;
 }
 
 std::unique_ptr<FaultModel>

@@ -3,7 +3,7 @@
  * Deterministic link-fault injection (the ROADMAP's robustness
  * direction, in the spirit of gem5's fault-injection harnesses): a
  * FaultModel attached to a noc::Link perturbs each transmission —
- * flipping real bits of the wire image, derating the serialization
+ * flipping bits of the wire image, derating the serialization
  * rate, or stalling the link — from a per-link RNG stream derived
  * from the config seed and the link's name, so every run is
  * reproducible and seed-sweepable. The three models are one class
@@ -61,16 +61,16 @@ class FaultModel
 
     /**
      * Apply the model to @p msg, about to start serializing at tick
-     * @p start over @p bits wire bits. May flip bits of msg.wire in
-     * place (and always sets msg.corrupted when it tampered).
+     * @p start over @p bits wire bits. May flip bits into msg.flips
+     * (and always sets msg.corrupted when it tampered).
      */
     Effect onTransmit(Tick start, unsigned bits, noc::Message &msg);
 
   private:
     /**
      * Flip each of @p bits independently with probability ber
-     * (geometric skip sampling, so tiny BERs cost ~0 draws). Flips
-     * land in *msg.wire when an image travels with the message.
+     * (geometric skip sampling, so tiny BERs cost ~0 draws), appending
+     * each flipped index to *msg.flips when the message has a list.
      * @return the number of bits flipped.
      */
     unsigned applyBitErrors(unsigned bits, noc::Message &msg);

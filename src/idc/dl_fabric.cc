@@ -379,9 +379,8 @@ void
 DlFabric::sendDllPacket(DimmId s, DimmId d, unsigned bytes,
                         EventCallback delivered)
 {
-    // Reliable transport: the chunk becomes a real DL packet whose
-    // wire image crosses the (possibly faulty) bridge under CRC +
-    // retry protection.
+    // Reliable transport: the chunk becomes a DL packet that crosses
+    // the (possibly faulty) bridge under CRC + retry protection.
     DllCtl &c = *dllCtl[s];
     const std::uint8_t tag = proto::allocTag(c.nextTag);
     const auto src = static_cast<std::uint8_t>(s);
@@ -408,16 +407,13 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, unsigned bytes,
     // faults.onExhausted; the sender's fail-stop never runs.
     c.sender.send(
         std::move(pkt),
-        [this, rec](const proto::Packet &p) {
-            dllTransmit(rec, p, proto::encode(p));
-        },
+        [this, rec](const proto::Packet &p) { dllTransmit(rec, p); },
         /*on_acked=*/[this, rec] { dllAcked(rec); },
         /*on_failed=*/[this, rec] { dllFailed(rec); });
 }
 
 void
-DlFabric::dllTransmit(DllRec *rec, const proto::Packet &p,
-                      std::vector<std::uint8_t> wire)
+DlFabric::dllTransmit(DllRec *rec, const proto::Packet &p)
 {
     const DimmId s = rec->s;
     const DimmId d = rec->d;
@@ -437,28 +433,26 @@ DlFabric::dllTransmit(DllRec *rec, const proto::Packet &p,
         // retransmission of this sequence number.
         tr->instant(trk, nmDllRetry, eventq.now(), p.dll & 0xffff);
     }
-    // Each retry gets a freshly encoded (clean) image.
-    sendWire(s, d, p.numFlits(), std::move(wire), /*control=*/false);
+    // Each retry leaves undamaged.
+    sendWire(s, d, p, /*control=*/false);
 }
 
 void
-DlFabric::sendWire(DimmId s, DimmId d, unsigned flits,
-                   std::vector<std::uint8_t> wire, bool control)
+DlFabric::sendWire(DimmId s, DimmId d, const proto::Packet &p, bool control)
 {
     noc::Message msg;
     msg.src = nodeIdx(s);
     msg.dst = nodeIdx(d);
-    msg.flits = flits;
-    // The record holds the encoded image and the message points at
-    // it; fault models flip its real bits in flight.
+    msg.flits = p.numFlits();
+    // The record holds the packet and the message points at its flip
+    // list, where fault models record damage in flight.
     WireRec *rec = wireRecs.acquire();
-    rec->wire = std::move(wire);
-    msg.wire = &rec->wire;
+    rec->pkt = p;
+    msg.flips = &rec->flips;
     rec->d = d;
-    rec->flits = flits;
     rec->control = control;
     msg.deliver = [this, rec](int) { wireEjected(rec); };
-    // A dropped image needs no completion of its own (the sender's
+    // A dropped packet needs no completion of its own (the sender's
     // retry timeout recovers), only its record back.
     msg.onDropped = [this, rec] { wireRecs.release(rec); };
     launch(groupIdx(s), std::move(msg));
@@ -468,22 +462,14 @@ void
 DlFabric::wireEjected(WireRec *rec)
 {
     eventq.scheduleIn(
-        packetizeDelay(rec->flits),
+        packetizeDelay(rec->pkt.numFlits()),
         [this, rec] {
-            const DimmId d = rec->d;
-            if (!rec->control) {
-                dllReceive(d, rec->wire);
-                wireRecs.release(rec);
-                return;
-            }
-            proto::Packet c;
-            const bool ok = proto::decode(rec->wire, c);
-            wireRecs.release(rec);
-            if (!ok) {
+            if (!rec->control)
+                dllReceive(rec->d, rec->pkt, rec->flips);
+            else if (!dllCtl[rec->d]->sender.onControl(rec->pkt,
+                                                       rec->flips))
                 ++statDllCtrlDropped;
-                return;
-            }
-            dllCtl[d]->sender.onControl(c);
+            wireRecs.release(rec);
         },
         EventPriority::Control);
 }
@@ -591,7 +577,8 @@ DlFabric::completeDllDelivery(const proto::Packet &p)
 }
 
 void
-DlFabric::dllReceive(DimmId d, const std::vector<std::uint8_t> &wire)
+DlFabric::dllReceive(DimmId d, const proto::Packet &sent,
+                     const std::vector<std::uint32_t> &flips)
 {
     DllCtl &c = *dllCtl[d];
     // Borrow the spare list rather than allocate one per arrival; a
@@ -600,7 +587,7 @@ DlFabric::dllReceive(DimmId d, const std::vector<std::uint8_t> &wire)
     ready.clear();
     std::vector<proto::Packet> stale;
     std::optional<proto::Packet> ctrl;
-    c.receiver.onArrive(wire, ready, ctrl, &stale);
+    c.receiver.onArrive(sent, flips, ready, ctrl, &stale);
     if (ctrl)
         sendDllControl(d, *ctrl);
     for (const proto::Packet &p : ready) {
@@ -640,7 +627,7 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
 {
     if (ctrl.dst >= cfg.numDimms ||
         groupIdx(static_cast<DimmId>(ctrl.dst)) != groupIdx(from)) {
-        // Can only happen when a NACK was synthesized from an image
+        // Can only happen when a NACK was synthesized from a packet
         // whose header bits (SRC) were themselves damaged: there is
         // no one to send it to. The sender's timeout recovers.
         ++statDllCtrlDropped;
@@ -649,8 +636,7 @@ DlFabric::sendDllControl(DimmId from, const proto::Packet &ctrl)
     // Control packets cross the same faulty links as data; a
     // corrupted ACK/NACK is dropped at the far end and the data
     // sender's retry timeout takes over.
-    sendWire(from, static_cast<DimmId>(ctrl.dst), ctrl.numFlits(),
-             proto::encode(ctrl), /*control=*/true);
+    sendWire(from, static_cast<DimmId>(ctrl.dst), ctrl, /*control=*/true);
 }
 
 void

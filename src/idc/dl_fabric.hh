@@ -102,8 +102,8 @@ class DlFabric : public Fabric
      * Send @p payload_bytes from @p s to @p d inside one group,
      * segmented into packets; @p delivered fires at d after the last
      * packet is decoded. With fault injection enabled the packets ride
-     * the reliable DLL transport (real wire images, CRC validation at
-     * the far end, NACK/timeout retransmission); otherwise the fast
+     * the reliable DLL transport (CRC validation at the far end,
+     * NACK/timeout retransmission); otherwise the fast
      * flit-count-only path is used and timing is bit-identical to the
      * pre-fault model.
      */
@@ -131,8 +131,9 @@ class DlFabric : public Fabric
      */
     void sendDllPacket(DimmId s, DimmId d, unsigned bytes,
                        EventCallback delivered);
-    /** A DLL wire image finished decode at DIMM @p d. */
-    void dllReceive(DimmId d, const std::vector<std::uint8_t> &wire);
+    /** DLL packet @p sent, damaged at @p flips, reached DIMM @p d. */
+    void dllReceive(DimmId d, const proto::Packet &sent,
+                    const std::vector<std::uint32_t> &flips);
     /** Claim and fire @p p's completion if it is still waiting. */
     void completeDllDelivery(const proto::Packet &p);
     /**
@@ -304,28 +305,27 @@ class DlFabric : public Fabric
         DllKey key{};
         std::vector<std::pair<int, int>> route;
     };
-    void dllTransmit(DllRec *rec, const proto::Packet &p,
-                     std::vector<std::uint8_t> wire);
+    void dllTransmit(DllRec *rec, const proto::Packet &p);
     void dllAcked(DllRec *rec);
     void dllFailed(DllRec *rec);
 
     /**
-     * A DLL wire image (data, or an ACK/NACK when @ref control) in
-     * flight on the bridge. Its message points at @ref wire, and its
-     * deliver and onDropped closures are [this, rec]; the decode
-     * event after delivery, or the drop, recycles it.
+     * A DLL packet (data, or an ACK/NACK when @ref control) in flight
+     * on the bridge. Its message points at @ref flips, where fault
+     * models record the bits they flip, and its deliver and onDropped
+     * closures are [this, rec]; the CRC-check event after delivery,
+     * or the drop, recycles it.
      */
     struct WireRec
     {
-        std::vector<std::uint8_t> wire;
+        proto::Packet pkt;
+        std::vector<std::uint32_t> flips;
         DimmId d = 0;
-        unsigned flits = 0;
         bool control = false;
     };
-    /** Packetize and inject a wire image from @p s to @p d. */
-    void sendWire(DimmId s, DimmId d, unsigned flits,
-                  std::vector<std::uint8_t> wire, bool control);
-    /** @p rec's image reached its destination: decode it there,
+    /** Packetize and inject @p p from @p s to @p d. */
+    void sendWire(DimmId s, DimmId d, const proto::Packet &p, bool control);
+    /** @p rec's packet reached its destination: CRC-check it there,
      * then recycle @p rec. */
     void wireEjected(WireRec *rec);
 

@@ -58,11 +58,8 @@ Link::transmit(Message &msg)
     Tick stall_begin = 0, stall_ps = 0;
     bool corrupt_hit = false;
     if (faultModel) {
-        const auto bits = static_cast<unsigned>(
-            msg.wire && !msg.wire->empty()
-                ? msg.wire->size() * 8
-                : std::size_t{msg.flits} * proto::flitBytes * 8);
-        const auto effect = faultModel->onTransmit(start, bits, msg);
+        const auto effect = faultModel->onTransmit(
+            start, msg.flits * proto::flitBytes * 8, msg);
         if (effect.stallPs > 0) {
             stall_begin = start;
             stall_ps = effect.stallPs;

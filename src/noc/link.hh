@@ -51,8 +51,9 @@ class Link
 
     /**
      * Begin transmitting @p msg at max(now, freeAt()): occupy the
-     * serializer, apply the fault model (which may flip bits of the
-     * wire image and set msg.corrupted), and record stats and trace.
+     * serializer, apply the fault model to its flits x 128 bits (which
+     * may flip bits into msg.flips and set msg.corrupted), and record
+     * stats and trace.
      * The caller delivers the message downstream.
      * @return the tick at which the tail flit arrives downstream
      * (serialization + wire latency).

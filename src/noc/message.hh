@@ -34,18 +34,16 @@ struct Message
     /** Tick at which the message entered the network (set by inject). */
     Tick injectedAt = 0;
     /**
-     * The encoded DL wire image, when the sender models it (reliable
-     * DLL transport); null otherwise. Not owned: it points into the
-     * sender's record, which keeps the image until the far end has
-     * decoded it through the CRC or @ref onDropped fired. Fault
-     * models flip bits in it in flight.
+     * Where fault models append the wire-image bits they flip, in
+     * order, for a DL packet the far end CRC-checks; null otherwise.
+     * Not owned: it points into the sender's record, which keeps it
+     * until the far end has checked the packet or @ref onDropped fired.
      */
-    std::vector<std::uint8_t> *wire = nullptr;
+    std::vector<std::uint32_t> *flips = nullptr;
     /**
      * A fault model damaged this message in flight. For messages with
-     * a @ref wire image the damage is also physically present in the
-     * bytes; for flit-count-only messages this flag is the only
-     * record of it.
+     * a @ref flips list the positions are recorded there too; for
+     * flit-count-only messages this flag is the only record of it.
      */
     bool corrupted = false;
     /**

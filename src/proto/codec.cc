@@ -15,7 +15,7 @@ base(std::uint8_t src, std::uint8_t dst, DlCommand cmd, Addr addr,
     p.cmd = cmd;
     p.addr = addr & ((1ull << HeaderLayout::addrBits) - 1);
     p.tag = tag & 0x3f;
-    p.payload.assign(bytes, 0);
+    p.payloadBytes = bytes;
     return p;
 }
 

@@ -10,20 +10,26 @@ namespace proto {
 
 namespace {
 
+/** @p sent's wire image with the bits at @p flips toggled in order. */
+std::vector<std::uint8_t>
+damagedImage(const Packet &sent, const std::vector<std::uint32_t> &flips)
+{
+    std::vector<std::uint8_t> image = encode(sent);
+    for (const std::uint32_t bit : flips)
+        image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    return image;
+}
+
 /**
- * Build a best-effort NACK from a possibly damaged wire image. The
- * DLL tail sits behind the payload, so its offset depends on the
- * header's LEN field; when LEN disagrees with the image size the
- * header itself is suspect and no NACK is produced — the sender's
- * retry timeout recovers instead of a NACK carrying a garbage
- * sequence number.
+ * Build a best-effort NACK from a damaged wire image. The DLL tail
+ * sits behind the payload, so its offset depends on the header's LEN
+ * field; when LEN disagrees with the image size the header itself is
+ * suspect and no NACK is produced — the sender's retry timeout
+ * recovers instead of a NACK carrying a garbage sequence number.
  */
 std::optional<Packet>
 makeNack(const std::vector<std::uint8_t> &image)
 {
-    if (image.size() < flitBytes || image.size() % flitBytes != 0)
-        return std::nullopt;
-
     std::uint64_t h = 0;
     std::memcpy(&h, image.data(), 8);
     Packet hdr;
@@ -200,19 +206,23 @@ RetrySender::retransmit(std::uint8_t dst, std::uint16_t seq)
     armTimer(dst, seq);
 }
 
-void
-RetrySender::onControl(const Packet &ctrl)
+bool
+RetrySender::onControl(const Packet &sent,
+                       const std::vector<std::uint32_t> &flips)
 {
+    Packet ctrl = sent;
+    if (!flips.empty() && !decode(damagedImage(sent, flips), ctrl))
+        return false;
     // The control packet's SRC is the data packet's destination: it
     // names the sequence stream the ACK/NACK belongs to.
     auto stream = streams.find(ctrl.src);
     if (stream == streams.end())
-        return; // NACK synthesized from a damaged header.
+        return true; // NACK synthesized from a damaged header.
     Stream &st = stream->second;
     const auto seq = static_cast<std::uint16_t>(ctrl.dll & 0xffff);
     auto it = st.pending.find(seq);
     if (it == st.pending.end())
-        return; // Stale control packet (late duplicate ACK).
+        return true; // Stale control packet (late duplicate ACK).
 
     if (ctrl.cmd == DlCommand::DllAck) {
         eventq.deschedule(it->second.timerId);
@@ -231,6 +241,7 @@ RetrySender::onControl(const Packet &ctrl)
         panic("non-control packet %s fed to RetrySender",
               toString(ctrl.cmd));
     }
+    return true;
 }
 
 RetryReceiver::RetryReceiver(stats::Group &sg, unsigned window)
@@ -246,16 +257,21 @@ RetryReceiver::RetryReceiver(stats::Group &sg, unsigned window)
 }
 
 void
-RetryReceiver::onArrive(const std::vector<std::uint8_t> &wire,
+RetryReceiver::onArrive(const Packet &sent,
+                        const std::vector<std::uint32_t> &flips,
                         std::vector<Packet> &deliver,
                         std::optional<Packet> &ack,
                         std::vector<Packet> *stale)
 {
-    Packet pkt;
-    if (!decode(wire, pkt)) {
-        ++statCorrupt;
-        ack = makeNack(wire);
-        return;
+    Packet pkt = sent;
+    pkt.payloadBytes = pkt.payloadFlits() * flitBytes; // as decode() pads it
+    if (!flips.empty()) {
+        const std::vector<std::uint8_t> image = damagedImage(sent, flips);
+        if (!decode(image, pkt)) {
+            ++statCorrupt;
+            ack = makeNack(image);
+            return;
+        }
     }
     ++statValid;
 

@@ -66,11 +66,13 @@ class RetrySender
               std::function<void()> on_failed = nullptr);
 
     /**
-     * Feed an arriving DllAck / DllNack to the sender. The control
-     * packet's SRC field (the data packet's original destination)
-     * selects the sequence stream.
+     * Feed an arriving DllAck / DllNack, damaged at @p flips (as in
+     * RetryReceiver::onArrive), to the sender. The control packet's
+     * SRC field (the data packet's original destination) selects the
+     * sequence stream. @return false when the CRC drops it.
      */
-    void onControl(const Packet &ctrl);
+    bool onControl(const Packet &sent,
+                   const std::vector<std::uint32_t> &flips = {});
 
     /** Outstanding unacknowledged packets, across all destinations. */
     std::size_t inFlight() const;
@@ -137,7 +139,7 @@ class RetrySender
 };
 
 /**
- * Receiver-side helper: validates the wire image, builds the matching
+ * Receiver-side helper: CRC-checks each arrival, builds the matching
  * ACK/NACK, filters duplicate deliveries caused by retransmitted
  * packets whose original ACK was lost, and reorders out-of-sequence
  * arrivals so the upward delivery is exactly-once and in-order per
@@ -150,15 +152,18 @@ class RetryReceiver
                            unsigned window = RetrySender::defaultWindow);
 
     /**
-     * Process an arriving transaction packet's wire image.
+     * Process an arriving transaction packet @p sent, damaged in
+     * flight at the wire-image bits @p flips (in flip order). Only a
+     * damaged packet is encoded, flipped and decoded through the CRC.
      * @param deliver appended with every packet that became
      *        deliverable, in sequence order (a gap fill can release
      *        several held packets at once).
      * @param ack set to the control packet to send back, or left
-     *        empty when the image is too damaged to even NACK (the
+     *        empty when the header is too damaged to even NACK (the
      *        sender's timeout is the backstop then).
      */
-    void onArrive(const std::vector<std::uint8_t> &wire,
+    void onArrive(const Packet &sent,
+                  const std::vector<std::uint32_t> &flips,
                   std::vector<Packet> &deliver,
                   std::optional<Packet> &ack,
                   std::vector<Packet> *stale = nullptr);

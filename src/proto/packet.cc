@@ -66,9 +66,9 @@ decodeHeader(std::uint64_t header, Packet &p)
 std::vector<std::uint8_t>
 encode(const Packet &p)
 {
-    if (p.payload.size() > maxPayloadBytes)
-        panic("payload of %zu bytes exceeds the %u-byte packet limit",
-              p.payload.size(), maxPayloadBytes);
+    if (p.payloadBytes > maxPayloadBytes)
+        panic("payload of %u bytes exceeds the %u-byte packet limit",
+              p.payloadBytes, maxPayloadBytes);
     if (p.addr >> HeaderLayout::addrBits)
         panic("address 0x%llx does not fit the 37-bit ADDR field",
               static_cast<unsigned long long>(p.addr));
@@ -80,9 +80,6 @@ encode(const Packet &p)
     const std::uint64_t header = encodeHeader(p);
     const std::size_t tail = tailOffset(pay_flits);
     std::memcpy(wire.data(), &header, 8);
-    if (!p.payload.empty())
-        std::memcpy(wire.data() + 8, p.payload.data(),
-                    p.payload.size());
     std::memcpy(wire.data() + tail + 4, &p.dll, 4);
 
     // CRC covers the header word, the (padded) payload, and the DLL
@@ -119,8 +116,7 @@ decode(const std::vector<std::uint8_t> &wire, Packet &out)
     if (crc != crc_field)
         return false;
 
-    out.payload.assign(wire.begin() + 8,
-                       wire.begin() + static_cast<std::ptrdiff_t>(tail));
+    out.payloadBytes = len * flitBytes;
     return true;
 }
 

@@ -125,7 +125,8 @@ tailOffset(unsigned payload_flits)
     return 8 + static_cast<std::size_t>(payload_flits) * flitBytes;
 }
 
-/** A decoded (in-memory) DL packet. */
+/** A DL packet: its header and DLL fields and its payload's length
+ * (no code reads payload data; encode() writes zeros). */
 struct Packet
 {
     std::uint8_t src = 0;
@@ -134,7 +135,8 @@ struct Packet
     /** 37-bit DIMM-local address (the DIMM id bits live in SRC/DST). */
     std::uint64_t addr = 0;
     std::uint8_t tag = 0;
-    std::vector<std::uint8_t> payload;
+    /** Payload length in bytes (at most maxPayloadBytes). */
+    unsigned payloadBytes = 0;
     /** DLL field: low 16 bits = sequence number, high 16 = credits. */
     std::uint32_t dll = 0;
 
@@ -142,18 +144,12 @@ struct Packet
     unsigned payloadFlits() const { return numFlits() - 1; }
 
     /** Total flits on the wire (header/tail flit + payload flits). */
-    unsigned numFlits() const { return flitsFor(payload.size()); }
+    unsigned numFlits() const { return flitsFor(payloadBytes); }
 
     /** Total bytes on the wire. */
     unsigned wireBytes() const { return numFlits() * flitBytes; }
 
-    bool
-    operator==(const Packet &o) const
-    {
-        return src == o.src && dst == o.dst && cmd == o.cmd &&
-               addr == o.addr && tag == o.tag && dll == o.dll &&
-               payload == o.payload;
-    }
+    bool operator==(const Packet &o) const = default;
 };
 
 /** Pack the six header fields into the 64-bit header word. */
@@ -163,17 +159,17 @@ std::uint64_t encodeHeader(const Packet &p);
 void decodeHeader(std::uint64_t header, Packet &p);
 
 /**
- * Serialize to the wire format: header word, payload padded to whole
- * flits, then the tail (CRC32 over header + payload + DLL word,
- * followed by the DLL field).
+ * Serialize to the wire format: header word, payload (zeros) padded
+ * to whole flits, then the tail (CRC32 over header + payload + DLL
+ * word, followed by the DLL field).
  */
 std::vector<std::uint8_t> encode(const Packet &p);
 
 /**
  * Parse a wire buffer. @return true and fill @p out when the CRC
  * validates; false on corruption (the caller sends DllNack). The
- * recovered payload is LEN x 16 bytes (flit-padded form); semantic
- * lengths are tracked by the transaction layer.
+ * recovered payloadBytes is LEN x 16 (the flit-padded length);
+ * semantic lengths are tracked by the transaction layer.
  */
 bool decode(const std::vector<std::uint8_t> &wire, Packet &out);
 

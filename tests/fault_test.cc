@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -85,25 +85,29 @@ TEST(FaultModel, BerFlipsRealBitsDeterministically)
     FaultConfig cfg;
     cfg.model = "ber";
     cfg.ber = 0.01;
+    constexpr unsigned bits = 2048;
     const auto run = [&cfg](std::uint64_t seed) {
         auto model = fault::makeModel(cfg, seed);
-        std::vector<std::uint8_t> image(256, 0);
+        std::vector<std::uint32_t> flips;
         noc::Message msg;
-        msg.wire = &image;
-        const auto eff = model->onTransmit(
-            0, static_cast<unsigned>(image.size() * 8), msg);
-        return std::make_pair(image, eff.corrupted);
+        msg.flips = &flips;
+        const auto eff = model->onTransmit(0, bits, msg);
+        return std::make_pair(flips, eff.corrupted);
     };
-    const auto [w1, c1] = run(42);
-    const auto [w2, c2] = run(42);
-    const auto [w3, c3] = run(43);
-    EXPECT_EQ(w1, w2); // same stream seed -> identical damage
+    const auto [f1, c1] = run(42);
+    const auto [f2, c2] = run(42);
+    const auto [f3, c3] = run(43);
+    EXPECT_EQ(f1, f2); // same stream seed -> identical damage
     EXPECT_EQ(c1, c2);
-    EXPECT_NE(w1, w3); // different seed -> different damage
+    EXPECT_NE(f1, f3); // different seed -> different damage
     // With 2048 bits at 1% BER, damage is (deterministically) present
-    // and the corrupted flag reflects it.
+    // and the corrupted flag reflects it. Positions are recorded in
+    // wire order, each inside the transmission.
     EXPECT_TRUE(c1);
-    EXPECT_NE(w1, std::vector<std::uint8_t>(256, 0));
+    ASSERT_FALSE(f1.empty());
+    EXPECT_TRUE(std::is_sorted(f1.begin(), f1.end()));
+    for (const std::uint32_t bit : f1)
+        EXPECT_LT(bit, bits);
 }
 
 TEST(FaultModel, CorruptedWireImageFailsCrc)
@@ -114,14 +118,26 @@ TEST(FaultModel, CorruptedWireImageFailsCrc)
     auto model = fault::makeModel(cfg, 7);
     Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 3, 64);
     std::vector<std::uint8_t> image = proto::encode(p);
+    std::vector<std::uint32_t> flips;
     noc::Message msg;
-    msg.wire = &image;
+    msg.flips = &flips;
     // Find a transmission the model damages (deterministic stream).
     while (!msg.corrupted)
-        model->onTransmit(0, static_cast<unsigned>(image.size() * 8),
-                          msg);
+        model->onTransmit(0, p.numFlits() * proto::flitBytes * 8, msg);
+    ASSERT_FALSE(flips.empty());
+    for (const std::uint32_t bit : flips)
+        image[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     Packet q;
     EXPECT_FALSE(proto::decode(image, q));
+
+    // The receiver reaches the same verdict from the flip list.
+    stats::Registry reg;
+    proto::RetryReceiver rx(reg.group("rx"));
+    std::vector<Packet> out;
+    std::optional<Packet> ctrl;
+    rx.onArrive(p, flips, out, ctrl);
+    EXPECT_TRUE(out.empty());
+    EXPECT_DOUBLE_EQ(reg.scalar("rx.dllCorrupt"), 1.0);
 }
 
 TEST(FaultModel, DegradeScalesSerializationTime)
@@ -163,19 +179,17 @@ TEST(FaultModel, OnlyTheNamedModelActs)
     cfg.stuckAtPs = 0;
     cfg.stuckForPs = 1000;
     cfg.stuckPeriodPs = 0;
-    const std::vector<std::uint8_t> clean(256, 0);
     for (const char *m : {"ber", "degrade", "stuck"}) {
         cfg.model = m;
         auto model = fault::makeModel(cfg, 1);
-        std::vector<std::uint8_t> image = clean;
+        std::vector<std::uint32_t> flips;
         noc::Message msg;
-        msg.wire = &image;
-        const auto eff = model->onTransmit(
-            100, static_cast<unsigned>(clean.size() * 8), msg);
+        msg.flips = &flips;
+        const auto eff = model->onTransmit(100, 2048, msg);
         const std::string name = m;
         EXPECT_EQ(eff.corrupted, name == "ber") << m;
         EXPECT_EQ(msg.corrupted, name == "ber") << m;
-        EXPECT_EQ(image != clean, name == "ber") << m;
+        EXPECT_EQ(!flips.empty(), name == "ber") << m;
         EXPECT_DOUBLE_EQ(eff.serScale, name == "degrade" ? 2.0 : 1.0)
             << m;
         EXPECT_EQ(eff.stallPs, name == "stuck" ? Tick{900} : Tick{0})
@@ -195,16 +209,15 @@ TEST(DllNack, NackReadsSequenceBehindThePayload)
 
     Packet p = proto::Codec::makeWriteReq(2, 5, 0x80, 9, 64);
     p.dll = 0x1234; // a nonzero sequence so offset bugs are visible
-    auto wire = proto::encode(p);
-    // Damage a payload byte: the header (and LEN) stay readable, so
-    // the receiver can NACK with the genuine sequence number read
-    // from behind the payload. The fixed-offset-12 bug read payload
-    // bytes here instead.
-    wire[20] ^= 0x01;
+    // Damage a payload bit (byte 20): the header (and LEN) stay
+    // readable, so the receiver can NACK with the genuine sequence
+    // number read from behind the payload. The fixed-offset-12 bug
+    // read payload bytes here instead.
+    const std::vector<std::uint32_t> flips{20 * 8};
 
     std::vector<Packet> out;
     std::optional<Packet> ctrl;
-    rx.onArrive(wire, out, ctrl);
+    rx.onArrive(p, flips, out, ctrl);
     EXPECT_TRUE(out.empty());
     ASSERT_TRUE(ctrl.has_value());
     EXPECT_EQ(ctrl->cmd, DlCommand::DllNack);
@@ -220,15 +233,15 @@ TEST(DllNack, UnreadableLenProducesNoNackAndTimeoutRecovers)
     proto::RetryReceiver rx(reg.group("rx"));
 
     Packet p = proto::Codec::makeWriteReq(2, 5, 0x80, 9, 64);
-    auto wire = proto::encode(p);
-    // Flip a LEN bit: the claimed payload length no longer matches
-    // the image, so any tail offset would be a guess. No control
-    // packet may be produced from a garbage offset.
-    wire[7] ^= 0x80;
+    // Flip a LEN bit (the header's top bit): the claimed payload
+    // length no longer matches the image, so any tail offset would be
+    // a guess. No control packet may be produced from a garbage
+    // offset.
+    const std::vector<std::uint32_t> len_hit{63};
 
     std::vector<Packet> out;
     std::optional<Packet> ctrl;
-    rx.onArrive(wire, out, ctrl);
+    rx.onArrive(p, len_hit, out, ctrl);
     EXPECT_TRUE(out.empty());
     EXPECT_FALSE(ctrl.has_value());
     EXPECT_DOUBLE_EQ(reg.scalar("rx.dllCorrupt"), 1.0);
@@ -240,12 +253,13 @@ TEST(DllNack, UnreadableLenProducesNoNackAndTimeoutRecovers)
     tx.send(p,
             [&](const Packet &wp) {
                 ++attempts;
-                auto w = proto::encode(wp);
-                if (attempts == 1)
-                    w[7] ^= 0x80; // first copy arrives unreadable
+                // The first copy arrives unreadable.
+                const std::vector<std::uint32_t> f =
+                    attempts == 1 ? len_hit
+                                  : std::vector<std::uint32_t>{};
                 std::vector<Packet> o;
                 std::optional<Packet> c;
-                rx.onArrive(w, o, c);
+                rx.onArrive(wp, f, o, c);
                 if (c)
                     tx.onControl(*c);
             },
@@ -348,14 +362,12 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
     unsigned acks = 0;
 
     auto transport = [&](const Packet &p) {
-        const auto wire = proto::encode(p);
         std::vector<Packet> out;
         std::optional<Packet> ctrl;
-        rx.onArrive(wire, out, ctrl);
+        rx.onArrive(p, {}, out, ctrl);
         for (const Packet &q : out) {
-            std::uint32_t idx = 0;
-            std::memcpy(&idx, q.payload.data(), 4);
-            EXPECT_EQ(idx, next_expected);
+            // Each packet carries its index in ADDR.
+            EXPECT_EQ(q.addr, next_expected);
             ++next_expected;
             ++delivered;
         }
@@ -366,10 +378,8 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
     };
 
     for (std::uint32_t i = 0; i < total; ++i) {
-        Packet p = proto::Codec::makeWriteReq(
-            0, 1, (i * 64) & 0xffffff,
-            static_cast<std::uint8_t>(i & 0x3f), 4);
-        std::memcpy(p.payload.data(), &i, 4);
+        const Packet p = proto::Codec::makeWriteReq(
+            0, 1, i, static_cast<std::uint8_t>(i & 0x3f), 4);
         tx.send(p, transport, nullptr);
         eq.run(); // drain timers so every packet settles
     }
@@ -419,43 +429,44 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
                           [&, ctrl] { txc.onControl(ctrl); },
                           EventPriority::Delivery);
         };
-    auto arrive = [&](const std::vector<std::uint8_t> &wire) {
+    auto arrive = [&](const Packet &p,
+                      const std::vector<std::uint32_t> &flips) {
         std::vector<Packet> ready;
         std::optional<Packet> ctrl;
-        rxc.onArrive(wire, ready, ctrl);
+        rxc.onArrive(p, flips, ready, ctrl);
         if (ctrl)
             send_control(*ctrl);
         for (const Packet &q : ready) {
-            std::uint32_t idx = 0;
-            std::memcpy(&idx, q.payload.data(), 4);
-            EXPECT_EQ(idx, next_expected);
+            // Each packet carries its index in ADDR.
+            EXPECT_EQ(q.addr, next_expected);
             ++next_expected;
             ++delivered;
         }
     };
     auto transmit = [&](const Packet &p) {
-        const auto wire = proto::encode(p);
         const double fate = rng.real();
         if (fate < 0.10)
             return; // dropped in flight
         const unsigned copies = fate < 0.18 ? 2 : 1;
         for (unsigned c = 0; c < copies; ++c) {
-            auto w = wire;
-            if (rng.chance(0.10)) // random single-bit damage
-                w[rng.below(w.size())] ^= static_cast<std::uint8_t>(
-                    1u << rng.below(8));
+            std::vector<std::uint32_t> flips;
+            if (rng.chance(0.10)) { // random single-bit damage
+                const auto bit = rng.below(8);
+                const auto byte = rng.below(p.wireBytes());
+                flips.push_back(
+                    static_cast<std::uint32_t>(byte * 8 + bit));
+            }
             eq.scheduleIn(
                 1 + rng.below(400),
-                [&, w = std::move(w)] { arrive(w); },
+                [&, p, f = std::move(flips)] { arrive(p, f); },
                 EventPriority::Delivery);
         }
     };
 
     std::uint8_t tag = 0;
     for (std::uint32_t i = 0; i < total; ++i) {
-        Packet p = proto::Codec::makeWriteReq(
-            0, 1, (i * 64) & 0xffffff, proto::allocTag(tag), 4);
-        std::memcpy(p.payload.data(), &i, 4);
+        const Packet p = proto::Codec::makeWriteReq(
+            0, 1, i, proto::allocTag(tag), 4);
         txc.send(p, transmit, nullptr,
                  [] { FAIL() << "retry budget exhausted"; });
     }

@@ -312,20 +312,20 @@ TEST(Network, RefusedInjectionLeavesTheMessageIntact)
     first.deliver = [&](int) { ++delivered; };
     ASSERT_TRUE(net.tryInject(first));
 
-    std::vector<std::uint8_t> image(3, 0xab);
+    std::vector<std::uint32_t> flips{3, 17};
     Message m;
     m.src = 0;
     m.dst = 1;
     m.flits = 4;
-    m.wire = &image;
+    m.flips = &flips;
     m.deliver = [&](int) { ++delivered; };
     EXPECT_FALSE(net.tryInject(m));
     // A refused message is untouched: the caller can offer the same
     // object again.
     EXPECT_TRUE(static_cast<bool>(m.deliver));
     EXPECT_EQ(m.flits, 4u);
-    EXPECT_EQ(m.wire, &image);
-    EXPECT_EQ(image.size(), 3u);
+    EXPECT_EQ(m.flips, &flips);
+    EXPECT_EQ(flips, (std::vector<std::uint32_t>{3, 17}));
 
     // inject() queues it until the port frees.
     net.inject(std::move(m));

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -346,13 +348,13 @@ TEST(ExhaustFallbackDeathTest, PanicPreservesFailStop)
 // permanent gap.
 // ---------------------------------------------------------------------
 
-std::vector<std::uint8_t>
+Packet
 wireWithSeq(std::uint8_t src, std::uint8_t dst, std::uint16_t seq)
 {
     Packet p = proto::Codec::makeWriteReq(src, dst, 0x40,
                                           seq & 0x3f, 32);
     p.dll = seq;
-    return proto::encode(p);
+    return p;
 }
 
 TEST(ReceiverResync, SkipReleasesHeldPacketsAndReopensTheStream)
@@ -363,8 +365,8 @@ TEST(ReceiverResync, SkipReleasesHeldPacketsAndReopensTheStream)
     std::optional<Packet> ack;
 
     // Sequences 1 and 3 arrive ahead of the gap at 0 and are held.
-    rx.onArrive(wireWithSeq(1, 2, 1), out, ack);
-    rx.onArrive(wireWithSeq(1, 2, 3), out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 1), {}, out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 3), {}, out, ack);
     EXPECT_TRUE(out.empty());
     EXPECT_EQ(rx.bufferedPackets(), 2u);
 
@@ -381,7 +383,7 @@ TEST(ReceiverResync, SkipReleasesHeldPacketsAndReopensTheStream)
 
     // The stream continues in order right after the resync point.
     out.clear();
-    rx.onArrive(wireWithSeq(1, 2, 4), out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 4), {}, out, ack);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].dll & 0xffff, 4u);
 }
@@ -393,7 +395,7 @@ TEST(ReceiverResync, StaleSkipsAreNoOps)
     std::vector<Packet> out;
     std::optional<Packet> ack;
 
-    rx.onArrive(wireWithSeq(1, 2, 0), out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 0), {}, out, ack);
     ASSERT_EQ(out.size(), 1u);
     out.clear();
 
@@ -401,7 +403,7 @@ TEST(ReceiverResync, StaleSkipsAreNoOps)
     // resync notification) must not rewind or re-deliver anything.
     rx.skipTo(1, 0, out);
     EXPECT_TRUE(out.empty());
-    rx.onArrive(wireWithSeq(1, 2, 1), out, ack);
+    rx.onArrive(wireWithSeq(1, 2, 1), {}, out, ack);
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].dll & 0xffff, 1u);
 }
@@ -414,7 +416,7 @@ TEST(ReceiverResync, SkipIsPerSourceStream)
     std::optional<Packet> ack;
 
     rx.skipTo(1, 3, out); // source 1 jumps to 4 ...
-    rx.onArrive(wireWithSeq(5, 2, 0), out, ack);
+    rx.onArrive(wireWithSeq(5, 2, 0), {}, out, ack);
     ASSERT_EQ(out.size(), 1u); // ... source 5 still starts at 0
     EXPECT_EQ(out[0].src, 5);
 }
@@ -436,7 +438,7 @@ TEST(ReceiverResync, LateCopyOfASkippedSequenceSurfacesAsStale)
     // sender retires it, not re-delivered, but surfaced through the
     // stale list so the caller can fire the pending completion.
     std::vector<Packet> stale;
-    rx.onArrive(wireWithSeq(1, 2, 1), out, ack, &stale);
+    rx.onArrive(wireWithSeq(1, 2, 1), {}, out, ack, &stale);
     EXPECT_TRUE(out.empty());
     ASSERT_EQ(stale.size(), 1u);
     EXPECT_EQ(stale[0].dll & 0xffff, 1u);
@@ -603,35 +605,45 @@ TEST(Fuzz, ControllerReceivePathSurvivesGarbage)
     proto::RetryReceiver rx(reg.group("fuzz.dl"));
     Rng rng(0xc0ffee);
 
+    // Codec-built packets of every size, each damaged at 1-4 distinct
+    // bits (CRC-32 detects every such pattern at these lengths), a
+    // third of them in LEN and a third in SRC: the header the receiver
+    // reads back, and the NACK it builds from it, are garbage.
+    constexpr unsigned total = 2000;
     unsigned delivered = 0;
-    const auto arrive = [&](const std::vector<std::uint8_t> &wire) {
+    for (unsigned i = 0; i < total; ++i) {
+        Packet p = proto::Codec::makeWriteReq(
+            static_cast<std::uint8_t>(rng.below(64)),
+            static_cast<std::uint8_t>(rng.below(64)), rng.below(1u << 20),
+            static_cast<std::uint8_t>(rng.below(64)),
+            static_cast<unsigned>(
+                rng.below(proto::maxPayloadBytes + 1)));
+        p.dll = static_cast<std::uint32_t>(rng.next());
+        std::vector<std::uint32_t> flips;
+        const std::size_t n = 1 + rng.below(4);
+        while (flips.size() < n) {
+            std::uint64_t bit;
+            switch (rng.below(3)) {
+              case 0: bit = 59 + rng.below(5); break; // LEN
+              case 1: bit = rng.below(6); break;      // SRC
+              default: bit = rng.below(p.wireBytes() * 8); break;
+            }
+            if (std::find(flips.begin(), flips.end(), bit) ==
+                flips.end())
+                flips.push_back(static_cast<std::uint32_t>(bit));
+        }
         std::vector<Packet> out, stale;
         std::optional<Packet> ack;
-        rx.onArrive(wire, out, ack, &stale);
+        rx.onArrive(p, flips, out, ack, &stale);
         delivered += static_cast<unsigned>(out.size() + stale.size());
-    };
-
-    // Pure noise (every other image with one more flipped bit), then
-    // damaged variants of a valid image.
-    for (int i = 0; i < 1500; ++i) {
-        std::vector<std::uint8_t> wire(rng.below(400));
-        for (auto &b : wire)
-            b = static_cast<std::uint8_t>(rng.below(256));
-        if ((i & 1) != 0 && !wire.empty())
-            wire[wire.size() / 2] ^= 0x10;
-        arrive(wire);
-    }
-    const auto valid =
-        proto::encode(proto::Codec::makeWriteReq(1, 0, 0x80, 2, 48));
-    for (int i = 0; i < 500; ++i) {
-        auto wire = valid;
-        const auto bit = rng.below(wire.size() * 8);
-        wire[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-        arrive(wire);
+        if (ack) {
+            EXPECT_EQ(ack->cmd, proto::DlCommand::DllNack);
+        }
     }
     EXPECT_EQ(delivered, 0u); // nothing valid ever arrived
     EXPECT_EQ(rx.bufferedPackets(), 0u);
     EXPECT_DOUBLE_EQ(reg.scalar("fuzz.dl.dllValid"), 0.0);
+    EXPECT_DOUBLE_EQ(reg.scalar("fuzz.dl.dllCorrupt"), total);
 }
 
 // ---------------------------------------------------------------------
