@@ -79,6 +79,44 @@ forwardLatencySweep()
     std::printf("\n");
 }
 
+/**
+ * A sender and a receiver joined by a lossy wire: each transmission
+ * arrives at once, damaged with probability @ref rate, and its
+ * ACK/NACK returns inline.
+ */
+struct LoopbackLink final : proto::RetrySender::Owner
+{
+    LoopbackLink(EventQueue &eq, stats::Registry &reg, double rate_)
+        : tx(eq, *this, 500 * tickPerNs, 16, reg.group("tx")),
+          rx(reg.group("rx")), rate(rate_)
+    {
+    }
+
+    void
+    dllTransmit(const proto::Packet &wp, void *, unsigned) override
+    {
+        // A damaged copy loses bit 4 of its image's middle byte.
+        std::vector<std::uint32_t> flips;
+        if (rng.chance(rate))
+            flips.push_back(wp.wireBytes() / 2 * 8 + 4);
+        std::vector<proto::Packet> out;
+        std::optional<proto::Packet> ctrl;
+        rx.onArrive(wp, flips, out, ctrl);
+        delivered += static_cast<unsigned>(out.size());
+        if (ctrl)
+            tx.onControl(*ctrl);
+    }
+    void dllAcked(void *) override {}
+    /** A lost packet shows as a shortfall in @ref delivered. */
+    void dllFailed(void *) override {}
+
+    proto::RetrySender tx;
+    proto::RetryReceiver rx;
+    double rate;
+    Rng rng{7};
+    unsigned delivered = 0;
+};
+
 void
 dllErrorSweep()
 {
@@ -90,39 +128,21 @@ dllErrorSweep()
     for (const double rate : {0.0, 0.001, 0.01, 0.05, 0.2}) {
         EventQueue eq;
         stats::Registry reg;
-        proto::RetrySender tx(eq, 500 * tickPerNs, 16,
-                              reg.group("tx"));
-        proto::RetryReceiver rx(reg.group("rx"));
-        Rng rng(7);
-        unsigned delivered = 0;
+        LoopbackLink link(eq, reg, rate);
         constexpr unsigned total = 10000;
 
         for (unsigned i = 0; i < total; ++i) {
-            const proto::Packet p = proto::Codec::makeWriteReq(
-                0, 1, (i * 64) & 0xffffff,
-                static_cast<std::uint8_t>(i & 0x3f), 64);
-            tx.send(p,
-                    [&](const proto::Packet &wp) {
-                        // A damaged copy loses bit 4 of its
-                        // image's middle byte.
-                        std::vector<std::uint32_t> flips;
-                        if (rng.chance(rate))
-                            flips.push_back(wp.wireBytes() / 2 * 8 + 4);
-                        std::vector<proto::Packet> out;
-                        std::optional<proto::Packet> ctrl;
-                        rx.onArrive(wp, flips, out, ctrl);
-                        delivered += static_cast<unsigned>(out.size());
-                        if (ctrl)
-                            tx.onControl(*ctrl);
-                    },
-                    nullptr);
+            link.tx.send(proto::Codec::makeWriteReq(
+                             0, 1, (i * 64) & 0xffffff,
+                             static_cast<std::uint8_t>(i & 0x3f), 64),
+                         nullptr);
         }
         eq.run();
         const double sent = reg.scalar("tx.dllSent") +
                             reg.scalar("tx.dllRetries");
         std::printf("%12.3f %12.0f %12u %11.1f%%\n", rate,
-                    reg.scalar("tx.dllRetries"), delivered,
-                    100.0 * delivered / sent);
+                    reg.scalar("tx.dllRetries"), link.delivered,
+                    100.0 * link.delivered / sent);
         std::fflush(stdout);
     }
     std::printf("\nEvery packet is eventually delivered exactly "

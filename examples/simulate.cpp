@@ -46,7 +46,6 @@
  *     --rack-latency-ns N  (shorthand for -p rack.latencyPs=N000:
  *                       one-way CXL.mem latency of the rack fabric)
  *     --cpu                                   (run the host baseline)
- *     --stats                                 (dump raw statistics)
  *     --json                                  (stats + config as JSON)
  *     --trace                                 (enable event tracing)
  *     --trace-out FILE       Chrome-trace JSON path (implies --trace;
@@ -130,8 +129,8 @@ main(int argc, char **argv)
     std::string workload = "pagerank";
     std::uint64_t scale = 12;
     unsigned rounds = 4;
-    bool broadcast = false, run_cpu = false, dump_stats = false,
-         dump_json = false, dump_config = false;
+    bool broadcast = false, run_cpu = false, dump_json = false,
+         dump_config = false;
     // Convenience flags and -p overrides, applied onto the base
     // config in command-line order.
     std::vector<std::string> overrides;
@@ -206,8 +205,6 @@ main(int argc, char **argv)
             overrides.push_back("obs.sampleOut=" + next());
         else if (a == "--cpu")
             run_cpu = true;
-        else if (a == "--stats")
-            dump_stats = true;
         else if (a == "--json")
             dump_json = true;
         else
@@ -396,10 +393,6 @@ main(int argc, char **argv)
                      csv_path.c_str());
     }
 
-    if (dump_stats) {
-        std::printf("\n--- raw statistics ---\n");
-        sys.stats().dump(std::cout);
-    }
     if (dump_json)
         stats::dumpJson(sys.stats(), std::cout, false, &cfg);
     return r.verified ? 0 : 1;

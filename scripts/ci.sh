@@ -335,6 +335,50 @@ for model in stuck ber; do
         done
     done
 done
+# Broadcast-mode PageRank: under fault injection a group broadcast is
+# one reliable DLL unicast per destination, so these cells run that
+# fork under the sanitizers. The ber cell must absorb its corruption;
+# the stuck cells must route the copies behind the dead link over the
+# host path.
+for cell in ber/failover stuck/failover stuck/drop; do
+    model="${cell%/*}"
+    policy="${cell#*/}"
+    case "$model" in
+    stuck) fault_args=(-p faults.model=stuck -p faults.stuckAtPs=0 \
+        -p faults.stuckForPs=400000000000000 \
+        -p faults.stuckPeriodPs=0 -p faults.linkFilter=link1to2) ;;
+    ber) fault_args=(-p faults.model=ber -p faults.ber=1e-4) ;;
+    esac
+    chaos_out="$(ASAN_OPTIONS=detect_leaks=0 \
+        UBSAN_OPTIONS=print_stacktrace=1 \
+        "$root/build-asan/examples/example_simulate" \
+        --config "$root/configs/default.json" \
+        -p system.numDimms=4 -p system.numChannels=2 \
+        -p link.topology=HalfRing \
+        "${fault_args[@]}" -p faults.seed=7 \
+        -p faults.onExhausted="$policy" \
+        -p watchdog.stallPs=1000000000 \
+        --workload pagerank --broadcast --scale 6 --rounds 1 \
+        --json 2>&1)"
+    cell="broadcast/$model/HalfRing/$policy"
+    if [ "$model" = ber ]; then
+        if ! grep -q '"dllRetries": [1-9]' <<<"$chaos_out"; then
+            echo "[$cell] no retries recorded"; exit 1
+        fi
+        if grep -q '"dllFailedTransfers": [1-9]' <<<"$chaos_out"; then
+            echo "[$cell] transfers exhausted"; exit 1
+        fi
+        echo "    [$cell] OK: completed, retries absorbed"
+        continue
+    fi
+    if ! grep -q '"hostReroutes": [1-9]' <<<"$chaos_out"; then
+        echo "[$cell] no copy rerouted over the host"; exit 1
+    fi
+    if ! grep -q '"dllFailedTransfers": [1-9]' <<<"$chaos_out"; then
+        echo "[$cell] no exhaustions recorded"; exit 1
+    fi
+    echo "    [$cell] OK: completed, verified, recovered"
+done
 # The 8D (two-group) stuck-bridge cell, re-enabled: PR 6 skipped it
 # because a permanently-stuck bridge hung the proxy-notify path on
 # multi-group systems; the requestForward retry-deadline fallback

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <vector>
 
 namespace dimmlink {
@@ -53,52 +52,6 @@ warn(const char *fmt, ...)
     const std::string msg = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-namespace {
-
-std::map<std::string, std::uint64_t> &
-warnCounts()
-{
-    static std::map<std::string, std::uint64_t> counts;
-    return counts;
-}
-
-} // namespace
-
-void
-warnRateLimited(const char *key, unsigned every, const char *fmt, ...)
-{
-    const std::uint64_t n = ++warnCounts()[key];
-    const bool print =
-        n == 1 || (every != 0 && n % every == 0);
-    if (!print)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    if (n == 1)
-        std::fprintf(stderr, "warn: %s (repeats of '%s' are "
-                     "rate-limited)\n", msg.c_str(), key);
-    else
-        std::fprintf(stderr, "warn: %s (occurrence %llu of '%s')\n",
-                     msg.c_str(),
-                     static_cast<unsigned long long>(n), key);
-}
-
-std::uint64_t
-warnCount(const char *key)
-{
-    const auto &counts = warnCounts();
-    const auto it = counts.find(key);
-    return it == counts.end() ? 0 : it->second;
-}
-
-void
-resetWarnCounts()
-{
-    warnCounts().clear();
 }
 
 std::string

@@ -1,20 +1,9 @@
 #include "common/stats.hh"
 
-#include <cmath>
-
 #include "common/log.hh"
 
 namespace dimmlink {
 namespace stats {
-
-double
-Distribution::variance() const
-{
-    if (count_ < 2)
-        return 0;
-    const double mean_v = mean();
-    return sumSq_ / count_ - mean_v * mean_v;
-}
 
 void
 Histogram::sample(double v)
@@ -147,35 +136,6 @@ Registry::sumScalar(const std::string &group_prefix,
             sum += sit->second.value();
     }
     return sum;
-}
-
-void
-Registry::dump(std::ostream &os) const
-{
-    for (const auto &[gname, group] : groups) {
-        for (const auto &[sname, s] : group.scalars_) {
-            if (s.value() != 0)
-                os << gname << '.' << sname << " = " << s.value() << '\n';
-        }
-        for (const auto &[dname, d] : group.distributions()) {
-            if (d.count() == 0)
-                continue;
-            os << gname << '.' << dname << " : count=" << d.count()
-               << " mean=" << d.mean() << " min=" << d.min()
-               << " max=" << d.max()
-               << " stddev=" << std::sqrt(d.variance()) << '\n';
-        }
-        for (const auto &[hname, h] : group.histograms()) {
-            if (h.total() == 0)
-                continue;
-            os << gname << '.' << hname << " : total=" << h.total()
-               << " underflow=" << h.underflow()
-               << " overflow=" << h.overflow()
-               << " p50=" << h.percentile(0.50)
-               << " p95=" << h.percentile(0.95)
-               << " p99=" << h.percentile(0.99) << '\n';
-        }
-    }
 }
 
 Scalar &

@@ -2,7 +2,8 @@
  * @file
  * A small statistics package in the spirit of gem5's: components own a
  * StatGroup, register named scalars / averages / histograms in it, and a
- * StatRegistry can dump everything or look values up by dotted name.
+ * StatRegistry looks values up by dotted name; stats_json.hh exports
+ * everything.
  */
 
 #ifndef DIMMLINK_COMMON_STATS_HH
@@ -10,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -43,7 +43,6 @@ class Distribution
     sample(double v)
     {
         sum_ += v;
-        sumSq_ += v * v;
         if (count_ == 0 || v < min_)
             min_ = v;
         if (count_ == 0 || v > max_)
@@ -62,7 +61,6 @@ class Distribution
         if (count_ == 0 || o.max_ > max_)
             max_ = o.max_;
         sum_ += o.sum_;
-        sumSq_ += o.sumSq_;
         count_ += o.count_;
     }
 
@@ -71,11 +69,9 @@ class Distribution
     double mean() const { return count_ ? sum_ / count_ : 0; }
     double min() const { return min_; }
     double max() const { return max_; }
-    double variance() const;
 
   private:
     double sum_ = 0;
-    double sumSq_ = 0;
     double min_ = 0;
     double max_ = 0;
     std::uint64_t count_ = 0;
@@ -127,7 +123,7 @@ class Group;
 
 /**
  * Owns a tree of stat groups. The root registry lives in the System and
- * is used by the metric collectors and by `dump()`-style reporting.
+ * is read by the metric collectors and by dumpJson().
  */
 class Registry
 {
@@ -153,9 +149,6 @@ class Registry
     double sumScalar(const std::string &group_prefix,
                      const std::string &stat) const;
 
-    /** Pretty-print all non-zero statistics. */
-    void dump(std::ostream &os) const;
-
     /** Visit every group in deterministic (sorted-name) order.
      * (Defined after Group below, which must be complete.) */
     template <typename Fn>
@@ -163,7 +156,7 @@ class Registry
 
   private:
     friend class Group;
-    // std::map for deterministic iteration order in dump().
+    // std::map for deterministic iteration order in dumpJson().
     std::map<std::string, Group> groups;
 };
 

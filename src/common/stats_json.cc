@@ -60,9 +60,6 @@ void
 dumpJson(const Registry &reg, std::ostream &os, bool include_empty,
          const SystemConfig *config)
 {
-    // Walk groups via a const-cast-free path: Registry only exposes
-    // groups through dump(); we mirror its deterministic iteration
-    // by re-dumping through the public accessors.
     os << "{";
     bool first_group = true;
     if (config) {

@@ -42,12 +42,6 @@ class LocalMc
     void access(Addr global, std::uint32_t bytes, bool is_write,
                 EventCallback done);
 
-    /** True when @p global maps to a different DIMM. */
-    bool isRemote(Addr global) const
-    {
-        return gmap.dimmOf(global) != self;
-    }
-
     /**
      * Fabric-side path: a remote DIMM's request arrived here and
      * needs @p bytes of local DRAM access at DIMM-local @p local.

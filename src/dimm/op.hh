@@ -145,13 +145,6 @@ struct Op
         return op;
     }
 
-    /** Closed-loop request: start the latency clock immediately. */
-    static Op
-    reqStartNow()
-    {
-        return reqStart(reqNow);
-    }
-
     /** Open- or closed-loop request carrying the reliability layer's
      * per-request metadata (shed horizon and breaker target). */
     static Op

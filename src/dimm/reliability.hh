@@ -69,7 +69,7 @@ class Backoff
 };
 
 /**
- * Per-core circuit breaker keyed by target host. Closed admits
+ * Per-core circuit breaker per target host. Closed admits
  * everything; a request routed at a host whose rack routes are all
  * down trips it Open, and fast-fails follow without touching the
  * fabric until the reopen penalty elapses AND the route looks up

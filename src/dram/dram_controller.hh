@@ -102,7 +102,6 @@ class DramController : public Clocked
     bool idle() const { return pending() == 0; }
 
     unsigned readQueueCapacity() const { return readQCap; }
-    unsigned writeQueueCapacity() const { return writeQCap; }
 
     const Timing &timing() const { return spec; }
 

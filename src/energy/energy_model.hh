@@ -65,7 +65,7 @@ class EnergyModel
                  const std::string &stat) const;
 
     const SystemConfig &cfg;
-    /** Snapshot values keyed by "prefix|stat". */
+    /** Snapshot values indexed by "prefix|stat". */
     std::map<std::string, double> base;
 };
 

@@ -96,9 +96,12 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
             exhaustPolicy = ExhaustPolicy::Panic;
         else
             exhaustPolicy = ExhaustPolicy::Failover;
+        // The fabric owns every retry engine (a private base, so
+        // the conversion happens here).
+        auto &owner = static_cast<proto::RetrySender::Owner &>(*this);
         for (unsigned d = 0; d < cfg.numDimms; ++d)
             dllCtl.push_back(std::make_unique<DllCtl>(
-                eventq, cfg.link,
+                eventq, owner, cfg.link,
                 reg.group("fabric.dl.dllc" + std::to_string(d))));
         // One health tracker per group, probing over the physical
         // links and feeding route recomputation on down/up edges.
@@ -137,9 +140,9 @@ DlFabric::DlFabric(EventQueue &eq, const SystemConfig &cfg_,
 
 DlFabric::~DlFabric() = default;
 
-DlFabric::DllCtl::DllCtl(EventQueue &eq, const LinkConfig &link,
-                         stats::Group &g)
-    : sender(eq, link.retryTimeoutPs, link.maxRetries, g,
+DlFabric::DllCtl::DllCtl(EventQueue &eq, proto::RetrySender::Owner &owner,
+                         const LinkConfig &link, stats::Group &g)
+    : sender(eq, owner, link.retryTimeoutPs, link.maxRetries, g,
              link.retryWindow),
       receiver(g, link.retryWindow),
       packetized(g.scalar("packetized")),
@@ -385,7 +388,7 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, unsigned bytes,
     const std::uint8_t tag = proto::allocTag(c.nextTag);
     const auto src = static_cast<std::uint8_t>(s);
     const auto dst = static_cast<std::uint8_t>(d);
-    proto::Packet pkt =
+    const proto::Packet pkt =
         bytes > 0 ? proto::Codec::makeWriteReq(src, dst, 0, tag, bytes)
                   : proto::Codec::makeReadReq(src, dst, 0, tag);
     if (tr) {
@@ -403,34 +406,26 @@ DlFabric::sendDllPacket(DimmId s, DimmId d, unsigned bytes,
     rec->d = d;
     rec->payload = bytes;
     ++c.packetized;
-    // Every exhaustion reaches dllFailed, which applies
-    // faults.onExhausted; the sender's fail-stop never runs.
-    c.sender.send(
-        std::move(pkt),
-        [this, rec](const proto::Packet &p) { dllTransmit(rec, p); },
-        /*on_acked=*/[this, rec] { dllAcked(rec); },
-        /*on_failed=*/[this, rec] { dllFailed(rec); });
+    c.sender.send(pkt, rec);
 }
 
 void
-DlFabric::dllTransmit(DllRec *rec, const proto::Packet &p)
+DlFabric::dllTransmit(const proto::Packet &p, void *r, unsigned attempt)
 {
+    auto *rec = static_cast<DllRec *>(r);
     const DimmId s = rec->s;
     const DimmId d = rec->d;
-    const unsigned group = groupIdx(s);
-    if (!rec->keyed) {
+    if (attempt == 0) {
         // First transmission: register the completion under the
         // admitted sequence number, and capture the route -- an
         // exhaustion must blame the path the transfer actually took,
         // not whatever the tables say after a recompute.
-        rec->keyed = true;
         rec->key = DllKey{p.src, p.dst,
                           static_cast<std::uint16_t>(p.dll & 0xffff)};
         dllWaiting[rec->key] = std::move(rec->delivered);
-        rec->route = routePath(group, nodeIdx(s), nodeIdx(d));
+        rec->route = routePath(groupIdx(s), nodeIdx(s), nodeIdx(d));
     } else if (tr) {
-        // The retry engine re-invoked transmit: a timeout or NACK
-        // retransmission of this sequence number.
+        // A timeout or NACK retransmission of this sequence number.
         tr->instant(trk, nmDllRetry, eventq.now(), p.dll & 0xffff);
     }
     // Each retry leaves undamaged.
@@ -475,8 +470,9 @@ DlFabric::wireEjected(WireRec *rec)
 }
 
 void
-DlFabric::dllAcked(DllRec *rec)
+DlFabric::dllAcked(void *r)
 {
+    auto *rec = static_cast<DllRec *>(r);
     // An end-to-end ACK proves the route moved traffic: clear the
     // consecutive-failure blame on its links so unrelated exhaustions
     // cannot accumulate into a spurious Suspect over the whole run.
@@ -487,8 +483,9 @@ DlFabric::dllAcked(DllRec *rec)
 }
 
 void
-DlFabric::dllFailed(DllRec *rec)
+DlFabric::dllFailed(void *r)
 {
+    auto *rec = static_cast<DllRec *>(r);
     // Retry budget exhausted (e.g. a stuck link outliving the budget).
     // Blame the route the transfer was admitted on so the health
     // machinery can take the dead link out of the tables, then apply
@@ -496,26 +493,22 @@ DlFabric::dllFailed(DllRec *rec)
     const DimmId s = rec->s;
     const DimmId d = rec->d;
     const std::uint64_t payload = rec->payload;
-    const bool keyed = rec->keyed;
     const DllKey key = rec->key;
+    const auto seq = std::get<2>(key);
     ++statDllFailedTransfers;
     if (tr)
-        tr->instant(trk, nmDllFailed, eventq.now(),
-                    keyed ? std::get<2>(key) : std::uint64_t{0});
+        tr->instant(trk, nmDllFailed, eventq.now(), seq);
     const unsigned g = groupIdx(s);
     if (g < health.size() && health[g])
         health[g]->noteExhausted(
             rec->route.empty() ? routePath(g, nodeIdx(s), nodeIdx(d))
                                : rec->route);
     dllRecs.release(rec);
-    if (!keyed)
-        return;
     auto it = dllWaiting.find(key);
     if (it == dllWaiting.end())
         return; // Delivered earlier; only the ACKs kept dying.
     EventCallback cb = std::move(it->second);
     dllWaiting.erase(it);
-    const auto seq = std::get<2>(key);
     switch (exhaustPolicy) {
       case ExhaustPolicy::Panic:
         panic("DLL transfer %u -> %u (seq %u) exhausted its retry "
@@ -529,11 +522,13 @@ DlFabric::dllFailed(DllRec *rec)
         // later packet on the stream jams behind the gap once the
         // link recovers -- send a header-only resync note over the
         // host path.
-        warnRateLimited("dl-fabric-drop", 64,
-                        "DLL transfer %u -> %u dropped after retry "
-                        "exhaustion (faults.onExhausted=drop)",
-                        static_cast<unsigned>(s),
-                        static_cast<unsigned>(d));
+        // A dead link can exhaust transfer after transfer: warn on
+        // the first drop and on every 64th.
+        if (++dllDrops == 1 || dllDrops % 64 == 0)
+            warn("DLL transfer %u -> %u dropped after retry exhaustion "
+                 "(faults.onExhausted=drop; drop %llu of this run)",
+                 static_cast<unsigned>(s), static_cast<unsigned>(d),
+                 static_cast<unsigned long long>(dllDrops));
         if (cb)
             cb();
         hostPathSend(s, d, 0,

@@ -31,7 +31,7 @@ class InterHostFabric;
 
 namespace idc {
 
-class DlFabric : public Fabric
+class DlFabric : public Fabric, private proto::RetrySender::Owner
 {
   public:
     DlFabric(EventQueue &eq, const SystemConfig &cfg,
@@ -69,12 +69,6 @@ class DlFabric : public Fabric
     /** Asks the rack fabric; single-host runs have no host-level
      * outages. */
     bool routeUp(unsigned a, unsigned b) const override;
-
-    /** Link health tracker of @p group (null with faults off). */
-    const fault::LinkHealth *linkHealth(unsigned group) const
-    {
-        return group < health.size() ? health[group].get() : nullptr;
-    }
 
     /** What to do with a transfer whose DLL retry budget ran out. */
     enum class ExhaustPolicy { Failover, Drop, Panic };
@@ -257,14 +251,18 @@ class DlFabric : public Fabric
     bool dllPath = false;
     /** Parsed from cfg.faults.onExhausted. */
     ExhaustPolicy exhaustPolicy = ExhaustPolicy::Failover;
+    /** Transfers dropped under ExhaustPolicy::Drop, for the warning. */
+    std::uint64_t dllDrops = 0;
     /**
-     * One DIMM's DL-Controller (Fig. 6): the DLL retry sender and
-     * receiver, the NW-interface packet counters and the 6-bit TAG
-     * counter. Its stats live under fabric.dl.dllcN.
+     * One DIMM's DL-Controller (Fig. 6): the DLL retry sender, whose
+     * owner is the fabric, and receiver, the NW-interface packet
+     * counters and the 6-bit TAG counter. Its stats live under
+     * fabric.dl.dllcN.
      */
     struct DllCtl
     {
-        DllCtl(EventQueue &eq, const LinkConfig &link, stats::Group &g);
+        DllCtl(EventQueue &eq, proto::RetrySender::Owner &owner,
+               const LinkConfig &link, stats::Group &g);
 
         proto::RetrySender sender;
         proto::RetryReceiver receiver;
@@ -277,7 +275,7 @@ class DlFabric : public Fabric
     std::vector<std::unique_ptr<DllCtl>> dllCtl;
     /** Per-group link health trackers (empty with faults off). */
     std::vector<std::unique_ptr<fault::LinkHealth>> health;
-    /** In-flight transfer completions, keyed by (SRC, DST, sequence)
+    /** In-flight transfer completions, indexed by (SRC, DST, sequence)
      * — sequence numbers are only unique per directed stream. An
      * entry is claimed exactly once: at first in-order delivery, or
      * on permanent failure, whichever comes first. */
@@ -287,8 +285,8 @@ class DlFabric : public Fabric
     std::vector<proto::Packet> dllReadySpare;
 
     /**
-     * One reliable DLL packet, shared by the [this, rec] transmit,
-     * acked and failed closures of its retry engine entry. The
+     * One reliable DLL packet: the record its retry engine entry
+     * hands back to the fabric's RetrySender::Owner calls. The
      * sequence number is stamped at admission (possibly after window
      * backpressure), so the key and the route are recorded on the
      * first transmission, which also moves @ref delivered into
@@ -301,13 +299,16 @@ class DlFabric : public Fabric
         DimmId s = 0;
         DimmId d = 0;
         std::uint64_t payload = 0;
-        bool keyed = false;
         DllKey key{};
         std::vector<std::pair<int, int>> route;
     };
-    void dllTransmit(DllRec *rec, const proto::Packet &p);
-    void dllAcked(DllRec *rec);
-    void dllFailed(DllRec *rec);
+    // RetrySender::Owner, with DllRec records.
+    void dllTransmit(const proto::Packet &p, void *rec,
+                     unsigned attempt) override;
+    void dllAcked(void *rec) override;
+    /** Blame the route, then apply faults.onExhausted: the one
+     * fail-stop of the DLL path is the Panic policy. */
+    void dllFailed(void *rec) override;
 
     /**
      * A DLL packet (data, or an ACK/NACK when @ref control) in flight

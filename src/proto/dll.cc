@@ -53,10 +53,11 @@ makeNack(const std::vector<std::uint8_t> &image)
 
 } // namespace
 
-RetrySender::RetrySender(EventQueue &eq, Tick timeout_ps,
-                         unsigned max_retries, stats::Group &sg,
-                         unsigned window)
+RetrySender::RetrySender(EventQueue &eq, Owner &owner_,
+                         Tick timeout_ps, unsigned max_retries,
+                         stats::Group &sg, unsigned window)
     : eventq(eq),
+      owner(owner_),
       timeout(timeout_ps),
       maxRetries(max_retries),
       window_(window),
@@ -93,16 +94,12 @@ RetrySender::queued() const
 }
 
 void
-RetrySender::send(Packet pkt, TransmitFn transmit,
-                  std::function<void()> on_acked,
-                  std::function<void()> on_failed)
+RetrySender::send(const Packet &pkt, void *rec)
 {
     Stream &st = streams[pkt.dst];
     Entry e;
-    e.pkt = std::move(pkt);
-    e.transmit = std::move(transmit);
-    e.onAcked = std::move(on_acked);
-    e.onFailed = std::move(on_failed);
+    e.pkt = pkt;
+    e.rec = rec;
     if (windowFull(st)) {
         // Backpressure instead of wrapping onto a live sequence
         // number: the send is queued until completions slide the
@@ -129,12 +126,10 @@ RetrySender::admit(Stream &st, Entry e)
 
     ++statSent;
     // The transport may complete the send inline (tests wire the
-    // ACK path synchronously), erasing the entry mid-call: invoke
-    // through stack copies so the executing callable and its packet
-    // outlive a re-entrant finish().
-    auto tx = it->second.transmit;
+    // ACK path synchronously), erasing the entry mid-call: transmit
+    // a stack copy so the packet outlives a re-entrant finish().
     const Packet snapshot = it->second.pkt;
-    tx(snapshot);
+    owner.dllTransmit(snapshot, it->second.rec, 0);
     armTimer(dst, seq);
 }
 
@@ -189,20 +184,16 @@ RetrySender::retransmit(std::uint8_t dst, std::uint16_t seq)
     Entry &e = it->second;
     if (e.tries >= maxRetries) {
         ++statFailures;
-        auto failed = std::move(e.onFailed);
+        void *rec = e.rec;
         finish(st, it);
-        if (!failed)
-            panic("DL link failed permanently after %u retries",
-                  maxRetries);
-        failed();
+        owner.dllFailed(rec);
         return;
     }
     ++e.tries;
     ++statRetries;
-    // Stack copies for the same re-entrancy reason as in admit().
-    auto tx = e.transmit;
+    // A stack copy for the same re-entrancy reason as in admit().
     const Packet snapshot = e.pkt;
-    tx(snapshot);
+    owner.dllTransmit(snapshot, e.rec, e.tries);
     armTimer(dst, seq);
 }
 
@@ -230,10 +221,9 @@ RetrySender::onControl(const Packet &sent,
         if (it->second.tries > 0)
             statRecoveryPs.sample(static_cast<double>(
                 eventq.now() - it->second.firstSentAt));
-        auto acked = std::move(it->second.onAcked);
+        void *rec = it->second.rec;
         finish(st, it);
-        if (acked)
-            acked();
+        owner.dllAcked(rec);
     } else if (ctrl.cmd == DlCommand::DllNack) {
         eventq.deschedule(it->second.timerId);
         retransmit(ctrl.src, seq);

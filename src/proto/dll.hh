@@ -24,7 +24,6 @@
 #define DIMMLINK_PROTO_DLL_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 
@@ -37,13 +36,33 @@ namespace proto {
 
 /**
  * Sender-side retry state for one DIMM's DL-Controller. Sequence
- * numbers live in the low 16 bits of the DLL field.
+ * numbers live in the low 16 bits of the DLL field. Each entry keeps
+ * the packet, its retry count and its timer; what a transmission, an
+ * ACK or an exhausted budget means is the owner's decision.
  */
 class RetrySender
 {
   public:
-    /** Invoked to (re)transmit a packet on the wire. */
-    using TransmitFn = std::function<void(const Packet &)>;
+    /**
+     * The sender's owner, given once at construction. @p rec is the
+     * owner's record for a packet, handed to send() and passed back
+     * unchanged.
+     */
+    class Owner
+    {
+      public:
+        /** Put @p pkt on the wire: @p attempt is 0 on the first
+         * transmission and the retry count on a retransmission. */
+        virtual void dllTransmit(const Packet &pkt, void *rec,
+                                 unsigned attempt) = 0;
+        /** The ACK arrived; the entry is retired. */
+        virtual void dllAcked(void *rec) = 0;
+        /** The retry budget ran out; the entry is retired. */
+        virtual void dllFailed(void *rec) = 0;
+
+      protected:
+        ~Owner() = default;
+    };
 
     /** Window used when the config does not say otherwise. */
     static constexpr unsigned defaultWindow = 64;
@@ -51,19 +70,17 @@ class RetrySender
      * space must stay disjoint (see RetryReceiver). */
     static constexpr unsigned maxWindow = 8192;
 
-    RetrySender(EventQueue &eq, Tick timeout_ps, unsigned max_retries,
-                stats::Group &sg, unsigned window = defaultWindow);
+    RetrySender(EventQueue &eq, Owner &owner, Tick timeout_ps,
+                unsigned max_retries, stats::Group &sg,
+                unsigned window = defaultWindow);
 
     /**
-     * Send @p pkt reliably. @p transmit is called immediately (or as
-     * soon as the send window opens) and again on every retry;
-     * @p on_acked fires when the ACK arrives; @p on_failed fires after
-     * the retry budget is exhausted. Without @p on_failed an exhausted
-     * budget is fail-stop: the simulation panics.
+     * Send @p pkt reliably on behalf of the owner's record @p rec.
+     * The owner transmits it at once (or as soon as the send window
+     * opens) and again on every retry; exactly one of dllAcked and
+     * dllFailed then retires it.
      */
-    void send(Packet pkt, TransmitFn transmit,
-              std::function<void()> on_acked,
-              std::function<void()> on_failed = nullptr);
+    void send(const Packet &pkt, void *rec);
 
     /**
      * Feed an arriving DllAck / DllNack, damaged at @p flips (as in
@@ -80,15 +97,11 @@ class RetrySender
     /** Sends waiting for the window to open, across destinations. */
     std::size_t queued() const;
 
-    unsigned window() const { return window_; }
-
   private:
     struct Entry
     {
         Packet pkt;
-        TransmitFn transmit;
-        std::function<void()> onAcked;
-        std::function<void()> onFailed;
+        void *rec = nullptr;
         unsigned tries = 0;
         std::uint64_t timerId = 0;
         Tick firstSentAt = 0;
@@ -122,10 +135,11 @@ class RetrySender
     void retransmit(std::uint8_t dst, std::uint16_t seq);
 
     EventQueue &eventq;
+    Owner &owner;
     Tick timeout;
     unsigned maxRetries;
     unsigned window_;
-    /** Per-destination streams, keyed by the packet's DST field. */
+    /** Per-destination streams, indexed by the packet's DST field. */
     std::map<std::uint8_t, Stream> streams;
 
     stats::Scalar &statSent;
@@ -198,7 +212,7 @@ class RetryReceiver
     {
         /** Next in-sequence number to deliver upward. */
         std::uint16_t expected = 0;
-        /** Valid arrivals ahead of expected, keyed by sequence. */
+        /** Valid arrivals ahead of expected, by sequence number. */
         std::map<std::uint16_t, Packet> held;
     };
 

@@ -125,7 +125,7 @@ class InterHostFabric
     std::vector<Tick> ingressFreeAt;
     /** Busy-until of each directed pooled bridge lane. */
     std::map<Edge, Tick> laneFreeAt;
-    /** Outage windows keyed by health edge; second = end tick
+    /** Outage windows per health edge; second = end tick
      * (0 = permanent). */
     std::map<Edge, std::pair<Tick, Tick>> outage;
 

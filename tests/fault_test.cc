@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -17,12 +18,15 @@
 #include "common/stats.hh"
 #include "common/stats_json.hh"
 #include "fault/fault_model.hh"
+#include "obs/tracer.hh"
 #include "proto/codec.hh"
 #include "proto/dll.hh"
 #include "sim/event_queue.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
 #include "workloads/workload.hh"
+
+#include "fake_dll_owner.hh"
 
 namespace dimmlink {
 namespace {
@@ -247,23 +251,23 @@ TEST(DllNack, UnreadableLenProducesNoNackAndTimeoutRecovers)
     EXPECT_DOUBLE_EQ(reg.scalar("rx.dllCorrupt"), 1.0);
 
     // The sender-side timeout is the recovery path for such damage.
-    proto::RetrySender tx(eq, 1000, 4, reg.group("tx"));
+    FakeDllOwner owner;
+    proto::RetrySender tx(eq, owner, 1000, 4, reg.group("tx"));
     unsigned attempts = 0;
     bool acked = false;
-    tx.send(p,
-            [&](const Packet &wp) {
-                ++attempts;
-                // The first copy arrives unreadable.
-                const std::vector<std::uint32_t> f =
-                    attempts == 1 ? len_hit
-                                  : std::vector<std::uint32_t>{};
-                std::vector<Packet> o;
-                std::optional<Packet> c;
-                rx.onArrive(wp, f, o, c);
-                if (c)
-                    tx.onControl(*c);
-            },
-            [&] { acked = true; });
+    owner.transmit = [&](const Packet &wp) {
+        ++attempts;
+        // The first copy arrives unreadable.
+        const std::vector<std::uint32_t> f =
+            attempts == 1 ? len_hit : std::vector<std::uint32_t>{};
+        std::vector<Packet> o;
+        std::optional<Packet> c;
+        rx.onArrive(wp, f, o, c);
+        if (c)
+            tx.onControl(*c);
+    };
+    owner.acked = [&] { acked = true; };
+    tx.send(p, nullptr);
     eq.run();
     EXPECT_TRUE(acked);
     EXPECT_EQ(attempts, 2u); // one timeout retransmission
@@ -277,15 +281,17 @@ TEST(DllWindow, FullWindowQueuesInsteadOfPanicking)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender tx(eq, 1000, 0, reg.group("tx"),
+    FakeDllOwner owner;
+    proto::RetrySender tx(eq, owner, 1000, 0, reg.group("tx"),
                           /*window=*/4);
     std::vector<Packet> sent;
     unsigned failed = 0;
+    owner.transmit = [&](const Packet &p) { sent.push_back(p); };
+    owner.failed = [&] { ++failed; };
     for (unsigned i = 0; i < 10; ++i) {
         tx.send(proto::Codec::makeSyncMsg(
                     0, 1, static_cast<std::uint8_t>(i & 0x3f)),
-                [&](const Packet &p) { sent.push_back(p); }, nullptr,
-                [&] { ++failed; });
+                nullptr);
     }
     // Only the window's worth is in flight; the rest are queued.
     EXPECT_EQ(tx.inFlight(), 4u);
@@ -314,15 +320,14 @@ TEST(DllWindow, PerDestinationStreamsAreIndependent)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender tx(eq, 1000, 0, reg.group("tx"),
+    FakeDllOwner owner;
+    proto::RetrySender tx(eq, owner, 1000, 0, reg.group("tx"),
                           /*window=*/2);
     std::vector<Packet> sent;
+    owner.transmit = [&](const Packet &p) { sent.push_back(p); };
     for (unsigned i = 0; i < 3; ++i) {
-        for (std::uint8_t dst : {1, 2}) {
-            tx.send(proto::Codec::makeSyncMsg(0, dst, 0),
-                    [&](const Packet &p) { sent.push_back(p); },
-                    nullptr, [] {});
-        }
+        for (std::uint8_t dst : {1, 2})
+            tx.send(proto::Codec::makeSyncMsg(0, dst, 0), nullptr);
     }
     // Each destination fills its own window; neither starves the
     // other, and each stream's sequence space starts at zero.
@@ -337,10 +342,12 @@ TEST(DllWindow, ConstructorRejectsBadWindows)
 {
     EventQueue eq;
     stats::Registry reg;
-    EXPECT_DEATH(proto::RetrySender(eq, 1000, 1, reg.group("t0"), 0),
-                 "window");
+    FakeDllOwner owner;
+    EXPECT_DEATH(
+        proto::RetrySender(eq, owner, 1000, 1, reg.group("t0"), 0),
+        "window");
     EXPECT_DEATH(proto::RetrySender(
-                     eq, 1000, 1, reg.group("t1"),
+                     eq, owner, 1000, 1, reg.group("t1"),
                      proto::RetrySender::maxWindow + 1),
                  "window");
 }
@@ -353,7 +360,8 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender tx(eq, 1000, 4, reg.group("tx"));
+    FakeDllOwner owner;
+    proto::RetrySender tx(eq, owner, 1000, 4, reg.group("tx"));
     proto::RetryReceiver rx(reg.group("rx"));
 
     constexpr std::uint32_t total = 70000; // > 2^16: seqs wrap
@@ -361,7 +369,7 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
     std::uint64_t delivered = 0;
     unsigned acks = 0;
 
-    auto transport = [&](const Packet &p) {
+    owner.transmit = [&](const Packet &p) {
         std::vector<Packet> out;
         std::optional<Packet> ctrl;
         rx.onArrive(p, {}, out, ctrl);
@@ -380,7 +388,7 @@ TEST(DllSoak, DedupAndOrderSurviveSequenceWrap)
     for (std::uint32_t i = 0; i < total; ++i) {
         const Packet p = proto::Codec::makeWriteReq(
             0, 1, i, static_cast<std::uint8_t>(i & 0x3f), 4);
-        tx.send(p, transport, nullptr);
+        tx.send(p, nullptr);
         eq.run(); // drain timers so every packet settles
     }
 
@@ -412,7 +420,8 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender txc(eq, /*timeout=*/3000, /*retries=*/64,
+    FakeDllOwner owner;
+    proto::RetrySender txc(eq, owner, /*timeout=*/3000, /*retries=*/64,
                            reg.group("txc"));
     proto::RetryReceiver rxc(reg.group("rxc"));
     Rng rng(GetParam());
@@ -443,7 +452,7 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
             ++delivered;
         }
     };
-    auto transmit = [&](const Packet &p) {
+    owner.transmit = [&](const Packet &p) {
         const double fate = rng.real();
         if (fate < 0.10)
             return; // dropped in flight
@@ -463,12 +472,13 @@ TEST_P(DllChaos, ExactlyOnceInOrderUnderRandomFaults)
         }
     };
 
+    owner.failed = [] { FAIL() << "retry budget exhausted"; };
+
     std::uint8_t tag = 0;
     for (std::uint32_t i = 0; i < total; ++i) {
         const Packet p = proto::Codec::makeWriteReq(
             0, 1, i, proto::allocTag(tag), 4);
-        txc.send(p, transmit, nullptr,
-                 [] { FAIL() << "retry budget exhausted"; });
+        txc.send(p, nullptr);
     }
     eq.run();
 
@@ -489,61 +499,107 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DllChaos,
 // Whole-system runs with fault injection.
 // ---------------------------------------------------------------------
 
-std::string
-runFaultySystem(double ber, std::uint64_t seed, stats::Registry *out,
-                double *retries, double *corrupt, double *failed)
+struct FaultyRun
+{
+    std::string json;
+    double sent = 0, retries = 0, corrupt = 0, failed = 0;
+    /** Trace records by name, for a traced run. */
+    std::map<std::string, std::uint64_t> traced;
+};
+
+/**
+ * Run @p workload (in Fig. 12's broadcast mode when @p broadcast) on
+ * 4D-2C DIMM-Link at bit-error rate @p ber; with @p trace the DLL
+ * trace category records into the run's tracer.
+ */
+FaultyRun
+runFaultySystem(double ber, std::uint64_t seed,
+                const char *workload = "bfs", bool broadcast = false,
+                bool trace = false)
 {
     auto cfg = SystemConfig::preset("4D-2C");
     cfg.idcMethod = IdcMethod::DimmLink;
     cfg.faults.model = "ber";
     cfg.faults.ber = ber;
     cfg.faults.seed = seed;
+    cfg.obs.trace = trace;
+    cfg.obs.categories = "dll";
     System sys(cfg);
     workloads::WorkloadParams p;
     p.numThreads = cfg.numDimms * cfg.dimm.numCores;
     p.numDimms = cfg.numDimms;
     p.scale = 6;
     p.rounds = 2;
-    auto wl = workloads::makeWorkload("bfs", p, sys.addressMap());
+    p.broadcastMode = broadcast;
+    auto wl = workloads::makeWorkload(workload, p, sys.addressMap());
     Runner runner(sys, *wl);
     const RunResult r = runner.run();
     EXPECT_TRUE(r.verified);
-    if (retries)
-        *retries = sys.stats().sumScalar("fabric.dl", "dllRetries");
-    if (corrupt)
-        *corrupt = sys.stats().sumScalar("fabric.dl", "dllCorrupt");
-    if (failed)
-        *failed =
-            sys.stats().sumScalar("fabric.dl", "dllFailedTransfers");
+
+    FaultyRun out;
+    auto s = [&sys](const char *n) {
+        return sys.stats().sumScalar("fabric.dl", n);
+    };
+    out.sent = s("dllSent");
+    out.retries = s("dllRetries");
+    out.corrupt = s("dllCorrupt");
+    out.failed = s("dllFailedTransfers");
     std::ostringstream os;
     stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
     os << "\nkernelTicks=" << r.kernelTicks
        << "\nfinalTick=" << sys.queue().now();
-    (void)out;
-    return os.str();
+    out.json = os.str();
+    if (const obs::Tracer *t = sys.tracer()) {
+        for (std::uint32_t trk = 0; trk < t->tracks().size(); ++trk)
+            t->forEachRecord(trk, [&](const obs::Record &rec) {
+                ++out.traced[t->names()[rec.name]];
+            });
+    }
+    return out;
 }
 
 TEST(FaultSystem, BerRunRecoversEveryTransferAndCountsIt)
 {
-    double retries = 0, corrupt = 0, failed = 0;
-    const std::string json =
-        runFaultySystem(1e-4, 7, nullptr, &retries, &corrupt, &failed);
-    EXPECT_GT(corrupt, 0.0) << "no corruption injected at BER 1e-4";
-    EXPECT_GT(retries, 0.0) << "corruption seen but never retried";
-    EXPECT_DOUBLE_EQ(failed, 0.0);
+    const FaultyRun r = runFaultySystem(1e-4, 7);
+    EXPECT_GT(r.corrupt, 0.0) << "no corruption injected at BER 1e-4";
+    EXPECT_GT(r.retries, 0.0) << "corruption seen but never retried";
+    EXPECT_DOUBLE_EQ(r.failed, 0.0);
     // The recovery-latency histogram made it into the stats JSON.
-    EXPECT_NE(json.find("dllRecoveryPs"), std::string::npos);
-    EXPECT_NE(json.find("histograms"), std::string::npos);
+    EXPECT_NE(r.json.find("dllRecoveryPs"), std::string::npos);
+    EXPECT_NE(r.json.find("histograms"), std::string::npos);
 }
 
 TEST(FaultSystem, SameSeedRunsAreByteIdentical)
 {
-    const std::string a =
-        runFaultySystem(1e-4, 11, nullptr, nullptr, nullptr, nullptr);
-    const std::string b =
-        runFaultySystem(1e-4, 11, nullptr, nullptr, nullptr, nullptr);
+    const std::string a = runFaultySystem(1e-4, 11).json;
+    const std::string b = runFaultySystem(1e-4, 11).json;
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b);
+}
+
+// Under fault injection a group broadcast becomes one reliable DLL
+// unicast per destination, each CRC-checked and retried on its own.
+TEST(FaultSystem, BroadcastRidesPerDestinationReliableUnicasts)
+{
+    const FaultyRun r = runFaultySystem(1e-4, 7, "pagerank", true);
+    EXPECT_DOUBLE_EQ(r.sent, 72.0);
+    EXPECT_DOUBLE_EQ(r.retries, 11.0);
+    EXPECT_DOUBLE_EQ(r.corrupt, 10.0);
+    EXPECT_DOUBLE_EQ(r.failed, 0.0);
+    EXPECT_EQ(r.json, runFaultySystem(1e-4, 7, "pagerank", true).json);
+}
+
+// Tracing the DLL leaves the run unchanged, and records one transfer
+// span (begin + end) per packet and one instant per retransmission.
+TEST(FaultSystem, DllTracingRecordsTransfersAndRetries)
+{
+    const FaultyRun plain = runFaultySystem(1e-4, 7, "pagerank", true);
+    const FaultyRun traced =
+        runFaultySystem(1e-4, 7, "pagerank", true, /*trace=*/true);
+    EXPECT_EQ(plain.json, traced.json);
+    EXPECT_TRUE(plain.traced.empty());
+    EXPECT_EQ(traced.traced.at("dllXfer"), 2 * 72u);
+    EXPECT_EQ(traced.traced.at("dllRetry"), 11u);
 }
 
 } // namespace

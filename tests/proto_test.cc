@@ -12,6 +12,8 @@
 #include "proto/packet.hh"
 #include "sim/event_queue.hh"
 
+#include "fake_dll_owner.hh"
+
 namespace dimmlink {
 namespace proto {
 namespace {
@@ -173,7 +175,7 @@ class DllFixture : public ::testing::Test
 {
   protected:
     DllFixture()
-        : sender(eq, 1000, 4, reg.group("tx")),
+        : sender(eq, owner, 1000, 4, reg.group("tx")),
           receiver(reg.group("rx"))
     {
     }
@@ -199,6 +201,7 @@ class DllFixture : public ::testing::Test
 
     EventQueue eq;
     stats::Registry reg;
+    FakeDllOwner owner;
     RetrySender sender;
     RetryReceiver receiver;
 };
@@ -207,11 +210,11 @@ TEST_F(DllFixture, CleanDeliveryAcksImmediately)
 {
     unsigned arrivals = 0, delivered = 0;
     bool acked = false;
-    sender.send(Codec::makeWriteReq(0, 1, 0x40, 0, 64),
-                [&](const Packet &p) {
-                    transportTo(p, arrivals, 0, delivered);
-                },
-                [&] { acked = true; });
+    owner.transmit = [&](const Packet &p) {
+        transportTo(p, arrivals, 0, delivered);
+    };
+    owner.acked = [&] { acked = true; };
+    sender.send(Codec::makeWriteReq(0, 1, 0x40, 0, 64), nullptr);
     eq.run();
     EXPECT_TRUE(acked);
     EXPECT_EQ(delivered, 1u);
@@ -223,13 +226,15 @@ TEST_F(DllFixture, CorruptionTriggersNackRetransmit)
 {
     unsigned arrivals = 0, delivered = 0;
     bool acked = false;
-    sender.send(Codec::makeWriteReq(0, 1, 0x40, 1, 64),
-                [&](const Packet &p) {
-                    transportTo(p, arrivals, 2, delivered);
-                },
-                [&] { acked = true; });
+    owner.transmit = [&](const Packet &p) {
+        transportTo(p, arrivals, 2, delivered);
+    };
+    owner.acked = [&] { acked = true; };
+    sender.send(Codec::makeWriteReq(0, 1, 0x40, 1, 64), &acked);
     eq.run();
     EXPECT_TRUE(acked);
+    EXPECT_EQ(owner.rec, &acked); // the owner's record comes back
+    EXPECT_EQ(owner.attempts, (std::vector<unsigned>{0, 1, 2}));
     EXPECT_EQ(delivered, 1u);
     EXPECT_EQ(arrivals, 3u); // 2 corrupted + 1 clean
     EXPECT_DOUBLE_EQ(reg.scalar("tx.dllRetries"), 2.0);
@@ -241,15 +246,15 @@ TEST_F(DllFixture, TimeoutRetransmitsWhenPacketVanishes)
     unsigned attempts = 0;
     unsigned delivered = 0;
     bool acked = false;
-    sender.send(Codec::makeSyncMsg(0, 1, 2),
-                [&](const Packet &p) {
-                    // Drop the first transmission entirely.
-                    if (attempts++ == 0)
-                        return;
-                    unsigned arrivals = 1;
-                    transportTo(p, arrivals, 0, delivered);
-                },
-                [&] { acked = true; });
+    owner.transmit = [&](const Packet &p) {
+        // Drop the first transmission entirely.
+        if (attempts++ == 0)
+            return;
+        unsigned arrivals = 1;
+        transportTo(p, arrivals, 0, delivered);
+    };
+    owner.acked = [&] { acked = true; };
+    sender.send(Codec::makeSyncMsg(0, 1, 2), nullptr);
     eq.run();
     EXPECT_TRUE(acked);
     EXPECT_EQ(attempts, 2u);
@@ -263,20 +268,19 @@ TEST_F(DllFixture, DuplicateDeliveryIsFiltered)
     const Packet p = Codec::makeWriteReq(2, 3, 0x80, 4, 16);
     unsigned delivered = 0;
     bool first_ack_dropped = false;
-    sender.send(p,
-                [&](const Packet &wp) {
-                    std::vector<Packet> out;
-                    std::optional<Packet> ctrl;
-                    receiver.onArrive(wp, {}, out, ctrl);
-                    delivered += static_cast<unsigned>(out.size());
-                    if (!first_ack_dropped) {
-                        first_ack_dropped = true; // lose the ACK
-                        return;
-                    }
-                    if (ctrl)
-                        sender.onControl(*ctrl);
-                },
-                nullptr);
+    owner.transmit = [&](const Packet &wp) {
+        std::vector<Packet> out;
+        std::optional<Packet> ctrl;
+        receiver.onArrive(wp, {}, out, ctrl);
+        delivered += static_cast<unsigned>(out.size());
+        if (!first_ack_dropped) {
+            first_ack_dropped = true; // lose the ACK
+            return;
+        }
+        if (ctrl)
+            sender.onControl(*ctrl);
+    };
+    sender.send(p, nullptr);
     eq.run();
     EXPECT_EQ(delivered, 1u);
     EXPECT_DOUBLE_EQ(reg.scalar("rx.dllDuplicates"), 1.0);
@@ -286,12 +290,14 @@ TEST_F(DllFixture, PermanentLossExhaustsRetriesAndFails)
 {
     bool failed = false;
     unsigned attempts = 0;
-    sender.send(Codec::makeSyncMsg(0, 1, 5),
-                [&](const Packet &) { ++attempts; },
-                [] { FAIL() << "must not ack"; },
-                [&] { failed = true; });
+    owner.transmit = [&](const Packet &) { ++attempts; };
+    owner.acked = [] { FAIL() << "must not ack"; };
+    owner.failed = [&] { failed = true; };
+    sender.send(Codec::makeSyncMsg(0, 1, 5), &failed);
     eq.run();
     EXPECT_TRUE(failed);
+    EXPECT_EQ(owner.rec, &failed);
+    EXPECT_EQ(owner.attempts, (std::vector<unsigned>{0, 1, 2, 3, 4}));
     EXPECT_EQ(attempts, 5u); // initial + 4 retries
     EXPECT_DOUBLE_EQ(reg.scalar("tx.dllFailures"), 1.0);
 }

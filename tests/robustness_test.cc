@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -16,13 +17,13 @@
 
 #include "common/config.hh"
 #include "common/json.hh"
-#include "common/log.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/stats_json.hh"
 #include "fault/link_health.hh"
 #include "idc/dl_fabric.hh"
 #include "noc/topology.hh"
+#include "obs/tracer.hh"
 #include "proto/codec.hh"
 #include "proto/dll.hh"
 #include "proto/packet.hh"
@@ -31,6 +32,8 @@
 #include "system/system.hh"
 #include "system/watchdog.hh"
 #include "workloads/workload.hh"
+
+#include "fake_dll_owner.hh"
 
 namespace dimmlink {
 namespace {
@@ -287,59 +290,28 @@ TEST(RouteAround, MeshFallsBackFromXyRoutingToBfs)
 }
 
 // ---------------------------------------------------------------------
-// Rate-limited warnings.
-// ---------------------------------------------------------------------
-
-TEST(WarnRateLimit, CountsEveryCallAndKeysAreIndependent)
-{
-    resetWarnCounts();
-    EXPECT_EQ(warnCount("robustness-test-a"), 0u);
-    for (int i = 0; i < 10; ++i)
-        warnRateLimited("robustness-test-a", 4, "warn %d", i);
-    DIMMLINK_WARN_ONCE("robustness-test-b", "only printed once");
-    DIMMLINK_WARN_ONCE("robustness-test-b", "only printed once");
-    EXPECT_EQ(warnCount("robustness-test-a"), 10u);
-    EXPECT_EQ(warnCount("robustness-test-b"), 2u);
-    resetWarnCounts();
-    EXPECT_EQ(warnCount("robustness-test-a"), 0u);
-}
-
-// ---------------------------------------------------------------------
-// Retry exhaustion on the sender: on_failed, or fail-stop without it.
+// Retry exhaustion on the sender: the owner's dllFailed retires it.
 // ---------------------------------------------------------------------
 
 TEST(ExhaustFallback, OnFailedRunsAndReleasesTheWindow)
 {
     EventQueue eq;
     stats::Registry reg;
-    proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8);
+    // The default transmit eats every transmission.
+    FakeDllOwner owner;
+    proto::RetrySender sender(eq, owner, 100, 1, reg.group("dll"), 8);
     Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 1, 64);
     bool acked = false;
     unsigned failed = 0;
-    sender.send(
-        p, [](const Packet &) { /* wire eats every transmission */ },
-        [&acked] { acked = true; }, [&failed] { ++failed; });
+    owner.acked = [&acked] { acked = true; };
+    owner.failed = [&failed] { ++failed; };
+    sender.send(p, nullptr);
     while (eq.step()) {
     }
     EXPECT_FALSE(acked);
     EXPECT_EQ(failed, 1u);
     EXPECT_EQ(sender.inFlight(), 0u); // entry retired, window open
     EXPECT_DOUBLE_EQ(reg.scalar("dll.dllFailures"), 1.0);
-}
-
-TEST(ExhaustFallbackDeathTest, PanicPreservesFailStop)
-{
-    EXPECT_DEATH(
-        {
-            EventQueue eq;
-            stats::Registry reg;
-            proto::RetrySender sender(eq, 100, 1, reg.group("dll"), 8);
-            Packet p = proto::Codec::makeWriteReq(0, 1, 0x40, 1, 64);
-            sender.send(p, [](const Packet &) {}, [] {});
-            while (eq.step()) {
-            }
-        },
-        "failed permanently");
 }
 
 // ---------------------------------------------------------------------
@@ -774,15 +746,21 @@ struct StuckResult
     Tick finalTick = 0;
     double failovers = 0, reroutes = 0, suspects = 0, downs = 0,
            recoveries = 0, failed = 0, resyncs = 0;
+    /** DLL trace records by name, for a traced run. */
+    std::map<std::string, std::uint64_t> traced;
 };
 
+/** Run @p workload (in Fig. 12's broadcast mode when @p broadcast)
+ * with one direction of the 1<->2 link stuck; with @p trace the DLL
+ * trace category records into the run's tracer. */
 StuckResult
 runStuck(const std::string &workload, std::uint64_t seed,
          const char *policy = "failover",
          Topology topo = Topology::HalfRing,
          Tick stuck_for_ps = 400000000000000ull,
          Tick reprobe_interval_ps = 0,
-         const char *preset = "4D-2C")
+         const char *preset = "4D-2C", bool broadcast = false,
+         bool trace = false)
 {
     auto cfg = SystemConfig::preset(preset);
     cfg.idcMethod = IdcMethod::DimmLink;
@@ -804,6 +782,8 @@ runStuck(const std::string &workload, std::uint64_t seed,
     // The watchdog rides along armed; a healthy degraded run must
     // never trip it.
     cfg.watchdog.stallPs = 1000000000;
+    cfg.obs.trace = trace;
+    cfg.obs.categories = "dll";
 
     System sys(cfg);
     workloads::WorkloadParams p;
@@ -814,6 +794,7 @@ runStuck(const std::string &workload, std::uint64_t seed,
     // (and bounds the runtime of) the failover path.
     p.scale = workload == "gups" ? 4 : 6;
     p.rounds = 1;
+    p.broadcastMode = broadcast;
     auto wl = workloads::makeWorkload(workload, p, sys.addressMap());
     Runner runner(sys, *wl);
     const RunResult r = runner.run();
@@ -834,6 +815,12 @@ runStuck(const std::string &workload, std::uint64_t seed,
     stats::dumpJson(sys.stats(), os, /*include_empty=*/true);
     out.json = os.str();
     out.finalTick = sys.queue().now();
+    if (const obs::Tracer *t = sys.tracer()) {
+        for (std::uint32_t trk = 0; trk < t->tracks().size(); ++trk)
+            t->forEachRecord(trk, [&](const obs::Record &rec) {
+                ++out.traced[t->names()[rec.name]];
+            });
+    }
     return out;
 }
 
@@ -918,6 +905,49 @@ TEST(StuckLink, DropPolicyStillCompletes)
     EXPECT_TRUE(r.verified);
     EXPECT_GT(r.failed, 0.0);
     EXPECT_EQ(r.failovers, 0.0); // no failover under drop
+}
+
+// Under fault injection a group broadcast is one reliable unicast per
+// destination; the copies toward the far side of the dead link reach
+// it over the host path.
+TEST(StuckLink, BroadcastCopiesFailOverPerDestination)
+{
+    const auto r = runStuck("pagerank", 17, "failover", Topology::HalfRing,
+                            400000000000000ull, 0, "4D-2C",
+                            /*broadcast=*/true);
+    EXPECT_TRUE(r.verified);
+    EXPECT_DOUBLE_EQ(r.failovers, 2.0);
+    EXPECT_DOUBLE_EQ(r.reroutes, 10.0);
+}
+
+TEST(StuckLink, BroadcastCopiesDropPerDestination)
+{
+    const auto r = runStuck("pagerank", 17, "drop", Topology::HalfRing,
+                            400000000000000ull, 0, "4D-2C",
+                            /*broadcast=*/true);
+    EXPECT_TRUE(r.verified);
+    EXPECT_DOUBLE_EQ(r.failovers, 0.0);
+    EXPECT_DOUBLE_EQ(r.failed, 12.0);
+    EXPECT_DOUBLE_EQ(r.reroutes, 6.0);
+}
+
+// Tracing the DLL leaves a failing-over run unchanged and records one
+// instant per exhaustion, failover and stream resync.
+TEST(StuckLink, DllTracingRecordsExhaustionAndRecovery)
+{
+    const auto plain =
+        runStuck("pagerank", 17, "failover", Topology::HalfRing,
+                 400000000000000ull, 0, "4D-2C", /*broadcast=*/true);
+    const auto traced =
+        runStuck("pagerank", 17, "failover", Topology::HalfRing,
+                 400000000000000ull, 0, "4D-2C", /*broadcast=*/true,
+                 /*trace=*/true);
+    EXPECT_EQ(plain.json, traced.json);
+    EXPECT_TRUE(plain.traced.empty());
+    ASSERT_GT(traced.failed, 0.0);
+    EXPECT_EQ(traced.traced.at("dllFailed"), traced.failed);
+    EXPECT_EQ(traced.traced.at("dllFailover"), traced.failovers);
+    EXPECT_EQ(traced.traced.at("dllResync"), traced.resyncs);
 }
 
 TEST(StuckLinkDeathTest, PanicPolicyPreservesFailStop)
