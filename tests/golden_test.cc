@@ -4,11 +4,11 @@
  * cell, the host-CPU baseline on a batch and a serving workload, the
  * ring and torus topologies, interrupt polling, FCFS scheduling, the
  * direct inter-host fabric, the degraded-link fault model, the
- * hierarchical barrier, Alg. 1's mapping, ALERT_N over every DIMM and
- * the broadcast kernel), each pinned to its checked-in
- * default stats JSON under tests/golden/. A change that moves any
- * simulated result shows up as a golden diff; scripts/regen_golden.sh
- * rewrites the files.
+ * hierarchical barrier, Alg. 1's mapping, ALERT_N over every DIMM,
+ * the three broadcast kernels and hedged embedding gathers), each
+ * pinned to its checked-in default stats JSON under tests/golden/. A
+ * change that moves any simulated result shows up as a golden diff;
+ * scripts/regen_golden.sh rewrites the files.
  *
  * The replay test checks provenance: the config block of a dump,
  * parsed back through SystemConfig::fromString and re-run with the
@@ -163,6 +163,14 @@ scenarios()
          {"system.pollingMode=Base+Itrpt"}, "pagerank", 10},
         {"broadcast_pagerank", "8D-4C", {}, "pagerank", 10, 1, false,
          true},
+        // The other two broadcast kernels of Fig. 12, and hedged
+        // embedding gathers (the replica table of the serving path).
+        {"broadcast_sssp", "8D-4C", {}, "sssp", 10, 1, false, true},
+        {"broadcast_spmv", "8D-4C", {}, "spmv", 10, 1, false, true},
+        {"embed_hedged", "4D-2C",
+         {"serve.requests=512", "serve.keys=8192",
+          "serve.latBuckets=512", "serve.hedgeAfterUs=0.3"},
+         "embed"},
     };
     return all;
 }
