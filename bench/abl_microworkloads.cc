@@ -39,10 +39,6 @@ main()
                                           sys.addressMap());
         Runner runner(sys, *wl);
         const RunResult r = runner.run();
-        // 3 arrays x 8 B x elems x iterations.
-        const double bytes = static_cast<double>(131072ull << 3) *
-                             3 * 8 * 4 / 8; // per approxMemRefs note
-        (void)bytes;
         const double gbps =
             (r.localBytes + r.linkBytes + r.hostBytes) /
             (static_cast<double>(r.kernelTicks) / tickPerS) / 1e9;

@@ -41,8 +41,9 @@
  *                       for backed-off retries of requests the
  *                       circuit breaker fails fast)
  *     --hedge-after-us F  (shorthand for -p serve.hedgeAfterUs=F:
- *                       duplicate a GET to its replica range when the
- *                       primary has not answered after F us)
+ *                       duplicate a kv GET or an embed gather to its
+ *                       replica when the primary has not answered
+ *                       after F us)
  *     --rack-latency-ns N  (shorthand for -p rack.latencyPs=N000:
  *                       one-way CXL.mem latency of the rack fabric)
  *     --cpu                                   (run the host baseline)

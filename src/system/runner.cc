@@ -31,9 +31,7 @@ Runner::defaultPlacement() const
     const auto &p = wl.params();
     std::vector<DimmId> map(p.numThreads);
     for (unsigned t = 0; t < p.numThreads; ++t)
-        map[t] = static_cast<DimmId>(
-            static_cast<std::uint64_t>(t) * p.numDimms /
-            p.numThreads);
+        map[t] = workloads::blockHome(t, p.numThreads, p.numDimms);
     return map;
 }
 

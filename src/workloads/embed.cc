@@ -27,30 +27,19 @@ class EmbedWorkload : public Workload
     EmbedWorkload(WorkloadParams params_,
                   const dram::GlobalAddressMap &gmap_)
         : Workload(std::move(params_), gmap_),
-          rows(p.serve.keys),
-          rowBytes(p.serve.embedDim * 4),
+          table(p.serve.keys, p.serve.embedDim * 4, p.numDimms, alloc),
           pooling(p.serve.pooling),
-          perDimm((rows + p.numDimms - 1) / p.numDimms),
           plans(serving::buildPlans(p.serve, p.numThreads, pooling))
     {
-        blockAddr.resize(p.numDimms);
-        for (unsigned d = 0; d < p.numDimms; ++d)
-            blockAddr[d] = alloc.alloc(static_cast<DimmId>(d),
-                                       perDimm * rowBytes);
         // Per-thread pooled-output scratch beside the thread's slice.
         outAddr.resize(p.numThreads);
         for (unsigned t = 0; t < p.numThreads; ++t)
             outAddr[t] = alloc.alloc(
-                sliceHome(static_cast<ThreadId>(t)), rowBytes);
-        // Replica table for hedged gathers, allocated last so every
-        // primary and scratch address is unchanged when hedging is
-        // off (docs/serving.md).
-        if (p.serve.hedgeAfterUs > 0) {
-            replicaAddr_.resize(p.numDimms);
-            for (unsigned d = 0; d < p.numDimms; ++d)
-                replicaAddr_[d] = alloc.alloc(static_cast<DimmId>(d),
-                                              perDimm * rowBytes);
-        }
+                sliceHome(static_cast<ThreadId>(t)), table.rowBytes());
+        // Replica table for hedged gathers, allocated after the
+        // scratch (docs/serving.md).
+        if (p.serve.hedgeAfterUs > 0)
+            table.allocReplica(alloc);
         reset();
     }
 
@@ -78,15 +67,9 @@ class EmbedWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return p.serve.requests * reduceInstr();
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
-        return p.serve.requests * (pooling * refsPerRow() + 1);
+        return p.serve.requests * (pooling * table.linesPerRow() + 1);
     }
 
     std::unique_ptr<ThreadProgram>
@@ -102,12 +85,6 @@ class EmbedWorkload : public Workload
         return scatterHash(row ^ 0xe3bedd1feedull);
     }
 
-    std::uint64_t
-    refsPerRow() const
-    {
-        return (rowBytes + 63) / 64;
-    }
-
     /** 8-wide FMA sum-pooling: pooling * dim multiply-adds. */
     std::uint64_t
     reduceInstr() const
@@ -115,47 +92,6 @@ class EmbedWorkload : public Workload
         return std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(pooling) *
                    p.serve.embedDim / 4);
-    }
-
-    DimmId
-    rowDimm(std::uint64_t row) const
-    {
-        return static_cast<DimmId>(
-            std::min<std::uint64_t>(row / perDimm, p.numDimms - 1));
-    }
-
-    Addr
-    rowAddr(std::uint64_t row) const
-    {
-        const DimmId d = rowDimm(row);
-        const std::uint64_t off =
-            row - static_cast<std::uint64_t>(d) * perDimm;
-        return blockAddr[d] + off * rowBytes;
-    }
-
-    /** The row's replica slot: same offset, on a DIMM half the pool
-     * away so the hedged gather takes independent routes. */
-    Addr
-    rowReplicaAddr(std::uint64_t row) const
-    {
-        const DimmId d = rowDimm(row);
-        const std::uint64_t off =
-            row - static_cast<std::uint64_t>(d) * perDimm;
-        const auto rd = static_cast<DimmId>(
-            (static_cast<unsigned>(d) +
-             std::max(1u, p.numDimms / 2)) % p.numDimms);
-        return replicaAddr_[rd] + off * rowBytes;
-    }
-
-    void
-    pushRowRefs(std::vector<MemRef> &refs, Addr base) const
-    {
-        for (std::uint32_t off = 0; off < rowBytes; off += 64) {
-            const auto chunk = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(64, rowBytes - off));
-            refs.push_back(MemRef{base + off, chunk, false,
-                                  DataClass::SharedRO});
-        }
     }
 
     OpStream
@@ -172,16 +108,19 @@ class EmbedWorkload : public Workload
                 open ? plan.reqs[i].arrivalPs : Op::reqNow,
                 plan.reqs[i].shedAfterPs,
                 rel ? static_cast<std::int32_t>(
-                          rowDimm(plan.keys[i * pooling]))
+                          table.home(plan.keys[i * pooling]))
                     : -1);
             std::vector<MemRef> refs;
             std::vector<MemRef> hedgeRefs;
             for (unsigned k = 0; k < pooling; ++k) {
                 const std::uint64_t row = plan.keys[i * pooling + k];
                 sums[tid] += rowDigest(row);
-                pushRowRefs(refs, rowAddr(row));
+                appendLineRefs(refs, table.addr(row), table.rowBytes(),
+                               false, DataClass::SharedRO);
                 if (hedge)
-                    pushRowRefs(hedgeRefs, rowReplicaAddr(row));
+                    appendLineRefs(hedgeRefs, table.replicaAddr(row),
+                                   table.rowBytes(), false,
+                                   DataClass::SharedRO);
             }
             // Fence: every row must land before the reduction. A
             // hedged gather is fenced by construction and the first
@@ -193,28 +132,20 @@ class EmbedWorkload : public Workload
                 co_yield Op::mem(std::move(refs), true);
             co_yield Op::compute(reduceInstr());
             std::vector<MemRef> out;
-            for (std::uint32_t off = 0; off < rowBytes; off += 64) {
-                const auto chunk = static_cast<std::uint16_t>(
-                    std::min<std::uint32_t>(64, rowBytes - off));
-                out.push_back(MemRef{outAddr[tid] + off, chunk, true,
-                                     DataClass::Private});
-            }
+            appendLineRefs(out, outAddr[tid], table.rowBytes(), true,
+                           DataClass::Private);
             co_yield Op::mem(std::move(out));
             co_yield Op::reqEnd();
         }
         co_yield Op::barrier();
     }
 
-    std::uint64_t rows;
-    std::uint32_t rowBytes;
+    serving::Table table;
     unsigned pooling;
-    std::uint64_t perDimm;
     std::vector<serving::ThreadPlan> plans;
     std::vector<std::uint64_t> sums;
     std::uint64_t expected = 0;
     std::vector<Addr> outAddr;
-    std::vector<Addr> blockAddr;
-    std::vector<Addr> replicaAddr_; ///< Empty unless hedging is on.
 };
 
 } // namespace

@@ -60,8 +60,7 @@ class GraphSlices
         propBase.assign(prop_arrays, std::vector<Addr>(t_cnt, 0));
         edgeBase.assign(t_cnt, 0);
         for (unsigned t = 0; t < t_cnt; ++t) {
-            const DimmId home = static_cast<DimmId>(
-                static_cast<std::uint64_t>(t) * p.numDimms / t_cnt);
+            const DimmId home = homeOfSlice(t);
             const std::uint32_t verts = bounds[t + 1] - bounds[t];
             for (unsigned a = 0; a < prop_arrays; ++a)
                 propBase[a][t] = alloc.alloc(
@@ -96,10 +95,7 @@ class GraphSlices
     DimmId
     homeOf(std::uint32_t v) const
     {
-        const ThreadId t = sliceOf(v);
-        return static_cast<DimmId>(
-            static_cast<std::uint64_t>(t) * params.numDimms /
-            params.numThreads);
+        return homeOfSlice(sliceOf(v));
     }
 
     /** Address of property @p array element for vertex @p v. */
@@ -111,6 +107,61 @@ class GraphSlices
                static_cast<Addr>(v - bounds[t]) * propBytes;
     }
 
+    /**
+     * Broadcast mode (Fig. 12): give every DIMM a local copy of one
+     * whole property array, which the DIMM's leader thread refreshes
+     * with explicit broadcasts. Does nothing otherwise. The bump
+     * allocator makes allocation order part of every address, so a
+     * kernel calls this at a fixed point of its construction.
+     */
+    void
+    allocCopies(AddressAllocator &alloc)
+    {
+        if (!params.broadcastMode)
+            return;
+        copyBase.resize(params.numDimms);
+        for (unsigned d = 0; d < params.numDimms; ++d)
+            copyBase[d] = alloc.alloc(
+                static_cast<DimmId>(d),
+                static_cast<std::uint64_t>(graph.numVertices()) *
+                    propBytes);
+    }
+
+    /** Whether thread @p t is the first slice on its home DIMM: the
+     * one that broadcasts the DIMM's block. */
+    bool
+    dimmLeader(ThreadId t) const
+    {
+        return t == 0 || homeOfSlice(t - 1) != homeOfSlice(t);
+    }
+
+    /** Bytes of one property array held by the slices homed on DIMM
+     * @p d: the size of the DIMM's broadcast. */
+    std::uint64_t
+    dimmBytes(DimmId d) const
+    {
+        std::uint64_t verts = 0;
+        for (unsigned t = 0; t < params.numThreads; ++t)
+            if (homeOfSlice(t) == d)
+                verts += vEnd(t) - vStart(t);
+        return verts * propBytes;
+    }
+
+    /** The read of neighbor @p u's property @p array by a thread on
+     * DIMM @p home: the local copy in broadcast mode, else the
+     * owner's slice with data class @p cls. */
+    MemRef
+    neighborRead(unsigned array, std::uint32_t u, DimmId home,
+                 DataClass cls) const
+    {
+        if (params.broadcastMode)
+            return MemRef{copyBase[home] + static_cast<Addr>(u) * propBytes,
+                          static_cast<std::uint16_t>(propBytes), false,
+                          DataClass::Private};
+        return MemRef{propAddr(array, u),
+                      static_cast<std::uint16_t>(propBytes), false, cls};
+    }
+
     /** Address of edge @p e (owned by slice @p t). */
     Addr
     edgeAddr(ThreadId t, std::uint64_t e) const
@@ -120,12 +171,19 @@ class GraphSlices
     }
 
   private:
+    DimmId
+    homeOfSlice(ThreadId t) const
+    {
+        return blockHome(t, params.numThreads, params.numDimms);
+    }
+
     const Graph &graph;
     const WorkloadParams &params;
     unsigned propBytes;
     std::vector<std::uint32_t> bounds;
     std::vector<std::vector<Addr>> propBase;
     std::vector<Addr> edgeBase;
+    std::vector<Addr> copyBase; ///< Per DIMM; broadcast mode only.
 };
 
 } // namespace workloads

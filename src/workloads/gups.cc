@@ -59,12 +59,6 @@ class GupsWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return updatesPerThread * p.numThreads * 4;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         return updatesPerThread * p.numThreads * 2;

@@ -76,13 +76,6 @@ class HotspotWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return static_cast<std::uint64_t>(rows) * cols * 10 *
-               iterations;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         // Five line-granular references per 16-cell line.

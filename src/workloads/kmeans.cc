@@ -102,12 +102,6 @@ class KmeansWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return numPoints * k * dim * 3 * iterations;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         return (numPoints + p.numThreads * 32) * iterations;

@@ -9,8 +9,6 @@
  * updates commute with the precomputed reference.
  */
 
-#include <algorithm>
-
 #include "workloads/arrivals.hh"
 #include "workloads/op_stream.hh"
 #include "workloads/serving.hh"
@@ -28,24 +26,13 @@ class KvWorkload : public Workload
                const dram::GlobalAddressMap &gmap_)
         : Workload(std::move(params_), gmap_),
           keys(p.serve.keys),
-          valueBytes(p.serve.valueBytes),
-          perDimm((keys + p.numDimms - 1) / p.numDimms),
+          values(keys, p.serve.valueBytes, p.numDimms, alloc),
           plans(serving::buildPlans(p.serve, p.numThreads, 1))
     {
-        blockAddr.resize(p.numDimms);
-        for (unsigned d = 0; d < p.numDimms; ++d)
-            blockAddr[d] = alloc.alloc(static_cast<DimmId>(d),
-                                       perDimm * valueBytes);
         // Hedged GETs read a replica of each value block living on a
-        // far DIMM (docs/serving.md). Allocated after the primary
-        // blocks, and only when hedging is on, so every primary
-        // address -- and every non-hedging run -- is unchanged.
-        if (p.serve.hedgeAfterUs > 0) {
-            replicaAddr_.resize(p.numDimms);
-            for (unsigned d = 0; d < p.numDimms; ++d)
-                replicaAddr_[d] = alloc.alloc(static_cast<DimmId>(d),
-                                              perDimm * valueBytes);
-        }
+        // far DIMM (docs/serving.md).
+        if (p.serve.hedgeAfterUs > 0)
+            values.allocReplica(alloc);
         reset();
     }
 
@@ -74,15 +61,9 @@ class KvWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return p.serve.requests * 32;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
-        return p.serve.requests * refsPerValue();
+        return p.serve.requests * values.linesPerRow();
     }
 
     std::unique_ptr<ThreadProgram>
@@ -100,52 +81,13 @@ class KvWorkload : public Workload
                            (i * 0x9e3779b9ull));
     }
 
-    std::uint64_t
-    refsPerValue() const
-    {
-        return (valueBytes + 63) / 64;
-    }
-
-    DimmId
-    keyDimm(std::uint64_t key) const
-    {
-        return static_cast<DimmId>(
-            std::min<std::uint64_t>(key / perDimm, p.numDimms - 1));
-    }
-
-    Addr
-    keyAddr(std::uint64_t key) const
-    {
-        const DimmId d = keyDimm(key);
-        const std::uint64_t off =
-            key - static_cast<std::uint64_t>(d) * perDimm;
-        return blockAddr[d] + off * valueBytes;
-    }
-
-    /** The key's replica slot: same offset, on a DIMM half the pool
-     * away so the hedge usually takes an independent route. */
-    Addr
-    keyReplicaAddr(std::uint64_t key) const
-    {
-        const DimmId d = keyDimm(key);
-        const std::uint64_t off =
-            key - static_cast<std::uint64_t>(d) * perDimm;
-        const auto rd = static_cast<DimmId>(
-            (static_cast<unsigned>(d) +
-             std::max(1u, p.numDimms / 2)) % p.numDimms);
-        return replicaAddr_[rd] + off * valueBytes;
-    }
-
+    /** Line refs over the value at @p base. */
     std::vector<MemRef>
     valueRefs(Addr base, bool is_write) const
     {
         std::vector<MemRef> refs;
-        for (std::uint32_t off = 0; off < valueBytes; off += 64) {
-            const auto chunk = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(64, valueBytes - off));
-            refs.push_back(MemRef{base + off, chunk, is_write,
-                                  DataClass::SharedRW});
-        }
+        appendLineRefs(refs, base, values.rowBytes(), is_write,
+                       DataClass::SharedRW);
         return refs;
     }
 
@@ -163,7 +105,7 @@ class KvWorkload : public Workload
             // carry it only while the reliability layer is on.
             co_yield Op::reqStartServe(
                 open ? req.arrivalPs : Op::reqNow, req.shedAfterPs,
-                rel ? static_cast<std::int32_t>(keyDimm(key)) : -1);
+                rel ? static_cast<std::int32_t>(values.home(key)) : -1);
             // Hash the key and dispatch to the value's home.
             co_yield Op::compute(16);
             if (!req.isGet)
@@ -172,10 +114,10 @@ class KvWorkload : public Workload
             // the update when both sides land.
             if (hedge && req.isGet)
                 co_yield Op::memHedged(
-                    valueRefs(keyAddr(key), false),
-                    valueRefs(keyReplicaAddr(key), false));
+                    valueRefs(values.addr(key), false),
+                    valueRefs(values.replicaAddr(key), false));
             else
-                co_yield Op::mem(valueRefs(keyAddr(key), !req.isGet));
+                co_yield Op::mem(valueRefs(values.addr(key), !req.isGet));
             // Format the response; reqEnd drains the value refs.
             co_yield Op::compute(16);
             co_yield Op::reqEnd();
@@ -184,13 +126,10 @@ class KvWorkload : public Workload
     }
 
     std::uint64_t keys;
-    std::uint32_t valueBytes;
-    std::uint64_t perDimm;
+    serving::Table values;
     std::vector<serving::ThreadPlan> plans;
     std::vector<std::uint64_t> store;
     std::vector<std::uint64_t> expected;
-    std::vector<Addr> blockAddr;
-    std::vector<Addr> replicaAddr_; ///< Empty unless hedging is on.
 };
 
 } // namespace

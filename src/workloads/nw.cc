@@ -91,12 +91,6 @@ class NwWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return static_cast<std::uint64_t>(len) * len * 8;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         return static_cast<std::uint64_t>(len) * len / 8;

@@ -36,14 +36,7 @@ class PagerankWorkload : public Workload
     {
         // Broadcast mode: a per-DIMM local copy of the full contrib
         // vector, refreshed by the explicit broadcasts.
-        if (p.broadcastMode) {
-            localCopy.resize(p.numDimms);
-            for (unsigned d = 0; d < p.numDimms; ++d)
-                localCopy[d] = alloc.alloc(
-                    static_cast<DimmId>(d),
-                    static_cast<std::uint64_t>(graph.numVertices()) *
-                        8);
-        }
+        slices.allocCopies(alloc);
         reset();
     }
 
@@ -69,13 +62,6 @@ class PagerankWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return (graph.numEdges() * 3 + graph.numVertices() * 10) *
-               iterations;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         return (graph.numEdges() + graph.numVertices() * 3) *
@@ -96,8 +82,6 @@ class PagerankWorkload : public Workload
         const std::uint32_t ve = slices.vEnd(tid);
         const std::uint32_t n = graph.numVertices();
         const DimmId home = sliceHome(tid);
-        const bool dimm_leader =
-            tid == 0 || sliceHome(tid - 1) != home;
 
         for (unsigned it = 0; it < iterations; ++it) {
             // Phase 1: publish contributions (all local traffic).
@@ -136,12 +120,11 @@ class PagerankWorkload : public Workload
             // Broadcast mode: each DIMM's leader thread broadcasts
             // the DIMM's freshly published contrib block.
             if (p.broadcastMode) {
-                if (dimm_leader) {
+                if (slices.dimmLeader(tid)) {
                     // The DIMM's contrib block spans this DIMM's
                     // slices; broadcast it in one explicit call.
-                    const std::uint64_t bytes = dimmContribBytes(home);
                     co_yield Op::broadcast(slices.propAddr(1, vs),
-                                           bytes);
+                                           slices.dimmBytes(home));
                 }
                 co_yield Op::barrier();
             }
@@ -162,20 +145,11 @@ class PagerankWorkload : public Workload
                         const std::uint32_t u = graph.neighbor(e);
                         sum += contrib[u];
                         instr += 2;
-                        if (p.broadcastMode) {
-                            // Local copy refreshed by the broadcast.
-                            batch.push_back(MemRef{
-                                localCopy[home] +
-                                    static_cast<Addr>(u) * 8,
-                                8, false, DataClass::Private});
-                        } else {
-                            // contrib is read-only during the pull
-                            // phase: shared-RO (cacheable until the
-                            // next barrier's invalidation).
-                            batch.push_back(
-                                MemRef{slices.propAddr(1, u), 8,
-                                       false, DataClass::SharedRO});
-                        }
+                        // contrib is read-only during the pull phase:
+                        // shared-RO (cacheable until the next
+                        // barrier's invalidation).
+                        batch.push_back(slices.neighborRead(
+                            1, u, home, DataClass::SharedRO));
                         if (batch.size() >= 32) {
                             co_yield Op::compute(instr);
                             instr = 0;
@@ -204,28 +178,12 @@ class PagerankWorkload : public Workload
         }
     }
 
-    /** Bytes of the contrib block owned by DIMM @p d. */
-    std::uint64_t
-    dimmContribBytes(DimmId d) const
-    {
-        std::uint64_t verts = 0;
-        for (unsigned t = 0; t < p.numThreads; ++t) {
-            const DimmId home = static_cast<DimmId>(
-                static_cast<std::uint64_t>(t) * p.numDimms /
-                p.numThreads);
-            if (home == d)
-                verts += slices.vEnd(t) - slices.vStart(t);
-        }
-        return verts * 8;
-    }
-
     Graph graph;
     GraphSlices slices;
     unsigned iterations;
     std::vector<double> rank;
     std::vector<double> contrib;
     std::vector<double> next;
-    std::vector<Addr> localCopy;
 };
 
 } // namespace

@@ -9,6 +9,25 @@ namespace dimmlink {
 namespace workloads {
 namespace serving {
 
+Table::Table(std::uint64_t rows, std::uint32_t row_bytes,
+             unsigned num_dimms, AddressAllocator &alloc)
+    : rowBytes_(row_bytes), numDimms(num_dimms),
+      perDimm((rows + num_dimms - 1) / num_dimms), primary(num_dimms)
+{
+    for (unsigned d = 0; d < numDimms; ++d)
+        primary[d] = alloc.alloc(static_cast<DimmId>(d),
+                                 perDimm * rowBytes_);
+}
+
+void
+Table::allocReplica(AddressAllocator &alloc)
+{
+    replica.resize(numDimms);
+    for (unsigned d = 0; d < numDimms; ++d)
+        replica[d] = alloc.alloc(static_cast<DimmId>(d),
+                                 perDimm * rowBytes_);
+}
+
 std::vector<ThreadPlan>
 buildPlans(const ServeConfig &s, unsigned num_threads,
            unsigned keys_per_req)

@@ -31,14 +31,7 @@ class SpmvWorkload : public Workload
           slices(graph, p, alloc, /*prop_arrays=*/2, /*bytes=*/8),
           passes(p.rounds ? std::min(p.rounds, 6u) : 4u)
     {
-        if (p.broadcastMode) {
-            localCopy.resize(p.numDimms);
-            for (unsigned d = 0; d < p.numDimms; ++d)
-                localCopy[d] = alloc.alloc(
-                    static_cast<DimmId>(d),
-                    static_cast<std::uint64_t>(graph.numVertices()) *
-                        8);
-        }
+        slices.allocCopies(alloc);
         reset();
     }
 
@@ -93,14 +86,12 @@ class SpmvWorkload : public Workload
         const std::uint32_t vs = slices.vStart(tid);
         const std::uint32_t ve = slices.vEnd(tid);
         const DimmId home = sliceHome(tid);
-        const bool dimm_leader =
-            tid == 0 || sliceHome(tid - 1) != home;
 
         for (unsigned pass = 0; pass < passes; ++pass) {
             if (p.broadcastMode) {
-                if (dimm_leader)
+                if (slices.dimmLeader(tid))
                     co_yield Op::broadcast(slices.propAddr(0, vs),
-                                           dimmBlockBytes(home));
+                                           slices.dimmBytes(home));
                 co_yield Op::barrier();
             }
 
@@ -118,18 +109,10 @@ class SpmvWorkload : public Workload
                     const std::uint32_t u = graph.neighbor(e);
                     sum += graph.weight(e) * x[u];
                     instr += 2;
-                    if (p.broadcastMode) {
-                        batch.push_back(MemRef{
-                            localCopy[home] +
-                                static_cast<Addr>(u) * 8,
-                            8, false, DataClass::Private});
-                    } else {
-                        // x is read-only within the pass: SharedRO
-                        // (cacheable) but scattered across DIMMs.
-                        batch.push_back(
-                            MemRef{slices.propAddr(0, u), 8, false,
-                                   DataClass::SharedRO});
-                    }
+                    // x is read-only within the pass: SharedRO
+                    // (cacheable) but scattered across DIMMs.
+                    batch.push_back(slices.neighborRead(
+                        0, u, home, DataClass::SharedRO));
                     if (batch.size() >= 32) {
                         co_yield Op::compute(instr);
                         instr = 0;
@@ -171,26 +154,11 @@ class SpmvWorkload : public Workload
         }
     }
 
-    std::uint64_t
-    dimmBlockBytes(DimmId d) const
-    {
-        std::uint64_t verts = 0;
-        for (unsigned t = 0; t < p.numThreads; ++t) {
-            const DimmId h = static_cast<DimmId>(
-                static_cast<std::uint64_t>(t) * p.numDimms /
-                p.numThreads);
-            if (h == d)
-                verts += slices.vEnd(t) - slices.vStart(t);
-        }
-        return verts * 8;
-    }
-
     Graph graph;
     GraphSlices slices;
     unsigned passes;
     std::vector<double> x;
     std::vector<double> y;
-    std::vector<Addr> localCopy;
 };
 
 } // namespace

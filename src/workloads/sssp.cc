@@ -37,14 +37,7 @@ class SsspWorkload : public Workload
     {
         flagAddr[0] = alloc.alloc(0, 64);
         flagAddr[1] = alloc.alloc(0, 64);
-        if (p.broadcastMode) {
-            localCopy.resize(p.numDimms);
-            for (unsigned d = 0; d < p.numDimms; ++d)
-                localCopy[d] = alloc.alloc(
-                    static_cast<DimmId>(d),
-                    static_cast<std::uint64_t>(graph.numVertices()) *
-                        8);
-        }
+        slices.allocCopies(alloc);
         reset();
     }
 
@@ -86,8 +79,6 @@ class SsspWorkload : public Workload
         const std::uint32_t vs = slices.vStart(tid);
         const std::uint32_t ve = slices.vEnd(tid);
         const DimmId home = sliceHome(tid);
-        const bool dimm_leader =
-            tid == 0 || sliceHome(tid - 1) != home;
         // Bellman-Ford needs at most V-1 rounds; skewed R-MAT
         // instances converge in a few dozen.
         const unsigned max_rounds = graph.numVertices();
@@ -101,9 +92,9 @@ class SsspWorkload : public Workload
 
             if (p.broadcastMode) {
                 // Publish this DIMM's distance block to all DIMMs.
-                if (dimm_leader)
+                if (slices.dimmLeader(tid))
                     co_yield Op::broadcast(slices.propAddr(0, vs),
-                                           dimmBlockBytes(home));
+                                           slices.dimmBytes(home));
                 co_yield Op::barrier();
             }
 
@@ -131,16 +122,8 @@ class SsspWorkload : public Workload
                     const std::uint32_t u = graph.neighbor(e);
                     const std::uint64_t nd = dv + graph.weight(e);
                     instr += 3;
-                    if (p.broadcastMode) {
-                        batch.push_back(MemRef{
-                            localCopy[home] +
-                                static_cast<Addr>(u) * 8,
-                            8, false, DataClass::Private});
-                    } else {
-                        batch.push_back(
-                            MemRef{slices.propAddr(0, u), 8, false,
-                                   DataClass::SharedRW});
-                    }
+                    batch.push_back(slices.neighborRead(
+                        0, u, home, DataClass::SharedRW));
                     if (nd < dist[u]) {
                         dist[u] = nd;
                         markChanged(u, round);
@@ -174,7 +157,6 @@ class SsspWorkload : public Workload
             co_yield Op::barrier();
             if (tid == 0) {
                 anyChanged[parity] = false;
-                clearRound(round);
                 co_yield Op::write(flagAddr[parity], 4,
                                    DataClass::SharedRW);
             }
@@ -195,26 +177,6 @@ class SsspWorkload : public Workload
         changed[v] = round + 2; // active in the next round.
     }
 
-    void
-    clearRound(unsigned round)
-    {
-        (void)round; // Generation stamps make clearing implicit.
-    }
-
-    std::uint64_t
-    dimmBlockBytes(DimmId d) const
-    {
-        std::uint64_t verts = 0;
-        for (unsigned t = 0; t < p.numThreads; ++t) {
-            const DimmId h = static_cast<DimmId>(
-                static_cast<std::uint64_t>(t) * p.numDimms /
-                p.numThreads);
-            if (h == d)
-                verts += slices.vEnd(t) - slices.vStart(t);
-        }
-        return verts * 8;
-    }
-
     Graph graph;
     GraphSlices slices;
     std::uint32_t source;
@@ -222,7 +184,6 @@ class SsspWorkload : public Workload
     std::vector<std::uint32_t> changed; ///< generation stamp.
     bool anyChanged[2] = {false, false};
     Addr flagAddr[2] = {0, 0};
-    std::vector<Addr> localCopy;
 };
 
 } // namespace

@@ -60,12 +60,6 @@ class StreamWorkload : public Workload
     }
 
     std::uint64_t
-    approxInstructions() const override
-    {
-        return elems * 2 * iterations;
-    }
-
-    std::uint64_t
     approxMemRefs() const override
     {
         return elems * 3 / 8 * iterations;

@@ -10,6 +10,7 @@
 #ifndef DIMMLINK_WORKLOADS_WORKLOAD_HH
 #define DIMMLINK_WORKLOADS_WORKLOAD_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,6 +43,30 @@ struct WorkloadParams
      * popularity knobs; copied from SystemConfig::serve by drivers. */
     ServeConfig serve;
 };
+
+/** Home DIMM of thread slice @p tid under block distribution: the
+ * threads split into numDimms contiguous runs, and each thread's data
+ * and the thread itself live on its run's DIMM. The one definition of
+ * the natural placement that kernels and the runner share. */
+inline DimmId
+blockHome(ThreadId tid, unsigned num_threads, unsigned num_dimms)
+{
+    return static_cast<DimmId>(static_cast<std::uint64_t>(tid) *
+                               num_dimms / num_threads);
+}
+
+/** Append line-granular refs covering [@p base, @p base + @p bytes):
+ * one ref per 64-byte line, the last one trimmed to the range end. */
+inline void
+appendLineRefs(std::vector<MemRef> &refs, Addr base, std::uint32_t bytes,
+               bool is_write, DataClass cls)
+{
+    for (std::uint32_t off = 0; off < bytes; off += 64) {
+        const auto chunk = static_cast<std::uint16_t>(
+            std::min<std::uint32_t>(64, bytes - off));
+        refs.push_back(MemRef{base + off, chunk, is_write, cls});
+    }
+}
 
 /** Per-DIMM bump allocator over the global physical address space. */
 class AddressAllocator
@@ -105,9 +130,7 @@ class Workload
     DimmId
     sliceHome(ThreadId tid) const
     {
-        return static_cast<DimmId>(
-            static_cast<std::uint64_t>(tid) * p.numDimms /
-            p.numThreads);
+        return blockHome(tid, p.numThreads, p.numDimms);
     }
 
     WorkloadParams p;

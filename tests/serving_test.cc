@@ -760,6 +760,23 @@ TEST(Reliability, ChaosRunDegradesGracefully)
     EXPECT_DOUBLE_EQ(r.requests + r.misses + r.shed + r.failed, 512.0);
 }
 
+TEST(Reliability, GatewayOutageTripsTheBreaker)
+{
+    // The chaos cell plus a dead pool node on host 1: while both of
+    // host 1's rack routes are down, cross-host requests find the
+    // route gone and the circuit breaker fails them fast, backs off
+    // and retries, and fails the few that exhaust their retry budget.
+    auto cfg = chaosConfig();
+    cfg.rack.nodeDownId = 1;
+    cfg.rack.nodeDownAtPs = 50000000;
+    cfg.rack.nodeDownForPs = 60000000;
+    const RelStats r = runReliability(cfg);
+    EXPECT_GT(r.fastFails, 0.0);
+    EXPECT_GT(r.retries, 0.0);
+    EXPECT_GT(r.failed, 0.0);
+    EXPECT_DOUBLE_EQ(r.requests + r.misses + r.shed + r.failed, 512.0);
+}
+
 TEST(ReliabilityDeterminism, RepeatChaosRunsAreByteIdentical)
 {
     const RelStats a = runReliability(chaosConfig());
