@@ -24,13 +24,18 @@ class GupsWorkload : public Workload
           tableElems(8192ull << p.scale),
           updatesPerThread(2048ull << p.scale)
     {
-        // Table block-distributed across DIMMs.
-        const std::uint64_t per_dimm =
-            tableElems / p.numDimms * 8;
+        // Table block-distributed across DIMMs; the last DIMM's block
+        // also holds the remainder (elemAddr).
+        const std::uint64_t per_dimm = tableElems / p.numDimms;
         blockAddr.resize(p.numDimms);
-        for (unsigned d = 0; d < p.numDimms; ++d)
+        for (unsigned d = 0; d < p.numDimms; ++d) {
+            const std::uint64_t elems =
+                d + 1 < p.numDimms
+                    ? per_dimm
+                    : tableElems - (p.numDimms - 1) * per_dimm;
             blockAddr[d] =
-                alloc.alloc(static_cast<DimmId>(d), per_dimm);
+                alloc.alloc(static_cast<DimmId>(d), elems * 8);
+        }
         reset();
     }
 

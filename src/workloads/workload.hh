@@ -125,6 +125,9 @@ class Workload
 
     const WorkloadParams &params() const { return p; }
 
+    /** Bytes this workload's data occupies on DIMM @p d. */
+    std::uint64_t placedBytes(DimmId d) const { return alloc.used(d); }
+
   protected:
     /** Home DIMM of thread-slice @p tid's data: block distribution. */
     DimmId
