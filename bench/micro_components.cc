@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenches of the hot simulator components:
  * CRC-32, packet encode/decode, the MCMF placement solver, the DRAM
- * controller, the router network, and the event queue itself.
+ * controller, the router network, the event queue itself, and R-MAT
+ * graph generation.
  */
 
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "noc/network.hh"
 #include "proto/codec.hh"
 #include "sim/event_queue.hh"
+#include "workloads/graph.hh"
 
 using namespace dimmlink;
 
@@ -155,3 +157,19 @@ BM_EventQueueChurn(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 1000);
 }
 BENCHMARK(BM_EventQueueChurn);
+
+static void
+BM_GraphRmat(benchmark::State &state)
+{
+    const auto scale = static_cast<unsigned>(state.range(0));
+    std::uint64_t edges = 0;
+    for (auto _ : state) {
+        const auto g = workloads::Graph::rmat(scale, 8, 1);
+        edges = g.numEdges();
+        benchmark::DoNotOptimize(edges);
+    }
+    state.counters["csr_edges"] = static_cast<double>(edges);
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * (8ull << scale)));
+}
+BENCHMARK(BM_GraphRmat)->Arg(15)->Arg(17)->Unit(benchmark::kMillisecond);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI: plain build + full test suite, then an ASan+UBSan build of
-# the same suite, then the event-kernel microbench as a smoke test.
+# the same suite, then the event-kernel and graph-generation
+# microbenches as smoke tests.
 # Run from anywhere; operates on the repo root.
 set -euo pipefail
 
@@ -43,6 +44,11 @@ for b in rows:
     assert allocs == 0, (b["name"], "steady_allocs_per_sched", allocs)
 print(f"    alloc-free OK: {len(rows)} schedule-heavy row(s) at 0")
 EOF
+
+echo "==> graph-generation microbench (smoke)"
+# R-MAT generation at scales 15 and 17, beyond what perfbench builds.
+"$root/build/bench/micro_components" --benchmark_filter=GraphRmat \
+    --benchmark_min_time=0.05
 
 echo "==> end-to-end run from the checked-in config"
 "$root/build/examples/example_simulate" \

@@ -15,33 +15,57 @@ Graph::fromEdges(
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges,
     Rng &rng)
 {
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-    // Drop self loops.
-    edges.erase(std::remove_if(edges.begin(), edges.end(),
-                               [](const auto &e) {
-                                   return e.first == e.second;
-                               }),
-                edges.end());
-
+    // Each undirected edge lands in both endpoints' rows.
     Graph g;
     g.rowPtr.assign(vertices + 1, 0);
     for (const auto &[u, v] : edges) {
-        (void)v;
         ++g.rowPtr[u + 1];
+        ++g.rowPtr[v + 1];
     }
     for (std::uint32_t v = 0; v < vertices; ++v)
         g.rowPtr[v + 1] += g.rowPtr[v];
-    g.colIdx.resize(edges.size());
-    g.weights.resize(edges.size());
+
+    // Counting sort by source: each row holds its neighbours in edge
+    // list order.
+    std::vector<std::uint32_t> scattered(g.rowPtr[vertices]);
     std::vector<std::uint64_t> cursor(g.rowPtr.begin(),
                                       g.rowPtr.end() - 1);
     for (const auto &[u, v] : edges) {
-        const std::uint64_t slot = cursor[u]++;
-        g.colIdx[slot] = v;
-        g.weights[slot] = static_cast<std::uint32_t>(
-            1 + rng.below(63)); // weights in [1, 64)
+        scattered[cursor[u]++] = v;
+        scattered[cursor[v]++] = u;
     }
+    decltype(edges)().swap(edges);
+
+    // A symmetric graph is its own transpose, so scattering the rows
+    // again in vertex order leaves every row sorted by neighbour.
+    g.colIdx.resize(g.rowPtr[vertices]);
+    std::copy(g.rowPtr.begin(), g.rowPtr.end() - 1, cursor.begin());
+    for (std::uint32_t u = 0; u < vertices; ++u)
+        for (auto e = g.rowPtr[u]; e < g.rowPtr[u + 1]; ++e)
+            g.colIdx[cursor[scattered[e]]++] = u;
+    decltype(scattered)().swap(scattered);
+
+    // Drop duplicates and self loops, compacting the rows down.
+    std::uint64_t out = 0;
+    for (std::uint32_t v = 0; v < vertices; ++v) {
+        const std::uint64_t begin = g.rowPtr[v];
+        const std::uint64_t end = g.rowPtr[v + 1];
+        const std::uint64_t row = out;
+        g.rowPtr[v] = row;
+        for (std::uint64_t e = begin; e < end; ++e) {
+            const std::uint32_t u = g.colIdx[e];
+            if (u != v && (out == row || g.colIdx[out - 1] != u))
+                g.colIdx[out++] = u;
+        }
+    }
+    g.rowPtr[vertices] = out;
+    g.colIdx.resize(out);
+    g.colIdx.shrink_to_fit();
+
+    // Weights last: one draw per CSR slot, in CSR order.
+    g.weights.resize(out);
+    for (auto &w : g.weights)
+        w = static_cast<std::uint32_t>(1 + rng.below(63)); // [1, 64)
     return g;
 }
 
@@ -57,27 +81,21 @@ Graph::rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed)
     const double a = 0.57, b = 0.19, c = 0.19;
 
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(m * 2);
+    edges.reserve(m);
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint32_t u = 0, v = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
+            // Quadrant [0, a) top-left, [a, a+b) top-right, [a+b,
+            // a+b+c) bottom-left, else bottom-right; picked without
+            // branches, which every draw would mispredict.
             const double r = rng.real();
-            unsigned ub = 0, vb = 0;
-            if (r < a) {
-                // top-left
-            } else if (r < a + b) {
-                vb = 1;
-            } else if (r < a + b + c) {
-                ub = 1;
-            } else {
-                ub = 1;
-                vb = 1;
-            }
+            const unsigned ub = r >= a + b;
+            const unsigned vb =
+                ((r >= a) & (r < a + b)) | (r >= a + b + c);
             u = (u << 1) | ub;
             v = (v << 1) | vb;
         }
         edges.emplace_back(u, v);
-        edges.emplace_back(v, u); // symmetrize
     }
     return fromEdges(n, std::move(edges), rng);
 }
@@ -88,14 +106,13 @@ Graph::uniform(std::uint32_t vertices, std::uint64_t edge_count,
 {
     Rng rng(seed);
     std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    edges.reserve(edge_count * 2);
+    edges.reserve(edge_count);
     for (std::uint64_t e = 0; e < edge_count; ++e) {
         const auto u =
             static_cast<std::uint32_t>(rng.below(vertices));
         const auto v =
             static_cast<std::uint32_t>(rng.below(vertices));
         edges.emplace_back(u, v);
-        edges.emplace_back(v, u);
     }
     return fromEdges(vertices, std::move(edges), rng);
 }
@@ -110,14 +127,10 @@ Graph::grid2d(std::uint32_t rows, std::uint32_t cols)
     };
     for (std::uint32_t r = 0; r < rows; ++r) {
         for (std::uint32_t c = 0; c < cols; ++c) {
-            if (c + 1 < cols) {
+            if (c + 1 < cols)
                 edges.emplace_back(id(r, c), id(r, c + 1));
-                edges.emplace_back(id(r, c + 1), id(r, c));
-            }
-            if (r + 1 < rows) {
+            if (r + 1 < rows)
                 edges.emplace_back(id(r, c), id(r + 1, c));
-                edges.emplace_back(id(r + 1, c), id(r, c));
-            }
         }
     }
     return fromEdges(rows * cols, std::move(edges), rng);

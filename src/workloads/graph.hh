@@ -63,7 +63,15 @@ class Graph
                                           double damping) const;
 
   private:
-    /** Finalize from an edge list (sorts, dedups, builds CSR). */
+    /**
+     * Finalize from an edge list holding one undirected edge per pair.
+     * Builds the symmetric CSR in linear passes: a counting sort of
+     * both directions by source, a second scatter that sorts every
+     * row (the graph is its own transpose), then one pass that drops
+     * duplicate edges and self loops. Weights are drawn last from
+     * @p rng, one per CSR slot in CSR order: the generator's edge
+     * draws followed by these weight draws are the graph's identity.
+     */
     static Graph fromEdges(
         std::uint32_t vertices,
         std::vector<std::pair<std::uint32_t, std::uint32_t>> edges,
