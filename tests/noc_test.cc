@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
@@ -442,6 +445,154 @@ INSTANTIATE_TEST_SUITE_P(
                       NetCase{Topology::Torus, 8, 5},
                       NetCase{Topology::HalfRing, 2, 6},
                       NetCase{Topology::Torus, 16, 7}));
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+};
+
+/**
+ * Contended traffic on an 8-node @p kind network, folded into one
+ * digest: every delivery's (tick, node, message id), then every
+ * router's forwarded/ejected/blockedOnCredits counts. 24-flit ports
+ * leave a 7-flit message room beside a ring's 17-flit injection
+ * bubble, so heads block on credits and injections back up. Injections
+ * land at random ticks and priorities, and some deliveries inject a
+ * follow-up at the ejecting node or a neighbour in the same tick --
+ * just after the ejecting router's pop kicked its neighbours.
+ */
+std::uint64_t
+kickTimingDigest(Topology kind, std::uint64_t seed)
+{
+    constexpr unsigned nodes = 8;
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(kind, 24), nodes, reg);
+    Rng rng(seed);
+    Fnv1a fnv;
+    unsigned next_id = 0;
+    unsigned follow_ups = 150;
+    unsigned expected = 0, delivered = 0;
+
+    std::function<void(int)> send = [&](int src) {
+        const unsigned id = next_id++;
+        Rng r(seed ^ (id * 0x9e3779b97f4a7c15ull));
+        Message m;
+        m.src = src;
+        m.broadcast = r.chance(0.15);
+        m.dst = static_cast<int>(r.below(nodes));
+        m.flits = 1 + static_cast<unsigned>(r.below(7));
+        expected += m.broadcast ? nodes : 1;
+        m.deliver = [&, id](int node) {
+            fnv.add(eq.now());
+            fnv.add(static_cast<std::uint64_t>(node));
+            fnv.add(id);
+            ++delivered;
+            Rng f(seed ^ (id * 0xbf58476d1ce4e5b9ull) ^
+                  static_cast<std::uint64_t>(node));
+            if (follow_ups > 0 && f.chance(0.3)) {
+                --follow_ups;
+                const int shift = static_cast<int>(f.below(3)) - 1;
+                send((node + shift + static_cast<int>(nodes)) %
+                     static_cast<int>(nodes));
+            }
+        };
+        net.inject(std::move(m));
+    };
+
+    constexpr EventPriority prios[3] = {EventPriority::Delivery,
+                                        EventPriority::Control,
+                                        EventPriority::Core};
+    for (unsigned i = 0; i < 250; ++i) {
+        const int src = static_cast<int>(rng.below(nodes));
+        // Multiples of 640 ps (one flit's serialization) pile
+        // injections onto the ticks where routers already act.
+        const Tick when = 640 * rng.below(400);
+        eq.schedule(when, [&send, src] { send(src); },
+                    prios[rng.below(3)]);
+    }
+    eq.run();
+    EXPECT_EQ(delivered, expected);
+    EXPECT_GT(reg.scalar("net.injectBlocked"), 0.0);
+
+    double blocked = 0;
+    for (unsigned r = 0; r < nodes; ++r) {
+        const std::string g = "net.router" + std::to_string(r) + ".";
+        for (const char *stat : {"forwarded", "ejected",
+                                 "blockedOnCredits"})
+            fnv.add(static_cast<std::uint64_t>(reg.scalar(g + stat)));
+        blocked += reg.scalar(g + "blockedOnCredits");
+    }
+    EXPECT_GT(blocked, 0.0);
+    return fnv.h;
+}
+
+TEST(Network, KickTimingIsPinned)
+{
+    // Which tick every router pass runs at, and in which port order,
+    // decides every delivery tick below; a change to how routers are
+    // woken that moves any of them moves the digest.
+    EXPECT_EQ(kickTimingDigest(Topology::HalfRing, 11),
+              0x996673b9c8161bfeull);
+    EXPECT_EQ(kickTimingDigest(Topology::Ring, 12),
+              0xa306a00080dda287ull);
+    // On a mesh or a torus two routers kicked by the same pop can be
+    // one hop apart, so the order of their same-tick passes shows too.
+    EXPECT_EQ(kickTimingDigest(Topology::Mesh, 13),
+              0xc4af1d4103d224a7ull);
+    EXPECT_EQ(kickTimingDigest(Topology::Torus, 14),
+              0x5254213ab7fe5574ull);
+
+    // A message that lands in a router while a kick is pending at that
+    // very tick is forwarded in that kick, without a router latency.
+    // Half ring 0-1-2-3; 1 flit serializes in 640 ps, the wire takes
+    // 8000 ps and a router 4000 ps.
+    EventQueue eq;
+    stats::Registry reg;
+    Network net(eq, "net", testLinkCfg(Topology::HalfRing), 4, reg);
+    const auto unicast = [](int src, int dst, auto on_deliver) {
+        Message m;
+        m.src = src;
+        m.dst = dst;
+        m.flits = 1;
+        m.deliver = on_deliver;
+        return m;
+    };
+
+    // Over a link: node 2's message reaches router 1 at 12640, the
+    // tick of the kick that node 1's injection at 8640 scheduled.
+    Tick over_link = 0;
+    net.inject(unicast(2, 1, [&](int) { over_link = eq.now(); }));
+    eq.schedule(8640, [&] {
+        net.inject(unicast(1, 0, [](int) {}));
+    });
+
+    // By injection, once the network is idle again: router 2 ejects
+    // node 3's message and its pop kicks router 1 for that tick; the
+    // delivery then injects at node 1, which forwards at once.
+    Tick ejected_at_2 = 0, injected_delivered = 0;
+    eq.schedule(40000, [&] {
+        net.inject(unicast(3, 2, [&](int) {
+            ejected_at_2 = eq.now();
+            net.inject(unicast(
+                1, 0, [&](int) { injected_delivered = eq.now(); }));
+        }));
+    });
+    eq.run();
+    EXPECT_EQ(over_link, 4000u + 640u + 8000u);
+    EXPECT_EQ(ejected_at_2, 40000u + 4000u + 640u + 8000u + 4000u);
+    EXPECT_EQ(injected_delivered, ejected_at_2 + 640u + 8000u + 4000u);
+}
 
 } // namespace
 } // namespace noc
