@@ -45,9 +45,11 @@ for b in rows:
 print(f"    alloc-free OK: {len(rows)} schedule-heavy row(s) at 0")
 EOF
 
-echo "==> graph-generation microbench (smoke)"
-# R-MAT generation at scales 15 and 17, beyond what perfbench builds.
-"$root/build/bench/micro_components" --benchmark_filter=GraphRmat \
+echo "==> graph-generation and NoC microbenches (smoke)"
+# R-MAT generation at scales 15 and 17, beyond what perfbench builds,
+# and random traffic through 4- and 8-node networks.
+"$root/build/bench/micro_components" \
+    --benchmark_filter='GraphRmat|NetworkRandomTraffic' \
     --benchmark_min_time=0.05
 
 echo "==> end-to-end run from the checked-in config"
@@ -593,22 +595,32 @@ echo "==> benchmark driver builds and runs against src/"
 # exercises both probes; its verification must pass. The run must also
 # damage packets (dll.corrupt > 0): a DLL packet's byte image is built
 # only when a fault flipped its bits, and this keeps the benchmark
-# exercising that path.
+# exercising that path. Its stats digest is pinned: a change meant to
+# keep results byte-identical that moves it fails here. Its event
+# count may only fall: a kick on a router with nothing arrived fires
+# no event, and a change that brings such events back fails here.
 bench_out="$(CARGO_TARGET_DIR=build-perfbench python3 \
     "$root/perfbench/run.py" --workload kv-dl8-ber --seed 1 \
     --seconds 1 --trace 1)"
 python3 - "$bench_out" <<'EOF'
 import json, sys
-result = json.loads(sys.argv[1].splitlines()[-1])
+lines = sys.argv[1].splitlines()
+report = json.loads(lines[-2])["report"]
+result = json.loads(lines[-1])
 assert result["correct"], "perfbench run not correct"
 assert result["failed"] == 0, f'{result["failed"]} failed operations'
 metrics = result["metrics"]
 for key in ("sim.events", "sim.allocs_per_event", "dll.sent",
             "dll.corrupt"):
     print(f"    {key} = {metrics[key]['value']}")
+print(f'    digest = {report["digest"]}')
 assert metrics["dll.corrupt"]["value"] > 0, \
     "kv-dl8-ber damaged no DLL packet (dll.corrupt = 0)"
+assert report["digest"] == "d8a860087f087f2a", \
+    f'kv-dl8-ber stats digest moved: {report["digest"]}'
+assert metrics["sim.events"]["value"] <= 7137387, \
+    f'kv-dl8-ber fired {metrics["sim.events"]["value"]} events (> 7137387)'
 EOF
-echo "    perfbench OK: driver built, kv-dl8-ber --trace 1 correct, packets damaged"
+echo "    perfbench OK: driver built, kv-dl8-ber --trace 1 correct, packets damaged, digest and event count held"
 
 echo "==> CI green"

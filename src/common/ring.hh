@@ -24,6 +24,7 @@ class Ring
 
     T &front() { return buf[head]; }
     const T &front() const { return buf[head]; }
+    T &back() { return buf[(head + count - 1) & (buf.size() - 1)]; }
 
     void
     push_back(T v)

@@ -37,10 +37,10 @@ Router::Router(EventQueue &eq, std::string name, int node,
     const auto nodes = static_cast<std::size_t>(graph.numNodes());
     portOfNode.assign(nodes, noPort);
     outputs.assign(nodes, Output{});
-    ports.push_back(Port{injectPort, {}, 0, {}, false});
+    ports.push_back(Port{injectPort, {}, 0, 0, {}, false});
     for (int nb : graph.neighbors(node)) {
         portOfNode[static_cast<std::size_t>(nb)] = ports.size();
-        ports.push_back(Port{nb, {}, 0, {}, false});
+        ports.push_back(Port{nb, {}, 0, 0, {}, false});
     }
 }
 
@@ -83,6 +83,7 @@ Router::tryInject(Message &msg)
     Port &p = ports[portIndex(injectPort)];
     p.usedFlits += msg.flits;
     p.q.push_back(std::move(msg));
+    ++arrived;
     scheduleKick(eventq.now() + routerLatency);
     return true;
 }
@@ -97,20 +98,51 @@ Router::inject(Message msg)
 void
 Router::scheduleKick(Tick when)
 {
-    if (when < eventq.now())
-        when = eventq.now();
+    const Tick now = eventq.now();
+    if (when < now)
+        when = now;
+    if (kickReserved)
+        settleReservedKick();
     if (kickScheduled && kickAt <= when)
         return;
     if (kickScheduled)
         eventq.deschedule(kickEventId);
     kickScheduled = true;
     kickAt = when;
-    kickEventId = eventq.schedule(when,
-                                  [this] {
-                                      kickScheduled = false;
-                                      forward();
-                                  },
+    // A pass now with nothing arrived would find every port empty
+    // unless a message lands first, and a landing asks for a kick.
+    if (when == now && arrived == 0) {
+        kickSeq = eventq.reserveSeq(when, EventPriority::Control);
+        kickReserved = kickSeq != EventQueue::noSeq;
+        if (kickReserved)
+            return;
+    }
+    kickEventId = eventq.schedule(when, [this] { runKick(); },
                                   EventPriority::Control);
+}
+
+void
+Router::settleReservedKick()
+{
+    if (eventq.passed(kickAt, EventPriority::Control, kickSeq)) {
+        // An empty pass only ends the pending kick and rotates the
+        // arbitration start.
+        kickReserved = false;
+        kickScheduled = false;
+        rrNext = (rrNext + 1) % ports.size();
+    } else if (arrived > 0) {
+        kickReserved = false;
+        kickEventId = eventq.scheduleReserved(
+            kickAt, kickSeq, [this] { runKick(); },
+            EventPriority::Control);
+    }
+}
+
+void
+Router::runKick()
+{
+    kickScheduled = false;
+    forward();
 }
 
 void
@@ -144,18 +176,20 @@ Router::sendCopy(Message &msg, int next_hop, bool from_injection,
             tr->instant(trk, nmCreditBlock, eventq.now(), msg.flits);
         return false;
     }
-    // Reserve the downstream buffer space now (credit leaves with the
-    // flits) and hand the message to the link.
+    // Take the downstream buffer space now (credit leaves with the
+    // flits), put the message there and transmit it in place; it
+    // counts as in flight until the link delivers it.
     Router *down = out.downstream;
     const std::size_t dport = down->portIndex(node_);
-    down->ports[dport].usedFlits += msg.flits;
-    Message sent = copy ? Message(msg) : std::move(msg);
-    const Tick arrival = out.link->transmit(sent);
+    Port &in = down->ports[dport];
+    in.usedFlits += msg.flits;
+    in.q.push_back(copy ? Message(msg) : std::move(msg));
+    ++in.inFlight;
+    const Tick arrival = out.link->transmit(in.q.back());
     eventq.schedule(arrival,
-                    [down, dport, m = std::move(sent)]() mutable {
-                        // Space was pre-reserved; enqueue without
-                        // re-reserving.
-                        down->ports[dport].q.push_back(std::move(m));
+                    [down, dport] {
+                        --down->ports[dport].inFlight;
+                        ++down->arrived;
                         down->scheduleKick(down->eventq.now() +
                                            down->routerLatency);
                     },
@@ -169,6 +203,7 @@ Router::popHead(Port &port)
 {
     const unsigned flits = port.q.front().flits;
     port.q.pop_front();
+    --arrived;
     if (port.usedFlits < flits)
         panic("router %s: flit accounting underflow", name_.c_str());
     port.usedFlits -= flits;
@@ -194,7 +229,7 @@ Router::notifyUpstream()
 bool
 Router::tryPort(Port &port)
 {
-    if (port.q.empty())
+    if (!hasArrived(port))
         return false;
     Message &m = port.q.front();
 
@@ -265,7 +300,7 @@ Router::forward()
     for (std::size_t i = 0; i < n; ++i) {
         Port &port = ports[(rrNext + i) % n];
         tryPort(port);
-        if (!port.q.empty())
+        if (hasArrived(port))
             any_left = true;
     }
     rrNext = (rrNext + 1) % n;

@@ -52,17 +52,31 @@ class Router
      * here; the queue drains whenever this router pops a port. */
     void inject(Message msg);
 
-    /** Attempt to make forwarding progress (idempotent, reentrant-safe
-     * via event scheduling). */
+    /**
+     * Ask for an arbitration pass at this tick (idempotent,
+     * reentrant-safe via event scheduling). A router with no arrived
+     * message only reserves the pass's place in the event order: the
+     * pass is scheduled under that key if a message lands before the
+     * kernel gets there, and otherwise reduces to advancing the
+     * round-robin start, which the next kick request applies.
+     */
     void kick();
 
     int node() const { return node_; }
 
   private:
+    /**
+     * An input buffer. A message enters q when the upstream router
+     * sends it and is transmitted in place; the last inFlight entries
+     * are still on the wire. One link feeds the port and its arrival
+     * ticks never decrease, so messages arrive in q's order and the
+     * arrived ones are a prefix.
+     */
     struct Port
     {
         int fromNode;
         Ring<Message> q;
+        std::size_t inFlight = 0;
         unsigned usedFlits = 0;
         /** Remaining broadcast children for the head message. */
         std::vector<int> headChildren;
@@ -78,15 +92,30 @@ class Router
     /** Space (in flits) available on the port fed by @p from_node. */
     bool canAccept(unsigned flits, int from_node) const;
 
+    /** True if @p port holds a message that has arrived. */
+    static bool
+    hasArrived(const Port &port)
+    {
+        return port.q.size() > port.inFlight;
+    }
+
     void scheduleKick(Tick when);
+    /** Resolve a pending reserved kick: if the kernel went past its
+     * key, apply the empty pass it stood for; if a message has arrived
+     * since, schedule the pass under that key. */
+    void settleReservedKick();
+    /** The kick event: one arbitration pass. */
+    void runKick();
     void forward();
     /** True if the head of @p port made progress. */
     bool tryPort(Port &port);
     /**
      * Send @p msg toward @p next_hop; true when it left the port.
-     * A unicast hop moves the message out (the caller then pops the
-     * moved-from head); a broadcast child (@p copy) gets a copy so
-     * the original can still feed its siblings and eject here.
+     * The message goes straight into the downstream port, in flight
+     * until the link delivers it. A unicast hop moves the message out
+     * (the caller then pops the moved-from head); a broadcast child
+     * (@p copy) gets a copy so the original can still feed its
+     * siblings and eject here.
      * Messages entering a cyclic topology from the injection port
      * must leave a bubble (one max packet of spare buffer) in the
      * downstream port -- bubble flow control keeps the rings
@@ -125,9 +154,16 @@ class Router
     std::vector<Output> outputs;
     std::size_t rrNext = 0;
 
+    /** Messages in ports that have arrived (not in flight). */
+    std::size_t arrived = 0;
+
+    /** A kick is pending at kickAt: an event (kickEventId) or, when
+     * kickReserved, only its key in the event order (kickSeq). */
     bool kickScheduled = false;
+    bool kickReserved = false;
     Tick kickAt = 0;
     std::uint64_t kickEventId = 0;
+    std::uint64_t kickSeq = 0;
 
     /** Messages waiting for injection-port space, oldest first. */
     Ring<Message> injectBacklog;

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -246,9 +247,112 @@ TEST(EventQueue, DescheduledCallbackIsEventuallyDestroyed)
     EXPECT_TRUE(watch.expired());
 }
 
+TEST(EventQueueReserve, PassedAcrossPrioritiesAtOneTick)
+{
+    EventQueue eq;
+    constexpr auto noSeq = EventQueue::noSeq;
+    std::uint64_t ctl = noSeq, core = noSeq;
+    std::vector<std::string> seen;
+    const auto probe = [&](const char *at) {
+        seen.push_back(std::string(at) + ":" +
+                       (eq.passed(100, EventPriority::Control, ctl)
+                            ? "C"
+                            : "c") +
+                       (eq.passed(100, EventPriority::Core, core) ? "K"
+                                                                  : "k"));
+    };
+    eq.schedule(100, [&] {
+        ctl = eq.reserveSeq(100, EventPriority::Control);
+        core = eq.reserveSeq(100, EventPriority::Core);
+        // A Delivery key at this tick would fire next, behind the
+        // running Control event: refused.
+        EXPECT_EQ(eq.reserveSeq(100, EventPriority::Delivery), noSeq);
+        probe("self");
+        // Behind the running event: fires next, passes nothing.
+        eq.schedule(100, [&] { probe("delivery"); },
+                    EventPriority::Delivery);
+        // After the Control key in sequence order.
+        eq.schedule(100, [&] { probe("control"); },
+                    EventPriority::Control);
+        eq.schedule(100, [&] { probe("stat"); }, EventPriority::Stat);
+    }, EventPriority::Control);
+    eq.schedule(200, [&] { probe("later"); }, EventPriority::Delivery);
+    eq.run();
+    ASSERT_NE(ctl, noSeq);
+    ASSERT_NE(core, noSeq);
+    EXPECT_EQ(seen, (std::vector<std::string>{"self:ck", "delivery:ck",
+                                              "control:Ck", "stat:CK",
+                                              "later:CK"}));
+}
+
+TEST(EventQueueReserve, EarlierTicksArePassed)
+{
+    EventQueue eq;
+    std::uint64_t far = EventQueue::noSeq;
+    bool at_300 = true, at_301 = false;
+    eq.schedule(100, [&] {
+        far = eq.reserveSeq(300, EventPriority::Default);
+    });
+    eq.schedule(300, [&] {
+        at_300 = eq.passed(300, EventPriority::Default, far);
+    }, EventPriority::Delivery);
+    eq.schedule(301, [&] {
+        at_301 = eq.passed(300, EventPriority::Default, far);
+    }, EventPriority::Delivery);
+    eq.run();
+    ASSERT_NE(far, EventQueue::noSeq);
+    EXPECT_FALSE(at_300);
+    EXPECT_TRUE(at_301);
+}
+
+TEST(EventQueueReserve, RunUntilPassesEveryKeyAtItsLimit)
+{
+    EventQueue eq;
+    std::uint64_t at_limit = EventQueue::noSeq;
+    std::uint64_t beyond = EventQueue::noSeq;
+    eq.schedule(10, [&] {
+        at_limit = eq.reserveSeq(500, EventPriority::Default);
+        beyond = eq.reserveSeq(501, EventPriority::Delivery);
+    });
+    eq.runUntil(500);
+    EXPECT_TRUE(eq.passed(500, EventPriority::Default, at_limit));
+    EXPECT_FALSE(eq.passed(501, EventPriority::Delivery, beyond));
+    // An event scheduled now at the limit fires on the next run, out
+    // of key order with the interval just run: no reservation there.
+    EXPECT_EQ(eq.reserveSeq(500, EventPriority::Delivery),
+              EventQueue::noSeq);
+    EXPECT_NE(eq.reserveSeq(501, EventPriority::Delivery),
+              EventQueue::noSeq);
+    // A drained run passes everything up to its last tick.
+    eq.schedule(700, [] {});
+    eq.run();
+    EXPECT_TRUE(eq.passed(501, EventPriority::Delivery, beyond));
+    EXPECT_EQ(eq.reserveSeq(700, EventPriority::Default),
+              EventQueue::noSeq);
+}
+
+TEST(EventQueueReserve, ScheduledReservationKeepsItsPlace)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(100, [&] {
+        const std::uint64_t seq =
+            eq.reserveSeq(100, EventPriority::Control);
+        eq.schedule(100, [&] { order.push_back(2); },
+                    EventPriority::Control);
+        eq.scheduleReserved(100, seq, [&] { order.push_back(1); },
+                            EventPriority::Control);
+    }, EventPriority::Control);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_TRUE(eq.empty());
+}
+
 /**
  * Naive reference implementation of the kernel's ordering contract:
  * a flat vector scanned for the (tick, prio, seq) minimum each step.
+ * A reservation is an event scheduled at once, with no callback until
+ * scheduleReserved() gives it one; it has been passed once it fired.
  */
 class ReferenceQueue
 {
@@ -259,6 +363,37 @@ class ReferenceQueue
         events.push_back(Ev{when, static_cast<int>(prio), nextSeq,
                             std::move(cb)});
         return nextSeq++;
+    }
+
+    /** Refused for a key before the greatest one fired so far. */
+    std::uint64_t
+    reserveSeq(Tick when, EventPriority prio)
+    {
+        const Ev key{when, static_cast<int>(prio), nextSeq, {}};
+        if (firedAny && !before(lastMax, key))
+            return EventQueue::noSeq;
+        return schedule(when, {}, prio);
+    }
+
+    std::uint64_t
+    scheduleReserved(Tick, std::uint64_t seq, std::function<void()> cb,
+                     EventPriority)
+    {
+        for (Ev &e : events) {
+            if (e.seq == seq)
+                e.cb = std::move(cb);
+        }
+        return seq;
+    }
+
+    bool
+    passed(Tick, EventPriority, std::uint64_t seq) const
+    {
+        for (const Ev &e : events) {
+            if (e.seq == seq)
+                return false;
+        }
+        return true;
     }
 
     void
@@ -281,14 +416,16 @@ class ReferenceQueue
             return false;
         auto best = events.begin();
         for (auto it = events.begin(); it != events.end(); ++it) {
-            if (it->when < best->when ||
-                (it->when == best->when &&
-                 (it->prio < best->prio ||
-                  (it->prio == best->prio && it->seq < best->seq))))
+            if (before(*it, *best))
                 best = it;
         }
         Ev ev = std::move(*best);
         events.erase(best);
+        if (!ev.cb)
+            return true; // A reservation nobody scheduled.
+        if (!firedAny || before(lastMax, ev))
+            lastMax = Ev{ev.when, ev.prio, ev.seq, {}};
+        firedAny = true;
         currentTick = ev.when;
         ev.cb();
         return true;
@@ -302,9 +439,20 @@ class ReferenceQueue
         std::uint64_t seq;
         std::function<void()> cb;
     };
+
+    static bool
+    before(const Ev &a, const Ev &b)
+    {
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.prio != b.prio ? a.prio < b.prio : a.seq < b.seq;
+    }
+
     std::vector<Ev> events;
     Tick currentTick = 0;
     std::uint64_t nextSeq = 0;
+    Ev lastMax{};
+    bool firedAny = false;
 };
 
 /**
@@ -312,7 +460,11 @@ class ReferenceQueue
  * schedule/deschedule/reschedule scenario. All decisions flow from
  * deterministic Rng streams (one for the outer driver, one derived
  * from each event's label), so two queues that execute events in the
- * same order make bit-identical decisions.
+ * same order make bit-identical decisions. Some events are reserved
+ * now and scheduled later, in a later event that still finds the key
+ * not passed; the rest are reserved and never scheduled. Every
+ * refused reservation and every passed() that turns true is recorded
+ * in the order alongside the fired labels.
  */
 template <typename Q>
 class ScenarioDriver
@@ -320,12 +472,17 @@ class ScenarioDriver
   public:
     ScenarioDriver(Q &q_, std::uint64_t seed_) : q(q_), seed(seed_) {}
 
+    /** Reservations later scheduled under their keys. */
+    unsigned scheduledReserved = 0;
+
     std::vector<std::uint64_t>
     run()
     {
         Rng rng(seed);
         for (int i = 0; i < 400; ++i) {
             scheduleOne(rng);
+            if (rng.chance(0.1))
+                reserveOne(rng);
             if (rng.chance(0.25) && !ids.empty())
                 q.deschedule(ids[rng.below(ids.size())]);
         }
@@ -391,6 +548,46 @@ class ScenarioDriver
             when, [this, label] { onFire(label); }, prio));
     }
 
+    /** Reserve a key for a fresh label; the label is scheduled, or
+     * seen passed, from a later event. */
+    void
+    reserveOne(Rng &rng)
+    {
+        if (reserveBudget == 0)
+            return;
+        --reserveBudget;
+        const Tick when = q.now() + randomDelta(rng);
+        const EventPriority prio = prios[rng.below(5)];
+        const std::uint64_t label = nextLabel++;
+        const std::uint64_t seq = q.reserveSeq(when, prio);
+        if (seq == EventQueue::noSeq)
+            fired.push_back(refusedMark | label);
+        else
+            reserved.push_back(Reserved{label, when, prio, seq});
+    }
+
+    /** Record the reservations the queue went past; schedule some of
+     * the others under their keys. */
+    void
+    settleReserved(Rng &rng)
+    {
+        std::vector<Reserved> keep;
+        for (const Reserved &res : reserved) {
+            if (q.passed(res.when, res.prio, res.seq)) {
+                fired.push_back(passedMark | res.label);
+            } else if (rng.chance(0.4)) {
+                ++scheduledReserved;
+                const std::uint64_t label = res.label;
+                ids.push_back(q.scheduleReserved(
+                    res.when, res.seq, [this, label] { onFire(label); },
+                    res.prio));
+            } else {
+                keep.push_back(res);
+            }
+        }
+        reserved.swap(keep);
+    }
+
     void
     onFire(std::uint64_t label)
     {
@@ -398,35 +595,61 @@ class ScenarioDriver
         // Per-label stream: both queues reach this label with the
         // same history, so both derive identical follow-up actions.
         Rng r(seed ^ (label * 0x9e3779b97f4a7c15ull));
+        settleReserved(r);
         const std::uint64_t n = r.below(3);
         for (std::uint64_t i = 0; i < n; ++i)
             scheduleOne(r);
+        if (r.chance(0.2))
+            reserveOne(r);
         if (r.chance(0.35) && !ids.empty())
             q.deschedule(ids[r.below(ids.size())]);
     }
+
+    struct Reserved
+    {
+        std::uint64_t label;
+        Tick when;
+        EventPriority prio;
+        std::uint64_t seq;
+    };
+
+    static constexpr std::uint64_t refusedMark = 1ull << 62;
+    static constexpr std::uint64_t passedMark = 1ull << 63;
 
     Q &q;
     std::uint64_t seed;
     std::vector<std::uint64_t> fired;
     std::vector<std::uint64_t> ids;
+    std::vector<Reserved> reserved;
     std::uint64_t nextLabel = 0;
     int budget = 1500;
+    int reserveBudget = 300;
 };
 
 TEST(EventQueueStress, ExecutionOrderMatchesReferenceQueue)
 {
+    unsigned scheduled = 0, passed = 0, refused = 0;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         EventQueue wheel;
         ReferenceQueue ref;
-        const auto wheelOrder =
-            ScenarioDriver<EventQueue>(wheel, seed).run();
+        ScenarioDriver<EventQueue> driver(wheel, seed);
+        const auto wheelOrder = driver.run();
         const auto refOrder =
             ScenarioDriver<ReferenceQueue>(ref, seed).run();
         ASSERT_FALSE(wheelOrder.empty());
         ASSERT_EQ(wheelOrder, refOrder) << "seed " << seed;
         EXPECT_EQ(wheel.now(), ref.now()) << "seed " << seed;
         EXPECT_TRUE(wheel.empty());
+        scheduled += driver.scheduledReserved;
+        for (const std::uint64_t e : wheelOrder) {
+            passed += (e >> 63) & 1;
+            refused += (e >> 62) & 1;
+        }
     }
+    // Every reservation outcome occurred.
+    EXPECT_GT(scheduled, 0u);
+    EXPECT_GT(passed, 0u);
+    EXPECT_GT(refused, 0u);
 }
 
 TEST(Clocked, CycleTickConversions)
